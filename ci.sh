@@ -60,7 +60,12 @@
 #      pinned chaos schedule (--chaos-seed injecting refused connects,
 #      stalls, garbled headers and truncations) — plus a format check
 #      of the pinned per-worker stats line; a lost shard, a drifted
-#      byte, or a failure that is not a counted retry/ejection fails
+#      byte, or a failure that is not a counted retry/ejection fails.
+#      The healthy run must also report 0 local shards, 0 retries and
+#      0 ejections, so a run that quietly fell back to local compute
+#      fails; and a ~2.6 MB, 10^5-gate netlist must cross the wire to
+#      two workers inside a 5 s --io-timeout with no retry and no
+#      local shard, which an ingest path slower than linear cannot do
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -271,7 +276,7 @@ start_worker() {
   echo "worker never announced its address" >&2
   return 1
 }
-# Extracts an aggregate counter ($2: retries|ejections) off the pinned
+# Extracts an aggregate counter ($2: local|retries|ejections) off the pinned
 # stats line in a coordinator stderr log ($1) — the segment before the
 # first per-worker field, which repeats the counter names.
 cluster_counter() {
@@ -290,9 +295,45 @@ target/release/nanobound cluster "$detdir/clu.bench" "${CLU_ARGS[@]}" \
     --worker "$A1" --worker "$A2" --worker "$A3" \
     > "$detdir/clu-healthy.out" 2>"$detdir/clu-healthy.err"
 diff "$detdir/clu-serial.out" "$detdir/clu-healthy.out"
-grep -Eq '^nanobound cluster: [0-9]+ shards, [0-9]+ cached, [0-9]+ local, [0-9]+ retries, [0-9]+ ejections( \| worker [0-9.:]+: [0-9]+ shards, [0-9]+ retries, [0-9]+ ejections){3}$' \
-    "$detdir/clu-healthy.err"
+# The pinned format, with every shard computed remotely and no failure:
+# a run that silently fell back to local compute has the same bytes.
+if ! grep -Eq '^nanobound cluster: [0-9]+ shards, [0-9]+ cached, 0 local, 0 retries, 0 ejections( \| worker [0-9.:]+: [0-9]+ shards, 0 retries, 0 ejections){3}$' \
+    "$detdir/clu-healthy.err"; then
+  echo "healthy cluster run was not fully remote and failure-free:" >&2
+  cat "$detdir/clu-healthy.err" >&2
+  exit 1
+fi
 kill "$W1" "$W2" "$W3" 2>/dev/null || true
+
+# Large payload: 400 XOR chains of 250 gates (~2.6 MB of .bench text)
+# shipped in-band to two workers, one shard per batch. Each worker must
+# decode, parse and compute its batch inside the 5 s --io-timeout; a
+# retry or a local shard means ingest fell behind.
+awk 'BEGIN {
+  print "INPUT(a)"; print "INPUT(b)"
+  for (c = 0; c < 400; c++) printf "OUTPUT(c%d_249)\n", c
+  for (c = 0; c < 400; c++) {
+    printf "c%d_0 = XOR(a, b)\n", c
+    for (i = 1; i < 250; i++) printf "c%d_%d = XOR(c%d_%d, %s)\n", c, i, c, i - 1, (i % 2 ? "a" : "b")
+  }
+}' > "$detdir/clu-large.bench"
+LARGE_ARGS=(--eps 0.02 --patterns 8192 --chunk 4096 --batch 1 --io-timeout 5)
+target/release/nanobound cluster "$detdir/clu-large.bench" "${LARGE_ARGS[@]}" \
+    > "$detdir/clu-large-serial.out" 2>/dev/null
+read -r W1 A1 < <(start_worker "$detdir/clu-w1.log")
+read -r W2 A2 < <(start_worker "$detdir/clu-w2.log")
+target/release/nanobound cluster "$detdir/clu-large.bench" "${LARGE_ARGS[@]}" \
+    --worker "$A1" --worker "$A2" \
+    > "$detdir/clu-large.out" 2>"$detdir/clu-large.err"
+kill "$W1" "$W2" 2>/dev/null || true
+diff "$detdir/clu-large-serial.out" "$detdir/clu-large.out"
+LARGE_RETRIES="$(cluster_counter "$detdir/clu-large.err" retries)"
+LARGE_LOCAL="$(cluster_counter "$detdir/clu-large.err" local)"
+if [ "$LARGE_RETRIES" != 0 ] || [ "$LARGE_LOCAL" != 0 ]; then
+  echo "large in-band netlist was retried or computed locally:" >&2
+  cat "$detdir/clu-large.err" >&2
+  exit 1
+fi
 
 # One worker SIGKILLed mid-run: its queued shards are re-queued to the
 # survivors, the kill shows up as counted retries + an ejection, and

@@ -598,6 +598,82 @@ y = AND(q, d)
         assert_eq!(v, vec![true, true]);
     }
 
+    /// Every error below is pinned exactly — kind, payload and line — so
+    /// a parser rewrite cannot change which error a bad file reports.
+    fn error_of(text: &str) -> ParseError {
+        parse(text).expect_err("the netlist is malformed")
+    }
+
+    #[test]
+    fn cycle_reachable_only_through_a_dead_gate() {
+        // No output reaches d1/d2; the sorted dead-gate sweep expands d1
+        // first and finds the cycle at d2, whose fanin d1 is on the path.
+        let err = error_of("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nd1 = AND(a, d2)\nd2 = OR(d1, a)\n");
+        assert_eq!(
+            err,
+            ParseError::at(5, ParseErrorKind::CombinationalCycle("d1".to_owned()))
+        );
+    }
+
+    #[test]
+    fn unknown_signal_in_a_dead_gate() {
+        let err = error_of("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ndead = AND(a, ghost)\n");
+        assert_eq!(
+            err,
+            ParseError::at(4, ParseErrorKind::UnknownSignal("ghost".to_owned()))
+        );
+    }
+
+    #[test]
+    fn input_name_reused_as_a_dff_output() {
+        let err = error_of("INPUT(a)\nINPUT(q)\nOUTPUT(y)\nq = DFF(y)\ny = AND(a, q)\n");
+        assert_eq!(
+            err,
+            ParseError::at(4, ParseErrorKind::DuplicateDefinition("q".to_owned()))
+        );
+    }
+
+    #[test]
+    fn duplicate_output_line() {
+        let err = error_of("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nOUTPUT(y)\n");
+        assert_eq!(
+            err,
+            ParseError::at(
+                4,
+                ParseErrorKind::Logic(nanobound_logic::LogicError::DuplicateOutput {
+                    name: "y".to_owned()
+                })
+            )
+        );
+    }
+
+    #[test]
+    fn undefined_output_has_no_line() {
+        // Resolution reaches the undefined root before the output pass
+        // could attach a line to it.
+        let err = error_of("INPUT(a)\nOUTPUT(ghost)\n");
+        assert_eq!(
+            err,
+            ParseError::at(0, ParseErrorKind::UnknownSignal("ghost".to_owned()))
+        );
+    }
+
+    #[test]
+    fn first_error_in_line_order_wins_the_scan() {
+        // A duplicate gate is reported at its second definition; an INPUT
+        // shadowing a gate at the INPUT line, before any resolution.
+        let err = error_of("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUFF(a)\nz = FROB(a)\n");
+        assert_eq!(
+            err,
+            ParseError::at(4, ParseErrorKind::DuplicateDefinition("y".to_owned()))
+        );
+        let err = error_of("OUTPUT(y)\ny = NOT(a)\nINPUT(a)\nINPUT(y)\n");
+        assert_eq!(
+            err,
+            ParseError::at(4, ParseErrorKind::DuplicateDefinition("y".to_owned()))
+        );
+    }
+
     #[test]
     fn whitespace_and_comments_tolerated() {
         let d =

@@ -53,7 +53,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use nanobound_cache::{decode_from_slice, encode_to_vec, ShardCache};
+use nanobound_cache::{decode_from_slice, encode_to_vec, Fingerprint, ShardCache};
 use nanobound_logic::Netlist;
 use nanobound_runner::{
     monte_carlo_fingerprint, monte_carlo_shard_tallies, tally_admissible, ShardPlan, ShardRange,
@@ -549,7 +549,8 @@ pub fn run_cluster(
             let chaos = options
                 .chaos_seed
                 .map(|seed| ChaosSchedule::new(seed, index as u64));
-            scope.spawn(move || worker_loop(board, job, options, cache, index, addr, chaos));
+            let store = cache.map(|c| (c, fingerprint));
+            scope.spawn(move || worker_loop(board, job, options, store, index, addr, chaos));
         }
 
         // The coordinator's own loop: merge-complete watchdog and
@@ -619,12 +620,13 @@ pub fn run_cluster(
 
 /// One worker's service loop: pull a batch, attempt it (optionally
 /// under an injected fault), merge or requeue, quarantine and probe
-/// after repeated failures.
+/// after repeated failures. `store` is the local cache with the run's
+/// experiment fingerprint, which admitted tallies are written under.
 fn worker_loop(
     board: &Board,
     job: &ClusterJob<'_>,
     options: &ClusterOptions,
-    cache: Option<&ShardCache>,
+    store: Option<(&ShardCache, Fingerprint)>,
     index: usize,
     addr: &str,
     mut chaos: Option<ChaosSchedule>,
@@ -657,14 +659,7 @@ fn worker_loop(
             Ok(tallies) => {
                 // Admitted exactly like cache hits; write-through so a
                 // rerun on this coordinator is all cache hits.
-                if let Some(cache) = cache {
-                    let fingerprint = monte_carlo_fingerprint(
-                        job.netlist,
-                        &job.config,
-                        job.plan.patterns(),
-                        job.pattern_seed,
-                        job.plan.chunk(),
-                    );
+                if let Some((cache, fingerprint)) = store {
                     for (offset, tally) in tallies.iter().enumerate() {
                         cache.store_value(&fingerprint, (batch.first + offset) as u64, tally);
                     }

@@ -72,6 +72,7 @@ enum Value {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -79,6 +80,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(line: &'a str) -> Self {
         Parser {
+            text: line,
             bytes: line.as_bytes(),
             pos: 0,
         }
@@ -184,13 +186,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let ch = text.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` in
+                    // one slice. Both are ASCII, so the run ends on a
+                    // char boundary of the &str.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |len| self.pos + len);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -227,8 +231,7 @@ impl<'a> Parser<'a> {
                 while self.peek().is_some_and(|b| b.is_ascii_digit()) {
                     self.pos += 1;
                 }
-                let digits =
-                    std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+                let digits = &self.text[start..self.pos];
                 digits
                     .parse()
                     .map(Value::Num)
@@ -560,7 +563,7 @@ mod tests {
         // The coordinator ships whole netlist files (newlines, spaces)
         // and arbitrary tokens through request args; every byte must
         // survive the wire format.
-        let args: Vec<String> = [
+        let mut args: Vec<String> = [
             "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n",
             "quote\"back\\slash",
             "tab\there",
@@ -571,11 +574,28 @@ mod tests {
         .iter()
         .map(|s| (*s).to_owned())
         .collect();
+        // A 4 MiB netlist, the size of ~10^5 gates, with quotes and a
+        // backslash every 64 lines so the escape path runs throughout:
+        // a decoder that rescans the rest of the line per character
+        // would take minutes here.
+        let mut netlist = String::from("INPUT(a)\nINPUT(b)\nOUTPUT(o)\nn0 = XOR(a, b)\n");
+        let mut i = 1;
+        while netlist.len() < 4 << 20 {
+            netlist.push_str(&format!("n{i} = XOR(n{}, a)\n", i - 1));
+            if i % 64 == 0 {
+                netlist.push_str(&format!("# \"chain\" \\ {i} \u{e9}\u{1f600}\n"));
+            }
+            i += 1;
+        }
+        args.push(netlist);
         let line = format_request("id-1", "mc_shards", &args);
         let parsed = parse_request(&line).unwrap();
         assert_eq!(parsed.id, "id-1");
         assert_eq!(parsed.workload, "mc_shards");
-        assert_eq!(parsed.args, args);
+        assert_eq!(parsed.args.len(), args.len());
+        for (got, want) in parsed.args.iter().zip(&args) {
+            assert!(got == want, "a {}-byte argument changed", want.len());
+        }
         // No args: the key is omitted and defaults to empty.
         let parsed = parse_request(&format_request("p", "ping", &[])).unwrap();
         assert!(parsed.args.is_empty());
