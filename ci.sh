@@ -39,14 +39,15 @@
 #      corruption must be rejected with a nonzero exit, and a lint
 #      request through `serve` must answer with the one-shot stdout
 #      bytes verbatim
-#  10. the sweep gate: an ε-grid `profile` sweep over two structurally
-#      related netlists, cold --jobs 1 vs warm --jobs $(nproc), byte-
-#      identical; then the same sweep with a `stats` request appended,
-#      counter-asserting structure sharing — the cold sweep compiles
-#      exactly once for its two unique cones and serves the second
-#      netlist by slicing the first one's tape, ε/leak grid points
-#      reuse the one ε-independent profile measurement, and the warm
-#      re-run compiles nothing and re-measures nothing
+#  10. the sweep gate: an ε-grid `profile` sweep over two netlists and
+#      a signal-renamed copy of one, cold --jobs 1 vs warm --jobs
+#      $(nproc), byte-identical; then the same sweep with a `stats`
+#      request appended, counter-asserting reuse — the cold sweep
+#      compiles one tape per distinct structure and shares it with the
+#      renamed copy (whose pattern count misses every profile cache),
+#      ε/leak grid points reuse the one ε-independent profile
+#      measurement, and the warm re-run compiles nothing and
+#      re-measures nothing
 #  11. the concurrent serve gate: one interleaved session — computing
 #      workloads with a --request-jobs mix and a mid-flight `gc`
 #      sweeping the live cache — run serially on a cold cache and again
@@ -189,20 +190,25 @@ printf '{"id":"l","workload":"lint","args":["tests/fixtures/lint_dirty.bench"]}\
 emit l "$detdir/exp-lint" > "$detdir/serve-lint-expected.out"
 diff "$detdir/serve-lint-expected.out" "$detdir/serve-lint.out"
 
-echo "==> sweep gate: ε-grid profile sweep shares cones, tapes and measurements"
+echo "==> sweep gate: ε-grid profile sweep shares tapes and measurements"
 printf 'INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n' > "$detdir/fam1.bench"
 printf 'INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\ny = XOR(a, b)\nz = AND(a, y)\n' \
     > "$detdir/fam2.bench"
-# fam1 is an order-preserving structural prefix of fam2: its one output
-# cone is isomorphic to fam2's first, so its tape must be sliced from
-# fam2's compilation, never compiled. The ε grid (and the s4 leak
-# variation) must reuse the single ε-independent profile measurement.
+printf 'INPUT(p)\nINPUT(q)\nOUTPUT(u)\nOUTPUT(v)\nu = XOR(p, q)\nv = AND(p, u)\n' \
+    > "$detdir/fam2r.bench"
+# The ε grid (and the s4 leak variation) must reuse the single
+# ε-independent profile measurement of fam2. fam1 is a distinct
+# structure and compiles its own tape. fam2r is fam2 with its signals
+# renamed: its pattern count misses the profile registry and the
+# profile store, so it is measured afresh, but its structure hits the
+# program cache and shares fam2's tape.
 cat > "$detdir/sweep.jsonl" <<EOF
 {"id":"s1","workload":"profile","args":["$detdir/fam2.bench","--eps","0.001"]}
 {"id":"s2","workload":"profile","args":["$detdir/fam2.bench","--eps","0.01"]}
 {"id":"s3","workload":"profile","args":["$detdir/fam2.bench","--eps","0.25"]}
 {"id":"s4","workload":"profile","args":["$detdir/fam2.bench","--eps","0.5","--leak","0.4"]}
 {"id":"s5","workload":"profile","args":["$detdir/fam1.bench","--eps","0.01"]}
+{"id":"s6","workload":"profile","args":["$detdir/fam2r.bench","--eps","0.01","--patterns","2048"]}
 EOF
 target/release/nanobound serve --cache-dir "$detdir/sweep-cache" --jobs 1 \
     < "$detdir/sweep.jsonl" > "$detdir/sweep-cold.out" 2>/dev/null
@@ -210,22 +216,24 @@ target/release/nanobound serve --cache-dir "$detdir/sweep-cache" --jobs "$(nproc
     < "$detdir/sweep.jsonl" > "$detdir/sweep-warm.out" 2>/dev/null
 diff "$detdir/sweep-cold.out" "$detdir/sweep-warm.out"
 # Counter assertions run on a second cache so the cold numbers are
-# clean: the cold session must compile once for two unique cones, slice
-# once, and reuse the ε-independent measurement across the grid; the
-# warm session must compile and measure nothing.
+# clean: the cold session must compile once per structure, share fam2's
+# tape with fam2r, and reuse the ε-independent measurement across the
+# grid; the warm session must compile and measure nothing. (`0 sliced`
+# is a retired counter the report line keeps for field-position
+# parsers.)
 { cat "$detdir/sweep.jsonl"; printf '{"id":"st","workload":"stats"}\n'; } \
     > "$detdir/sweep-stats.jsonl"
 target/release/nanobound serve --cache-dir "$detdir/sweep-cache2" --jobs 1 \
     < "$detdir/sweep-stats.jsonl" > "$detdir/sweep-stats-cold.out" 2>/dev/null
-grep -q "cache programs: 1 compiled (2 cones), 0 shared, 1 sliced" \
+grep -q "cache programs: 2 compiled (2 held), 1 shared, 0 sliced" \
     "$detdir/sweep-stats-cold.out"
-grep -q "cache profiles: 1 activity reused (2 measured), 1 sensitivity reused (2 measured)" \
+grep -q "cache profiles: 1 activity reused (3 measured), 2 sensitivity reused (2 measured)" \
     "$detdir/sweep-stats-cold.out"
 target/release/nanobound serve --cache-dir "$detdir/sweep-cache2" --jobs "$(nproc)" \
     < "$detdir/sweep-stats.jsonl" > "$detdir/sweep-stats-warm.out" 2>/dev/null
-grep -q "cache programs: 0 compiled (0 cones), 0 shared, 0 sliced" \
+grep -q "cache programs: 0 compiled (0 held), 0 shared, 0 sliced" \
     "$detdir/sweep-stats-warm.out"
-grep -q "cache profiles: 3 activity reused (0 measured), 3 sensitivity reused (0 measured)" \
+grep -q "cache profiles: 4 activity reused (0 measured), 4 sensitivity reused (0 measured)" \
     "$detdir/sweep-stats-warm.out"
 
 echo "==> concurrent serve gate: --concurrency 4 with mid-flight gc vs serial, byte-identical"

@@ -26,8 +26,8 @@
 /// addressed (their directories are simply never looked up again) and
 /// every shard recomputes once.
 ///
-/// History: 1 = initial cached-shard format (sequential `bernoulli_word`
-/// fault-mask stream); 2 = the v2 counter-based fault-mask stream
+/// History: 1 = initial cached-shard format (sequential Bernoulli
+/// fault-mask stream over one `StdRng`); 2 = the v2 counter-based fault-mask stream
 /// (`nanobound_sim::faultstream`) — tallies simulated under v1 are not
 /// comparable and must never be replayed, so the bump orphans them
 /// (stale entries read as counted misses and `ShardCache::sweep`

@@ -1,11 +1,9 @@
-//! Cone-level structural identity: canonical fanin-cone serialization,
-//! a frozen 128-bit cone hash, and order-preserving cone extraction.
+//! Cone-level structural identity: canonical fanin-cone serialization
+//! and a frozen 128-bit cone hash.
 //!
 //! The paper's bounds compose over fanin cones — energy and reliability
-//! are per-gate/per-cone quantities — so the cone is also the natural
-//! unit of *reuse*: two requests whose outputs have structurally equal
-//! cones can share one compiled tape and one measured profile. This
-//! module supplies the identity that makes such sharing sound:
+//! are per-gate/per-cone quantities — so the cone is a natural unit of
+//! structural identity:
 //!
 //! - [`cone_events`] — the canonical serialization of one node's fanin
 //!   cone as a rooted, ordered DAG: a pre-order DFS that assigns
@@ -17,15 +15,9 @@
 //! - [`cone_hash`] / [`ConeHash`] — a 128-bit fold of that stream.
 //!   **Frozen**: the event encoding and the mixer are pinned by
 //!   reference-value tests below (like `shard_seed` and the fault
-//!   stream), because persistent caches and cross-run sharing key on
-//!   these values.
-//! - [`cone_support`] — the transitive fanin closure of a set of
-//!   roots, in ascending id order.
-//! - [`extract_cone`] — the sub-netlist spanned by a subset of
-//!   outputs, **preserving the relative node order** of the parent.
-//!   Order preservation is what makes a tape sliced from the parent's
-//!   compiled program bit-identical to compiling the extraction: op
-//!   order, slot assignment and fault-mask op indices all replay.
+//!   stream), so the hash stays comparable across runs and releases.
+//!   No cache or registry keys on it today: program and profile reuse
+//!   key on the whole-netlist fingerprint in `nanobound-sim`.
 //!
 //! Names never enter any of this — cone identity is gate ops plus
 //! topology, nothing else.
@@ -189,7 +181,7 @@ pub fn cone_hash(netlist: &Netlist, root: NodeId) -> ConeHash {
 }
 
 /// The cone hash of every primary output's driver, in declaration
-/// order — the cone layer of the workspace's layered fingerprints.
+/// order.
 #[must_use]
 pub fn output_cone_hashes(netlist: &Netlist) -> Vec<ConeHash> {
     netlist
@@ -197,96 +189,6 @@ pub fn output_cone_hashes(netlist: &Netlist) -> Vec<ConeHash> {
         .iter()
         .map(|o| cone_hash(netlist, o.driver))
         .collect()
-}
-
-/// The transitive fanin closure of `roots`, in ascending id order.
-///
-/// Ascending id order is the parent's topological order restricted to
-/// the cone — exactly the order [`extract_cone`] preserves.
-#[must_use]
-pub fn cone_support(netlist: &Netlist, roots: &[NodeId]) -> Vec<NodeId> {
-    let mut marked = vec![false; netlist.node_count()];
-    let mut work: Vec<NodeId> = Vec::new();
-    for &root in roots {
-        if !marked[root.index()] {
-            marked[root.index()] = true;
-            work.push(root);
-        }
-    }
-    while let Some(id) = work.pop() {
-        for &f in netlist.node(id).fanins() {
-            if !marked[f.index()] {
-                marked[f.index()] = true;
-                work.push(f);
-            }
-        }
-    }
-    marked
-        .iter()
-        .enumerate()
-        .filter(|&(_, &m)| m)
-        .map(|(i, _)| NodeId::from_index(i))
-        .collect()
-}
-
-/// Extracts the sub-netlist spanned by the outputs at `output_indices`
-/// (in the given order), preserving the parent's relative node order.
-///
-/// The extraction keeps exactly [`cone_support`] of the selected
-/// drivers — inputs outside the cone are dropped — and re-emits the
-/// kept nodes through the ordinary builders in ascending parent-id
-/// order. Signal names carry over unchanged (they never affect
-/// structural identity). Returns the child netlist plus the kept
-/// parent ids, index-aligned with the child's nodes.
-///
-/// Because relative order is preserved, compiling the child replays the
-/// parent compilation restricted to the kept nodes: same op order, same
-/// slot-allocation sequence, same per-op fault-mask ordinals. That is
-/// the soundness theorem behind tape slicing in `nanobound-sim`.
-///
-/// # Panics
-///
-/// Panics if any output index is out of bounds — callers hold the
-/// netlist and its output count.
-#[must_use]
-pub fn extract_cone(netlist: &Netlist, output_indices: &[usize]) -> (Netlist, Vec<NodeId>) {
-    let roots: Vec<NodeId> = output_indices
-        .iter()
-        .map(|&i| netlist.outputs()[i].driver)
-        .collect();
-    let keep = cone_support(netlist, &roots);
-    let mut child = Netlist::new(format!("{}::cone", netlist.name()));
-    // Parent id -> child id, for fanin remapping.
-    let mut map = vec![u32::MAX; netlist.node_count()];
-    let mut fanin_buf: Vec<NodeId> = Vec::new();
-    for &id in &keep {
-        let child_id = match netlist.node(id) {
-            Node::Input { name } => child.add_input(name.clone()),
-            Node::Gate { kind, fanins } => {
-                fanin_buf.clear();
-                fanin_buf.extend(
-                    fanins
-                        .iter()
-                        .map(|f| NodeId::from_index(map[f.index()] as usize)),
-                );
-                child
-                    .add_gate(*kind, &fanin_buf)
-                    .expect("cone extraction preserves arity and fanin order")
-            }
-        };
-        map[id.index()] = child_id.index() as u32;
-    }
-    for &i in output_indices {
-        let out = &netlist.outputs()[i];
-        let driver = NodeId::from_index(map[out.driver.index()] as usize);
-        // Output names must be unique per netlist; a request slicing the
-        // same cone twice under one name is still well-formed because
-        // parent output names were unique already.
-        child
-            .add_output(out.name.clone(), driver)
-            .expect("parent output names are unique");
-    }
-    (child, keep)
 }
 
 #[cfg(test)]
@@ -362,11 +264,10 @@ mod tests {
 
     #[test]
     fn frozen_reference_values() {
-        // Pinned like `shard_seed` and the v2 fault stream: these exact
-        // values key persistent caches and cross-run tape sharing. If
-        // this test fails, the cone hash changed — that invalidates
-        // every cone-keyed store and needs the same treatment as a
-        // FORMAT_VERSION bump, not a test update.
+        // Pinned like `shard_seed` and the v2 fault stream, so any
+        // future cone-keyed store can rely on these exact values. If
+        // this test fails, the cone hash changed — that needs the same
+        // treatment as a FORMAT_VERSION bump, not a test update.
         let mut single = Netlist::new("one");
         let a = single.add_input("a");
         assert_eq!(
@@ -391,60 +292,5 @@ mod tests {
             cone_hash(&consts, m).to_hex(),
             "e11f0834e7ef54e15f900a8ac90f5484"
         );
-    }
-
-    #[test]
-    fn support_is_the_ascending_closure() {
-        let (nl, y) = diamond();
-        let all = cone_support(&nl, &[y]);
-        assert_eq!(
-            all,
-            (0..5).map(NodeId::from_index).collect::<Vec<_>>(),
-            "the diamond's output cone spans every node"
-        );
-        // The Not node's cone is just {a, Not}.
-        let n = NodeId::from_index(2);
-        assert_eq!(cone_support(&nl, &[n]), vec![NodeId::from_index(0), n]);
-    }
-
-    #[test]
-    fn extract_cone_preserves_order_and_structure() {
-        // Parent with two outputs; extracting the first must keep the
-        // shared prefix in order and drop the rest.
-        let mut nl = Netlist::new("two");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let x = nl.add_gate(GateKind::Xor, &[a, b]).unwrap();
-        let z = nl.add_gate(GateKind::And, &[a, x]).unwrap();
-        nl.add_output("y", x).unwrap();
-        nl.add_output("z", z).unwrap();
-        let (child, keep) = extract_cone(&nl, &[0]);
-        assert_eq!(keep, vec![a, b, x]);
-        assert_eq!(child.node_count(), 3);
-        assert_eq!(child.output_count(), 1);
-        assert_eq!(child.outputs()[0].name, "y");
-        child.validate().unwrap();
-        // The extracted cone hashes identically to the parent's cone.
-        assert_eq!(
-            cone_hash(&child, child.outputs()[0].driver),
-            cone_hash(&nl, x)
-        );
-        // Extracting every output in order reproduces the structure.
-        let (full, keep_all) = extract_cone(&nl, &[0, 1]);
-        assert_eq!(keep_all, vec![a, b, x, z]);
-        assert_eq!(full.node_count(), nl.node_count());
-        assert_eq!(full.output_count(), 2);
-    }
-
-    #[test]
-    fn extract_cone_drops_unreached_inputs() {
-        let mut nl = Netlist::new("wide");
-        let a = nl.add_input("a");
-        let _unused = nl.add_input("unused");
-        let g = nl.add_gate(GateKind::Not, &[a]).unwrap();
-        nl.add_output("y", g).unwrap();
-        let (child, keep) = extract_cone(&nl, &[0]);
-        assert_eq!(child.input_count(), 1);
-        assert_eq!(keep, vec![a, g]);
     }
 }

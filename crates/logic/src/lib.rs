@@ -50,7 +50,7 @@ pub mod stats;
 pub mod topo;
 pub mod transform;
 
-pub use cone::{cone_hash, cone_support, extract_cone, output_cone_hashes, ConeHash};
+pub use cone::{cone_hash, output_cone_hashes, ConeHash};
 pub use error::LogicError;
 pub use gate::GateKind;
 pub use netlist::{Netlist, Node, NodeId};

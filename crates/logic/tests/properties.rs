@@ -10,9 +10,7 @@ use nanobound_logic::cone::cone_events;
 use nanobound_logic::transform::{
     decompose_to_max_fanin, dedupe, fold_constants, optimize, prepare, sweep,
 };
-use nanobound_logic::{
-    cone_hash, extract_cone, output_cone_hashes, CircuitStats, GateKind, Netlist, NodeId,
-};
+use nanobound_logic::{cone_hash, output_cone_hashes, CircuitStats, GateKind, Netlist, NodeId};
 
 /// A deterministic random netlist generator, independent of the
 /// `nanobound-gen` crate (which depends on this one).
@@ -194,37 +192,6 @@ proptest! {
                 prop_assert_eq!(
                     hashes_equal, isomorphic,
                     "root {:?} vs {:?}", ra, rb
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn extracted_cones_keep_their_hashes(
-        seed in any::<u64>(),
-        inputs in 1usize..=7,
-        gates in 1usize..=30,
-    ) {
-        let nl = build_random(seed, inputs, gates);
-        let all: Vec<usize> = (0..nl.output_count()).collect();
-        let mut selections: Vec<Vec<usize>> = all.iter().map(|&i| vec![i]).collect();
-        selections.push(all.clone());
-        if all.len() > 1 {
-            selections.push(all.iter().rev().copied().collect());
-        }
-        for outputs in selections {
-            let (child, kept) = extract_cone(&nl, &outputs);
-            child.validate().unwrap();
-            prop_assert!(
-                kept.windows(2).all(|w| w[0].index() < w[1].index()),
-                "kept nodes must stay in parent order"
-            );
-            let child_hashes = output_cone_hashes(&child);
-            for (slot, &oi) in outputs.iter().enumerate() {
-                prop_assert_eq!(
-                    child_hashes[slot],
-                    cone_hash(&nl, nl.outputs()[oi].driver),
-                    "slot {} (parent output {})", slot, oi
                 );
             }
         }

@@ -40,7 +40,7 @@ use crate::shards::{tally_admissible, ShardPlan};
 // Re-exported from `nanobound-sim`, where the layered fingerprints
 // live so the compiled [`ProgramCache`] can address programs by the
 // same structural identity the experiment caches use.
-pub use nanobound_sim::{cone_fingerprints, experiment_builder, netlist_fingerprint};
+pub use nanobound_sim::{experiment_builder, netlist_fingerprint};
 
 /// The fingerprint under which [`monte_carlo_sharded_cached`] stores its
 /// chunk tallies (exposed so tests can corrupt specific entries).
@@ -524,6 +524,28 @@ mod tests {
         assert_ne!(
             monte_carlo_fingerprint(&a, &cfg, 100, 1, 64),
             monte_carlo_fingerprint(&b, &cfg, 100, 1, 64)
+        );
+    }
+
+    #[test]
+    fn monte_carlo_fingerprint_is_frozen() {
+        // Monte-Carlo shard entries on disk address by this value, so it
+        // may change only together with a FORMAT_VERSION bump (which
+        // salts every fingerprint). Two inputs, a constant, a `Buf` read
+        // by two gates, two outputs.
+        let mut nl = Nl::new("pin");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let one = nl.add_const(true);
+        let buf = nl.add_gate(GateKind::Buf, &[a]).unwrap();
+        let g = nl.add_gate(GateKind::Nand, &[buf, b]).unwrap();
+        let h = nl.add_gate(GateKind::Xor, &[buf, one]).unwrap();
+        nl.add_output("y", g).unwrap();
+        nl.add_output("z", h).unwrap();
+        let cfg = NoisyConfig::new(0.01, 7).unwrap();
+        assert_eq!(
+            monte_carlo_fingerprint(&nl, &cfg, 4096, 11, 256).to_hex(),
+            "3f92e3f60cad5f5a94a012b00b9ad1b9"
         );
     }
 

@@ -55,9 +55,8 @@ mod seed;
 mod shards;
 
 pub use cached::{
-    cone_fingerprints, experiment_builder, grid_map_cached, monte_carlo_fingerprint,
-    monte_carlo_sharded_cached, monte_carlo_sharded_cached_programs, netlist_fingerprint,
-    try_grid_map_cached,
+    experiment_builder, grid_map_cached, monte_carlo_fingerprint, monte_carlo_sharded_cached,
+    monte_carlo_sharded_cached_programs, netlist_fingerprint, try_grid_map_cached,
 };
 pub use error::RunnerError;
 pub use grid::{grid_map, try_grid_map};

@@ -107,8 +107,8 @@ impl LintOutcome {
     }
 }
 
-/// Cap on each keyed in-memory registry. Reaching it flushes the whole
-/// registry: registries are pure caches over deterministic
+/// Cap on each keyed in-memory registry. Reaching it flushes every
+/// completed entry: registries are pure caches over deterministic
 /// computations, so a flush can only cost recomputation (often served
 /// from the on-disk shard cache), never change a result — but without
 /// a cap a service fed an endless stream of distinct netlists would
@@ -122,9 +122,9 @@ const REGISTRY_LIMIT: usize = 1024;
 /// identical requests costs one computation — which also keeps the
 /// [`Engine::cache_report`] counters independent of how requests were
 /// interleaved. Failed computations are not memoized (the next
-/// requester retries), and the registry is flushed wholesale at
-/// [`REGISTRY_LIMIT`] entries, like the `HashMap` registries it
-/// replaces.
+/// requester retries), and reaching [`REGISTRY_LIMIT`] entries flushes
+/// every completed value while in-flight computations keep their
+/// slots.
 #[derive(Debug)]
 struct Registry<K, V> {
     slots: Mutex<HashMap<K, Slot<V>>>,
@@ -172,7 +172,9 @@ impl<K: Clone + Eq + Hash, V> Registry<K, V> {
             }
         }
         if slots.len() >= REGISTRY_LIMIT {
-            slots.clear();
+            // Flush only completed values: dropping another thread's
+            // Pending marker would let its key be computed twice.
+            slots.retain(|_, slot| matches!(slot, Slot::Pending));
         }
         slots.insert(key.clone(), Slot::Pending);
         drop(slots);
@@ -276,10 +278,15 @@ impl Engine {
             let _ = writeln!(out, "{}", cache_summary(cache));
         }
         let p = self.programs.stats();
+        // `0 sliced` is a retired counter kept as a literal: scripts
+        // that read this line by field position (the benchmark's
+        // `stats_counts` takes fields 2, 6 and 8) would fail without it.
         let _ = writeln!(
             out,
-            "cache programs: {} compiled ({} cones), {} shared, {} sliced",
-            p.compiled, p.unique_cones, p.shared, p.sliced
+            "cache programs: {} compiled ({} held), {} shared, 0 sliced",
+            p.compiled,
+            self.programs.len(),
+            p.shared
         );
         if let Some(store) = &self.profiles {
             let a = store.layer_stats(ProfileLayer::Activity);
@@ -917,6 +924,39 @@ mod tests {
             assert!(registry.len() <= REGISTRY_LIMIT, "cap exceeded at {i}");
         }
         assert!(registry.len() > 0);
+    }
+
+    #[test]
+    fn flush_keeps_in_flight_slots() {
+        use std::sync::mpsc;
+        let registry: Registry<usize, usize> = Registry::new();
+        for i in 0..REGISTRY_LIMIT - 1 {
+            registry.get_or_try_insert(i, || Ok(i)).unwrap();
+        }
+        let held = REGISTRY_LIMIT;
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let registry = &registry;
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(move || {
+                registry.get_or_try_insert(held, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(7)
+                })
+            });
+            started_rx.recv().unwrap();
+            // The registry is now full: this insert triggers the flush.
+            registry.get_or_try_insert(held + 1, || Ok(0)).unwrap();
+            let pending = matches!(
+                registry.slots.lock().unwrap().get(&held),
+                Some(Slot::Pending)
+            );
+            release_tx.send(()).unwrap();
+            assert_eq!(*holder.join().unwrap().unwrap(), 7);
+            assert!(pending, "the flush dropped an in-flight slot");
+        });
+        assert_eq!(registry.len(), 2, "only the two new keys stay");
     }
 
     #[test]

@@ -12,42 +12,31 @@ use rand::Rng;
 /// realized density is the nearest multiple of `2^-24` (error < 6e-8).
 pub const DIGITS: u32 = 24;
 
-/// Returns a word whose bits are independently 1 with probability `p`
-/// (quantized to [`DIGITS`] binary digits).
+/// The per-ε invariants of the bitsliced Bernoulli fold, hoisted out
+/// of the inner loop: the quantized probability and the first live
+/// digit.
 ///
-/// The construction processes the binary expansion of `p` from the least
-/// significant digit: starting from density 0, each step halves the
-/// current density and, when the digit is 1, adds ½ — OR with a fresh
-/// uniform word for a 1-digit, AND for a 0-digit.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `[0, 1]` (including NaN).
+/// [`BernoulliPlan::draw`] synthesizes a word whose bits are
+/// independently 1 with probability `p` (quantized to [`DIGITS`]
+/// binary digits). It processes the binary expansion of `p` from the
+/// least significant digit: starting from density 0, each step halves
+/// the current density and, when the digit is 1, adds ½ — OR with a
+/// fresh uniform word for a 1-digit, AND for a 0-digit. Recomputing
+/// that expansion per word is measurable overhead at mask-sparse ε, so
+/// build the plan once per ε and draw in the loop; the v2 fault
+/// stream's dense `MaskPlan` replays the same fold over counter words.
 ///
 /// # Examples
 ///
 /// ```
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
-/// use nanobound_sim::bernoulli::bernoulli_word;
+/// use nanobound_sim::bernoulli::BernoulliPlan;
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
-/// assert_eq!(bernoulli_word(&mut rng, 0.0), 0);
-/// assert_eq!(bernoulli_word(&mut rng, 1.0), !0);
+/// assert_eq!(BernoulliPlan::new(0.0).draw(&mut rng), 0);
+/// assert_eq!(BernoulliPlan::new(1.0).draw(&mut rng), !0);
 /// ```
-pub fn bernoulli_word(rng: &mut impl Rng, p: f64) -> u64 {
-    BernoulliPlan::new(p).draw(rng)
-}
-
-/// The per-ε invariants of [`bernoulli_word`], hoisted out of the inner
-/// loop: the quantized probability and the first live digit.
-///
-/// A Monte-Carlo chunk draws one mask per gate per word — recomputing
-/// the binary expansion of ε on every call is measurable overhead at
-/// mask-sparse ε. Compile the plan once per run and call
-/// [`BernoulliPlan::draw`] in the loop; the drawn stream is exactly the
-/// one `bernoulli_word` produces (the function itself delegates here,
-/// so the two cannot drift).
 #[derive(Clone, Copy, Debug)]
 pub struct BernoulliPlan {
     /// `round(p · 2^DIGITS)`.
@@ -105,8 +94,8 @@ impl BernoulliPlan {
         self.q >> d & 1 == 1
     }
 
-    /// Draws one Bernoulli word; the exact stream of [`bernoulli_word`]
-    /// with the plan's probability.
+    /// Draws one word whose bits are independently 1 with the plan's
+    /// probability.
     pub fn draw(&self, rng: &mut impl Rng) -> u64 {
         if self.q == 0 {
             return 0;
@@ -129,21 +118,6 @@ impl BernoulliPlan {
     }
 }
 
-/// Fills `out` with independent Bernoulli(`p`) words.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `[0, 1]`.
-pub fn bernoulli_words(rng: &mut impl Rng, p: f64, out: &mut [u64]) {
-    // One plan per call, not per word: the binary expansion of `p` is
-    // loop-invariant and rebuilding it per word costs more than the
-    // draw itself at mask-sparse ε.
-    let plan = BernoulliPlan::new(p);
-    for w in out {
-        *w = plan.draw(rng);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,10 +125,11 @@ mod tests {
     use rand::SeedableRng;
 
     fn density(p: f64, words: usize, seed: u64) -> f64 {
+        let plan = BernoulliPlan::new(p);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u64; words];
-        bernoulli_words(&mut rng, p, &mut buf);
-        let ones: u64 = buf.iter().map(|w| u64::from(w.count_ones())).sum();
+        let ones: u64 = (0..words)
+            .map(|_| u64::from(plan.draw(&mut rng).count_ones()))
+            .sum();
         ones as f64 / (64 * words) as f64
     }
 
@@ -162,6 +137,9 @@ mod tests {
     fn extreme_probabilities_are_exact() {
         assert_eq!(density(0.0, 100, 1), 0.0);
         assert_eq!(density(1.0, 100, 1), 1.0);
+        assert!(BernoulliPlan::new(0.0).is_trivial());
+        assert!(BernoulliPlan::new(1.0).is_trivial());
+        assert!(!BernoulliPlan::new(0.5).is_trivial());
     }
 
     #[test]
@@ -178,33 +156,18 @@ mod tests {
 
     #[test]
     fn deterministic_in_rng_state() {
+        let plan = BernoulliPlan::new(0.37);
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
         for _ in 0..10 {
-            assert_eq!(bernoulli_word(&mut a, 0.37), bernoulli_word(&mut b, 0.37));
+            assert_eq!(plan.draw(&mut a), plan.draw(&mut b));
         }
     }
 
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn rejects_out_of_range() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = bernoulli_word(&mut rng, 1.5);
-    }
-
-    #[test]
-    fn plan_draws_the_exact_bernoulli_word_stream() {
-        for &p in &[0.0, 1.0, 0.5, 0.25, 0.01, 1.0 / 3.0, 0.999] {
-            let plan = BernoulliPlan::new(p);
-            let mut a = StdRng::seed_from_u64(31);
-            let mut b = StdRng::seed_from_u64(31);
-            for i in 0..50 {
-                assert_eq!(plan.draw(&mut a), bernoulli_word(&mut b, p), "p={p} i={i}");
-            }
-        }
-        assert!(BernoulliPlan::new(0.0).is_trivial());
-        assert!(BernoulliPlan::new(1.0).is_trivial());
-        assert!(!BernoulliPlan::new(0.5).is_trivial());
+        let _ = BernoulliPlan::new(1.5);
     }
 
     #[test]

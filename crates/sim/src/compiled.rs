@@ -22,17 +22,16 @@
 //!   allocation**: the arena is sized on first use and reused across
 //!   chunks (a smaller tail chunk never reallocates).
 //!
-//! The fused executor ([`SimProgram::run_tally_accumulate`]) computes
-//! the clean and the noisy value of each gate in a single pass —
+//! The fused executor ([`SimProgram::run_tally_batch`]) computes the
+//! clean and the noisy value of each gate in a single pass —
 //! specialized per-shape kernels evaluate both lanes in one loop — and
-//! folds toggle counts and output mismatches into a
-//! [`NoisyTally`] *while the streams are still cache-hot* — no stored
-//! `NodeValues`, no second and third walk over the matrices.
-//! [`SimProgram::run_tally_batch`] goes one step further and pushes
-//! several independent shards through a single tape pass: each slot
-//! holds the shards' word segments back to back, so every op's
-//! dispatch, bounds checks and instruction fetch are amortized over
-//! `Σ words` instead of one chunk's worth.
+//! folds toggle counts and output mismatches into a [`NoisyTally`]
+//! *while the streams are still cache-hot* — no stored `NodeValues`,
+//! no second and third walk over the matrices. It pushes several
+//! independent shards through that one tape pass: each slot holds the
+//! shards' word segments back to back, so every op's dispatch, bounds
+//! checks and instruction fetch are amortized over `Σ words` instead
+//! of one chunk's worth. [`SimProgram::run_tally`] is a batch of one.
 //!
 //! # The bit-identity contract
 //!
@@ -50,8 +49,8 @@
 //!   order — the gate ordinal is the op index here and the
 //!   `counts_as_gate` ordinal in [`crate::evaluate_noisy`], equal by
 //!   construction since ops are created for exactly those kinds in the
-//!   same node order. (Stream v1 was a *sequential* `bernoulli_word`
-//!   RNG walk, which forced both engines into one serial mask order
+//!   same node order. (Stream v1 was a *sequential* Bernoulli draw
+//!   over one RNG, which forced both engines into one serial mask order
 //!   and capped dense-ε throughput; the v1→v2 switch is why
 //!   `nanobound_cache::FORMAT_VERSION` is 2.)
 //! - tallies are integer counts, and integer addition is associative,
@@ -63,10 +62,10 @@
 //! ([`EngineKind::from_env`]) switches every workload back to them.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use nanobound_cache::{Fingerprint, FingerprintBuilder};
-use nanobound_logic::{cone_support, extract_cone, output_cone_hashes, ConeHash};
+use nanobound_cache::Fingerprint;
 use nanobound_logic::{GateKind, Netlist, Node, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,7 +73,7 @@ use rand::{Rng, SeedableRng};
 use crate::activity::ActivityProfile;
 use crate::error::SimError;
 use crate::faultstream::{gate_state, MaskPlan};
-use crate::fingerprint::netlist_fingerprint;
+use crate::fingerprint::experiment_builder;
 use crate::noisy::{NoisyConfig, NoisyTally};
 use crate::patterns::{popcount_valid, tail_mask, PatternSet};
 
@@ -318,7 +317,7 @@ impl SimProgram {
     }
 
     /// An all-zero tally shaped for this program, ready for
-    /// [`SimProgram::run_tally_accumulate`].
+    /// [`SimProgram::run_tally_batch`] to fold shard counts into.
     #[must_use]
     pub fn empty_tally(&self) -> NoisyTally {
         NoisyTally {
@@ -333,8 +332,8 @@ impl SimProgram {
     }
 
     /// Runs one fused clean/noisy Monte-Carlo chunk and returns its
-    /// tally (a convenience over
-    /// [`SimProgram::run_tally_accumulate`]).
+    /// tally: [`SimProgram::run_tally_batch`] over the single shard
+    /// `(config.seed, pattern_seed, patterns)` at `config.epsilon`.
     ///
     /// Bit-identical to
     /// [`monte_carlo_tally`](crate::monte_carlo_tally) with the same
@@ -350,115 +349,19 @@ impl SimProgram {
         patterns: usize,
         pattern_seed: u64,
     ) -> Result<NoisyTally, SimError> {
+        let shard = ShardSpec {
+            fault_seed: config.seed,
+            pattern_seed,
+            patterns,
+        };
         let mut tally = self.empty_tally();
-        self.run_tally_accumulate(scratch, config, patterns, pattern_seed, &mut tally)?;
+        self.run_tally_batch(
+            scratch,
+            config.epsilon,
+            &[shard],
+            std::slice::from_mut(&mut tally),
+        )?;
         Ok(tally)
-    }
-
-    /// Runs one fused clean/noisy Monte-Carlo chunk, folding the counts
-    /// into `tally` — the zero-allocation hot path.
-    ///
-    /// Patterns are drawn like [`PatternSet::random`] from
-    /// `pattern_seed` and fault masks from the v2 counter stream
-    /// ([`MaskPlan`]) keyed by `config.seed` and each op's index, so
-    /// `tally` grows by precisely the counts
-    /// [`monte_carlo_tally`](crate::monte_carlo_tally) would produce.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::BadParameter`] if `patterns == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tally` was shaped for a different program (output or
-    /// gate counts disagree) — the same guard as [`NoisyTally::merge`].
-    pub fn run_tally_accumulate(
-        &self,
-        scratch: &mut SimScratch,
-        config: &NoisyConfig,
-        patterns: usize,
-        pattern_seed: u64,
-        tally: &mut NoisyTally,
-    ) -> Result<(), SimError> {
-        if patterns == 0 {
-            return Err(SimError::bad("patterns", patterns, "must be at least 1"));
-        }
-        assert_eq!(
-            tally.per_output_errors.len(),
-            self.num_outputs(),
-            "tally covers a different output count"
-        );
-        assert_eq!(
-            tally.gates,
-            self.gate_count(),
-            "tally covers a different netlist"
-        );
-        let count = patterns;
-        let words = count.div_ceil(64);
-        scratch.prepare(self.num_slots, words, count);
-
-        // Input patterns: the exact stream `PatternSet::random` draws.
-        let mut pattern_rng = StdRng::seed_from_u64(pattern_seed);
-        for &slot in &self.input_slots {
-            for w in scratch.slot_mut(slot, words) {
-                *w = pattern_rng.next_u64();
-            }
-        }
-        self.fill_consts(scratch, words);
-
-        // The fused pass: clean and noisy streams per op in one kernel
-        // loop, v2 fault masks keyed by the op index (which *is* the
-        // interpreted oracle's gate ordinal), toggle tallies while the
-        // streams are cache-hot. The mask plan (ε's stream
-        // construction) is hoisted out of the loop.
-        let plan = MaskPlan::new(config.epsilon);
-        // ε = 0 (exactly, or quantized) XORs nothing: skip the mask
-        // loop outright — the oracle's masks are identically zero too.
-        let draw_masks = !plan.is_zero();
-        let mut clean_toggles = 0u64;
-        let mut noisy_toggles = 0u64;
-        for (op_index, op) in self.ops.iter().enumerate() {
-            let (lo, clean_dst, noisy_dst) = scratch.op_dsts(op.dst, words);
-            let operands = &self.operands[op.operands.0 as usize..op.operands.1 as usize];
-            eval_op_pair(op.kind, lo, words, operands, clean_dst, noisy_dst);
-            if draw_masks {
-                plan.xor_masks(gate_state(config.seed, op_index as u64), 0, noisy_dst);
-            }
-            let (clean, noisy) = toggle_count_pair(clean_dst, noisy_dst, count);
-            clean_toggles += clean;
-            noisy_toggles += noisy;
-        }
-
-        // Output mismatches, full words first and the tail word masked
-        // once at the end. Borrow the arena and the diff accumulator as
-        // disjoint fields.
-        let tail = tail_mask(count);
-        let arena = &scratch.arena;
-        let any_diff = &mut scratch.any_diff;
-        any_diff[..words].fill(0);
-        for (o, &(clean, noisy)) in self.output_slots.iter().enumerate() {
-            let c = &arena[clean as usize * words..][..words];
-            let z = &arena[noisy as usize * words..][..words];
-            let mut ones = 0u64;
-            for w in 0..words - 1 {
-                let diff = c[w] ^ z[w];
-                ones += u64::from(diff.count_ones());
-                any_diff[w] |= diff;
-            }
-            let diff = (c[words - 1] ^ z[words - 1]) & tail;
-            ones += u64::from(diff.count_ones());
-            any_diff[words - 1] |= diff;
-            tally.per_output_errors[o] += ones;
-        }
-        tally.circuit_errors += any_diff[..words]
-            .iter()
-            .map(|&w| u64::from(w.count_ones()))
-            .sum::<u64>();
-        tally.patterns += count;
-        tally.transitions += count - 1;
-        tally.clean_gate_toggles += clean_toggles;
-        tally.noisy_gate_toggles += noisy_toggles;
-        Ok(())
     }
 
     /// Runs several independent Monte-Carlo shards through **one** tape
@@ -469,12 +372,12 @@ impl SimProgram {
     /// once per shard — this is the batching the order-free v2 fault
     /// stream exists to permit (under the sequential v1 stream the
     /// shards' mask draws could not interleave). Per-shard results are
-    /// **bit-identical** to running [`SimProgram::run_tally`] with the
-    /// same spec on its own: pattern fill replays each shard's
-    /// `PatternSet::random` stream, masks are pure functions of
-    /// `(fault_seed, op, word)`, and the tail garbage of one shard's
-    /// last word never leaks into another shard's counts because every
-    /// tally step masks by its own shard's pattern count.
+    /// **bit-identical** to running the same spec in a batch of its
+    /// own, which is what [`SimProgram::run_tally`] does: pattern fill
+    /// replays each shard's `PatternSet::random` stream, masks are pure
+    /// functions of `(fault_seed, op, word)`, and the tail garbage of
+    /// one shard's last word never leaks into another shard's counts
+    /// because every tally step masks by its own shard's pattern count.
     ///
     /// # Errors
     ///
@@ -548,6 +451,8 @@ impl SimProgram {
         }
         self.fill_consts(scratch, total_words);
 
+        // ε = 0 (exactly, or quantized) XORs nothing: skip the mask
+        // loop outright — the oracle's masks are identically zero too.
         let plan = MaskPlan::new(epsilon);
         let draw_masks = !plan.is_zero();
         let mut clean_toggles = std::mem::take(&mut scratch.batch_clean);
@@ -573,8 +478,8 @@ impl SimProgram {
             }
         }
 
-        // Per-shard output mismatches, same masked-tail walk as the
-        // single-shard path.
+        // Per-shard output mismatches: full words first, then the tail
+        // word masked by the shard's own pattern count.
         let arena = &scratch.arena;
         let any_diff = &mut scratch.any_diff;
         for (j, (&off, spec)) in offsets.iter().zip(shards).enumerate() {
@@ -766,147 +671,6 @@ impl SimProgram {
             avg_gate_probability,
             patterns: count,
         }
-    }
-
-    /// Op indices of the instructions inside output `index`'s fanin
-    /// cone, ascending — the tape-level image of the cone layer.
-    ///
-    /// Op indices are also the v2 fault-stream gate ordinals, so this
-    /// span is exactly the set of fault masks the output's noisy value
-    /// can depend on: it is what makes a tape sliced along cone
-    /// boundaries ([`SimProgram::slice`]) replay the same masks a fresh
-    /// compilation of the sub-netlist would draw.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is not a valid output index or `netlist` is
-    /// not the netlist this program was compiled from.
-    #[must_use]
-    pub fn output_cone_ops(&self, netlist: &Netlist, index: usize) -> Vec<u32> {
-        assert_eq!(
-            netlist.node_count(),
-            self.node_slots.len(),
-            "netlist does not match the compiled program"
-        );
-        // The op index of a gate node is its `counts_as_gate` ordinal.
-        let mut op_of = vec![u32::MAX; self.is_gate.len()];
-        let mut ordinal = 0u32;
-        for (i, &is_gate) in self.is_gate.iter().enumerate() {
-            if is_gate {
-                op_of[i] = ordinal;
-                ordinal += 1;
-            }
-        }
-        cone_support(netlist, &[netlist.outputs()[index].driver])
-            .into_iter()
-            .filter(|id| self.is_gate[id.index()])
-            .map(|id| op_of[id.index()])
-            .collect()
-    }
-
-    /// Slices this tape down to the fanin cones of the given parent
-    /// outputs, returning the extracted sub-netlist and its program.
-    ///
-    /// [`extract_cone`] keeps the cone's nodes in their relative parent
-    /// order, so replaying the slot allocator over the kept nodes and
-    /// carrying the kept ops across (with operands re-pointed at the
-    /// child's slots) reproduces **exactly** the tape
-    /// [`SimProgram::compile`] builds for the extracted netlist — same
-    /// op order, hence same fault-stream ordinals, hence bit-identical
-    /// tallies and profiles (debug builds assert the tape equality).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any output index is out of range or `parent` is not
-    /// the netlist this program was compiled from.
-    #[must_use]
-    pub fn slice(&self, parent: &Netlist, outputs: &[usize]) -> (Netlist, SimProgram) {
-        assert_eq!(
-            parent.node_count(),
-            self.node_slots.len(),
-            "netlist does not match the compiled program"
-        );
-        let (child, kept) = extract_cone(parent, outputs);
-        let mut op_of = vec![u32::MAX; self.is_gate.len()];
-        let mut ordinal = 0u32;
-        for (i, &is_gate) in self.is_gate.iter().enumerate() {
-            if is_gate {
-                op_of[i] = ordinal;
-                ordinal += 1;
-            }
-        }
-        let mut sliced = SimProgram {
-            ops: Vec::new(),
-            operands: Vec::new(),
-            node_slots: Vec::with_capacity(kept.len()),
-            is_gate: Vec::with_capacity(kept.len()),
-            input_slots: Vec::new(),
-            output_slots: Vec::with_capacity(outputs.len()),
-            zero_slot: None,
-            ones_slot: None,
-            num_slots: 0,
-        };
-        let mut next_slot = 0u32;
-        let mut fresh = |n: u32| {
-            let slot = next_slot;
-            next_slot += n;
-            slot
-        };
-        let mut child_of = vec![u32::MAX; parent.node_count()];
-        for (ci, pid) in kept.iter().enumerate() {
-            child_of[pid.index()] = u32::try_from(ci).expect("cone node count exceeds u32::MAX");
-            let slots = match parent.node(*pid) {
-                Node::Input { .. } => {
-                    let slot = fresh(1);
-                    sliced.input_slots.push(slot);
-                    (slot, slot)
-                }
-                Node::Gate { kind, fanins } => match kind {
-                    GateKind::Const0 => {
-                        let slot = *sliced.zero_slot.get_or_insert_with(|| fresh(1));
-                        (slot, slot)
-                    }
-                    GateKind::Const1 => {
-                        let slot = *sliced.ones_slot.get_or_insert_with(|| fresh(1));
-                        (slot, slot)
-                    }
-                    GateKind::Buf => sliced.node_slots[child_of[fanins[0].index()] as usize],
-                    _ => {
-                        let parent_op = &self.ops[op_of[pid.index()] as usize];
-                        let start = u32::try_from(sliced.operands.len())
-                            .expect("operand tape exceeds u32::MAX entries");
-                        for f in fanins {
-                            sliced
-                                .operands
-                                .push(sliced.node_slots[child_of[f.index()] as usize]);
-                        }
-                        let end = u32::try_from(sliced.operands.len())
-                            .expect("operand tape exceeds u32::MAX entries");
-                        let dst = fresh(2);
-                        sliced.ops.push(Op {
-                            kind: parent_op.kind,
-                            dst,
-                            operands: (start, end),
-                        });
-                        (dst, dst + 1)
-                    }
-                },
-            };
-            sliced.is_gate.push(self.is_gate[pid.index()]);
-            sliced.node_slots.push(slots);
-        }
-        for output in child.outputs() {
-            sliced
-                .output_slots
-                .push(sliced.node_slots[output.driver.index()]);
-        }
-        sliced.num_slots = next_slot as usize;
-        debug_assert_eq!(
-            sliced,
-            SimProgram::compile(&child),
-            "sliced tape must equal a fresh compilation of the extracted cone"
-        );
-        (child, sliced)
     }
 
     /// Writes the constant slots for the current word width.
@@ -1210,64 +974,31 @@ impl SimScratch {
 /// costs recompilation — the same policy as the service registries.
 const PROGRAM_CACHE_LIMIT: usize = 1024;
 
-/// Lifetime counters of a [`ProgramCache`]: how each request was
-/// served, and how many distinct cone structures the cache has
-/// registered.
+/// Lifetime counters of a [`ProgramCache`].
 ///
-/// `compiled + shared + sliced` is the total number of
+/// `compiled + shared` is the total number of
 /// [`ProgramCache::get_or_compile`] calls; only `compiled` of them
-/// built a tape from scratch.
+/// built a tape.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProgramCacheStats {
     /// Requests lowered from scratch (one tape construction each).
     pub compiled: u64,
-    /// Distinct cone structures first registered by those compilations.
-    pub unique_cones: u64,
-    /// Requests answered by an already-cached whole-netlist tape.
+    /// Requests answered by an already-cached tape.
     pub shared: u64,
-    /// Requests answered by slicing a cached parent tape along cone
-    /// boundaries ([`SimProgram::slice`]).
-    pub sliced: u64,
 }
 
-/// One cached tape plus the identity layers it answers to.
-#[derive(Debug)]
-struct CacheEntry {
-    program: Arc<SimProgram>,
-    /// The compiled structure, retained so the entry can serve as a
-    /// slicing parent for structural sub-netlists.
-    netlist: Arc<Netlist>,
-    /// Cone hash of every output, declaration order.
-    cones: Vec<ConeHash>,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    /// Netlist layer: whole-structure fingerprint → tape.
-    by_netlist: HashMap<Fingerprint, CacheEntry>,
-    /// Cone layer: cone hash → (owning entry, output index) of the
-    /// first tape that compiled this cone structure.
-    by_cone: HashMap<ConeHash, (Fingerprint, u32)>,
-    stats: ProgramCacheStats,
-}
-
-/// A keyed, thread-safe store of compiled programs, indexed on two
-/// fingerprint layers.
+/// A bounded, thread-safe store of compiled programs keyed on
+/// [`netlist_fingerprint`](crate::netlist_fingerprint).
 ///
-/// The whole-netlist index addresses tapes by [`netlist_fingerprint`]
-/// (structure only — names do not influence execution), so structurally
-/// identical netlists share one compilation. Underneath it, a cone
-/// index maps every output's [`ConeHash`] to the tape that first
-/// compiled that cone structure: a request whose cones *all* live in
-/// one cached tape is answered by slicing that tape
-/// ([`SimProgram::slice`]) instead of compiling — warm traffic over a
-/// design family compiles each unique cone once. Sliced answers are
-/// admitted only when the extracted cone's fingerprint equals the
-/// request's and the tape passes [`SimProgram::verify`], so sharing can
-/// never change a result.
+/// The key covers structure only — names do not influence execution —
+/// so structurally identical netlists share one compilation, and every
+/// tape the cache returns is exactly the one [`SimProgram::compile`]
+/// builds for the request.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
-    inner: Mutex<CacheInner>,
+    programs: Mutex<HashMap<Fingerprint, Arc<SimProgram>>>,
+    compiled: AtomicU64,
+    shared: AtomicU64,
 }
 
 impl ProgramCache {
@@ -1277,116 +1008,36 @@ impl ProgramCache {
         ProgramCache::default()
     }
 
-    /// Returns the compiled program for `netlist` — from the netlist
-    /// index, by slicing a cached parent tape, or by compiling and
-    /// registering the structure on first sight.
+    /// Returns the compiled program for `netlist`, compiling and
+    /// registering it on first sight of its structure.
     ///
     /// # Panics
     ///
     /// Panics if the internal lock was poisoned by a panicking thread.
     #[must_use]
     pub fn get_or_compile(&self, netlist: &Netlist) -> Arc<SimProgram> {
-        let mut builder = FingerprintBuilder::new("sim-program");
-        netlist_fingerprint(&mut builder, netlist);
-        let key = builder.finish();
-        let mut inner = self.inner.lock().expect("program cache lock");
-        if let Some(entry) = inner.by_netlist.get(&key) {
-            let program = Arc::clone(&entry.program);
-            inner.stats.shared += 1;
-            return program;
+        let key = experiment_builder("sim-program", netlist).finish();
+        let mut programs = self.programs.lock().expect("program cache lock");
+        if let Some(program) = programs.get(&key) {
+            self.shared.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(program);
         }
-        let cones = output_cone_hashes(netlist);
-        if let Some(program) = Self::slice_from_cached(&mut inner, netlist, key, &cones) {
-            return program;
-        }
-        if inner.by_netlist.len() >= PROGRAM_CACHE_LIMIT {
-            inner.by_netlist.clear();
-            inner.by_cone.clear();
+        if programs.len() >= PROGRAM_CACHE_LIMIT {
+            programs.clear();
         }
         let program = Arc::new(SimProgram::compile(netlist));
-        inner.stats.compiled += 1;
-        {
-            let CacheInner { by_cone, stats, .. } = &mut *inner;
-            for (i, &hash) in cones.iter().enumerate() {
-                by_cone.entry(hash).or_insert_with(|| {
-                    stats.unique_cones += 1;
-                    (key, u32::try_from(i).expect("output index fits u32"))
-                });
-            }
-        }
-        inner.by_netlist.insert(
-            key,
-            CacheEntry {
-                program: Arc::clone(&program),
-                netlist: Arc::new(netlist.clone()),
-                cones,
-            },
-        );
+        programs.insert(key, Arc::clone(&program));
+        self.compiled.fetch_add(1, Ordering::Relaxed);
         program
     }
 
-    /// Attempts to answer a request by slicing a cached tape: succeeds
-    /// when every requested cone already lives in one cached parent
-    /// *and* the slice provably equals a fresh compilation (fingerprint
-    /// match plus [`SimProgram::verify`]). A cone-hash match that does
-    /// not survive those checks falls back to compilation — slicing is
-    /// a discovery mechanism, never a soundness assumption.
-    fn slice_from_cached(
-        inner: &mut CacheInner,
-        netlist: &Netlist,
-        key: Fingerprint,
-        cones: &[ConeHash],
-    ) -> Option<Arc<SimProgram>> {
-        let (owner, _) = *inner.by_cone.get(cones.first()?)?;
-        if cones[1..]
-            .iter()
-            .any(|h| inner.by_cone.get(h).map(|&(o, _)| o) != Some(owner))
-        {
-            return None;
-        }
-        let entry = inner.by_netlist.get(&owner)?;
-        // Occurrence-wise matching: the i-th request output carrying a
-        // given hash maps to the i-th parent output carrying it, which
-        // keeps the picked indices consistent when cones repeat.
-        let mut cursor: HashMap<ConeHash, usize> = HashMap::new();
-        let mut picked = Vec::with_capacity(cones.len());
-        for &hash in cones {
-            let from = cursor.get(&hash).copied().unwrap_or(0);
-            let found = entry.cones[from..].iter().position(|&c| c == hash)? + from;
-            cursor.insert(hash, found + 1);
-            picked.push(found);
-        }
-        let (child, sliced) = entry.program.slice(&entry.netlist, &picked);
-        let mut builder = FingerprintBuilder::new("sim-program");
-        netlist_fingerprint(&mut builder, &child);
-        if builder.finish() != key || sliced.verify(netlist).is_err() {
-            return None;
-        }
-        let program = Arc::new(sliced);
-        if inner.by_netlist.len() >= PROGRAM_CACHE_LIMIT {
-            inner.by_netlist.clear();
-            inner.by_cone.clear();
-        }
-        inner.by_netlist.insert(
-            key,
-            CacheEntry {
-                program: Arc::clone(&program),
-                netlist: Arc::new(child),
-                cones: cones.to_vec(),
-            },
-        );
-        inner.stats.sliced += 1;
-        Some(program)
-    }
-
     /// Lifetime counters: how requests were served so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal lock was poisoned by a panicking thread.
     #[must_use]
     pub fn stats(&self) -> ProgramCacheStats {
-        self.inner.lock().expect("program cache lock").stats
+        ProgramCacheStats {
+            compiled: self.compiled.load(Ordering::Relaxed),
+            shared: self.shared.load(Ordering::Relaxed),
+        }
     }
 
     /// Number of cached programs.
@@ -1396,11 +1047,7 @@ impl ProgramCache {
     /// Panics if the internal lock was poisoned by a panicking thread.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("program cache lock")
-            .by_netlist
-            .len()
+        self.programs.lock().expect("program cache lock").len()
     }
 
     /// Whether the cache is empty.
@@ -1463,12 +1110,21 @@ mod tests {
         let cfg = NoisyConfig::new(0.2, 3).unwrap();
         let mut acc = program.empty_tally();
         // Big chunk first so the smaller one reuses the arena.
-        program
-            .run_tally_accumulate(&mut scratch, &cfg, 500, 5, &mut acc)
-            .unwrap();
-        program
-            .run_tally_accumulate(&mut scratch, &cfg, 33, 6, &mut acc)
-            .unwrap();
+        for (patterns, pattern_seed) in [(500, 5), (33, 6)] {
+            let shard = ShardSpec {
+                fault_seed: cfg.seed,
+                pattern_seed,
+                patterns,
+            };
+            program
+                .run_tally_batch(
+                    &mut scratch,
+                    cfg.epsilon,
+                    &[shard],
+                    std::slice::from_mut(&mut acc),
+                )
+                .unwrap();
+        }
         let mut expected = monte_carlo_tally(&nl, &cfg, 500, 5).unwrap();
         expected.merge(&monte_carlo_tally(&nl, &cfg, 33, 6).unwrap());
         assert_eq!(acc, expected);
@@ -1549,6 +1205,14 @@ mod tests {
         let c = cache.get_or_compile(&other);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.len(), 2);
+        assert_eq!(
+            cache.stats(),
+            ProgramCacheStats {
+                compiled: 2,
+                shared: 1
+            }
+        );
+        assert_eq!(*c, SimProgram::compile(&other), "a plain compilation");
     }
 
     #[test]
@@ -1680,71 +1344,6 @@ mod tests {
             assert_eq!(ones, popcount_valid(&stream, count), "count={count}");
             assert_eq!(toggles, toggle_count(&stream, count), "count={count}");
         }
-    }
-
-    #[test]
-    fn output_cone_ops_cover_exactly_the_reachable_gates() {
-        let nl = mixed_netlist();
-        let program = SimProgram::compile(&nl);
-        // Output 1 (z = xor) reaches not/and/nor/xor but not maj.
-        // Gate ordinals in node order: not=0, and=1, nor=2, xor=3, maj=4.
-        assert_eq!(program.output_cone_ops(&nl, 1), vec![0, 1, 2, 3]);
-        // Output 0 (y = buf2 -> maj) reaches everything.
-        assert_eq!(program.output_cone_ops(&nl, 0), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn sliced_tape_is_bit_identical_to_fresh_compile_across_eps() {
-        let parent_nl = mixed_netlist();
-        let parent = SimProgram::compile(&parent_nl);
-        for outputs in [vec![1usize], vec![0], vec![1, 0], vec![0, 1]] {
-            let (child_nl, sliced) = parent.slice(&parent_nl, &outputs);
-            sliced.verify(&child_nl).unwrap();
-            let fresh = SimProgram::compile(&child_nl);
-            assert_eq!(sliced, fresh, "outputs={outputs:?}");
-            let mut s1 = sliced.scratch();
-            let mut s2 = fresh.scratch();
-            for eps in [0.0, 0.01, 0.25, 0.5] {
-                let cfg = NoisyConfig::new(eps, 77).unwrap();
-                let a = sliced.run_tally(&mut s1, &cfg, 500, 31).unwrap();
-                let b = fresh.run_tally(&mut s2, &cfg, 500, 31).unwrap();
-                assert_eq!(a, b, "outputs={outputs:?} eps={eps}");
-            }
-            let a = sliced.estimate_activity(&mut s1, 2000, 7).unwrap();
-            let b = fresh.estimate_activity(&mut s2, 2000, 7).unwrap();
-            assert_eq!(a, b, "outputs={outputs:?} activity");
-        }
-    }
-
-    #[test]
-    fn program_cache_slices_sub_netlists_and_counts_them() {
-        let cache = ProgramCache::new();
-        let parent_nl = mixed_netlist();
-        let parent = cache.get_or_compile(&parent_nl);
-        // A structural sub-netlist: output z's cone, extracted in
-        // parent order — exactly what a smaller family member looks
-        // like structurally.
-        let (child_nl, _) = extract_cone(&parent_nl, &[1]);
-        let sliced = cache.get_or_compile(&child_nl);
-        assert!(!Arc::ptr_eq(&parent, &sliced));
-        let stats = cache.stats();
-        assert_eq!(stats.compiled, 1, "only the parent compiles");
-        assert_eq!(stats.sliced, 1, "the sub-netlist is sliced");
-        assert_eq!(stats.shared, 0);
-        assert_eq!(stats.unique_cones, 2, "y cone and z cone");
-        // The sliced answer is cached on the netlist index: asking
-        // again shares it.
-        let again = cache.get_or_compile(&child_nl);
-        assert!(Arc::ptr_eq(&sliced, &again));
-        assert_eq!(cache.stats().shared, 1);
-        // Behavioural identity with a cold compilation.
-        let fresh = SimProgram::compile(&child_nl);
-        let cfg = NoisyConfig::new(0.1, 5).unwrap();
-        let a = sliced
-            .run_tally(&mut sliced.scratch(), &cfg, 300, 9)
-            .unwrap();
-        let b = fresh.run_tally(&mut fresh.scratch(), &cfg, 300, 9).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,31 +1,31 @@
-//! Layered structural fingerprinting: cone → netlist → experiment.
+//! Layered structural fingerprinting: netlist → experiment.
 //!
 //! Lives in the simulator crate (rather than `nanobound-runner`, which
 //! re-exports it) so the [`ProgramCache`](crate::compiled::ProgramCache)
 //! can address compiled programs by the same identity the shard cache
 //! uses for experiment results.
 //!
-//! The workspace's caches key on three nested identity layers:
+//! The workspace's caches key on two nested identity layers:
 //!
-//! 1. **Cone** — [`cone_fingerprints`]: one frozen [`ConeHash`] per
-//!    primary output, covering exactly that output's fanin cone (gate
-//!    ops + topology, name-free). Keys the [`ProgramCache`]'s
-//!    cone index, through which a tape compiled for one netlist is
-//!    sliced for structural sub-netlists.
-//! 2. **Netlist** — [`netlist_fingerprint`]: the whole structure
-//!    including output order. Keys compiled programs and, combined
-//!    with measurement parameters, every persistent store. **Frozen**:
-//!    shard-cache entries on disk address by it.
-//! 3. **Experiment** — [`experiment_builder`]: a domain-tagged builder
+//! 1. **Netlist** — [`netlist_fingerprint`]: the whole structure —
+//!    node kinds, fanin wiring and output drivers in declaration
+//!    order. Keys compiled programs and, combined with measurement
+//!    parameters, every persistent store. **Frozen**: shard-cache and
+//!    profile-store entries on disk address by it, so reference values
+//!    are pinned below.
+//! 2. **Experiment** — [`experiment_builder`]: a domain-tagged builder
 //!    pre-seeded with the netlist layer, onto which callers push the
 //!    parameters their result depends on (ε, seeds, pattern counts…).
 //!    Keys Monte-Carlo shard tallies, sweep cells and profile
 //!    measurements. Parameters a result provably does *not* depend on
 //!    stay out of its key — that is what lets an ε-grid `profile`
 //!    sweep reuse one ε-independent activity profile across the grid.
+//!
+//! The per-output cone hash ([`nanobound_logic::cone_hash`]) is not a
+//! layer of this stack: no key folds it.
 
 use nanobound_cache::FingerprintBuilder;
-use nanobound_logic::{output_cone_hashes, ConeHash, GateKind, Netlist, Node};
+use nanobound_logic::{GateKind, Netlist, Node};
 
 /// Folds a netlist's complete structure into a fingerprint: node kinds,
 /// fanin wiring and output drivers in declaration order.
@@ -55,18 +55,6 @@ pub fn netlist_fingerprint(builder: &mut FingerprintBuilder, netlist: &Netlist) 
     for output in netlist.outputs() {
         builder.push_usize(output.driver.index());
     }
-}
-
-/// The cone layer: the frozen structural hash of every output's fanin
-/// cone, in output-declaration order.
-///
-/// A thin re-export of [`nanobound_logic::output_cone_hashes`] under
-/// the layered-fingerprint vocabulary — two outputs (of the same or
-/// different netlists) share a hash iff their cones are isomorphic as
-/// rooted ordered DAGs.
-#[must_use]
-pub fn cone_fingerprints(netlist: &Netlist) -> Vec<ConeHash> {
-    output_cone_hashes(netlist)
 }
 
 /// The experiment layer: a fingerprint builder for `domain`, pre-seeded
@@ -103,16 +91,23 @@ mod tests {
     }
 
     #[test]
-    fn cone_layer_is_one_hash_per_output() {
-        let mut nl = Netlist::new("t");
+    fn frozen_reference_values() {
+        // Shard-cache and profile-store entries on disk address by this
+        // value, so it may change only together with a FORMAT_VERSION
+        // bump (which salts every fingerprint). Two inputs, a constant,
+        // a `Buf` read by two gates, two outputs.
+        let mut nl = Netlist::new("pin");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
-        let x = nl.add_gate(GateKind::Xor, &[a, b]).unwrap();
-        let n = nl.add_gate(GateKind::Not, &[x]).unwrap();
-        nl.add_output("y", x).unwrap();
-        nl.add_output("z", n).unwrap();
-        let cones = cone_fingerprints(&nl);
-        assert_eq!(cones.len(), 2);
-        assert_ne!(cones[0], cones[1]);
+        let one = nl.add_const(true);
+        let buf = nl.add_gate(GateKind::Buf, &[a]).unwrap();
+        let g = nl.add_gate(GateKind::Nand, &[buf, b]).unwrap();
+        let h = nl.add_gate(GateKind::Xor, &[buf, one]).unwrap();
+        nl.add_output("y", g).unwrap();
+        nl.add_output("z", h).unwrap();
+        assert_eq!(
+            experiment_builder("pin", &nl).finish().to_hex(),
+            "535f7d3ee8b80e90fb91008f985f9f83"
+        );
     }
 }

@@ -60,7 +60,7 @@ pub use compiled::{
 pub use engine::{evaluate_packed, NodeValues};
 pub use error::SimError;
 pub use faultstream::{gate_state, MaskPlan, STREAM_VERSION};
-pub use fingerprint::{cone_fingerprints, experiment_builder, netlist_fingerprint};
+pub use fingerprint::{experiment_builder, netlist_fingerprint};
 pub use noisy::{
     compare_runs, evaluate_noisy, monte_carlo, monte_carlo_tally, tally_runs, NoisyConfig,
     NoisyOutcome, NoisyTally,

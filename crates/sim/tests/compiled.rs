@@ -16,7 +16,8 @@ use proptest::prelude::*;
 use nanobound_gen::random::{random_dag, RandomDagConfig};
 use nanobound_logic::{GateKind, Netlist};
 use nanobound_sim::{
-    estimate_activity, monte_carlo_tally, sensitivity, NoisyConfig, PatternSet, SimProgram,
+    estimate_activity, monte_carlo_tally, sensitivity, NoisyConfig, PatternSet, ShardSpec,
+    SimProgram,
 };
 
 fn small_dag() -> impl Strategy<Value = RandomDagConfig> {
@@ -86,15 +87,16 @@ proptest! {
             let interp = monte_carlo_tally(&nl, &cfg, patterns, pattern_seed).unwrap();
             prop_assert_eq!(&compiled, &interp, "patterns={}", patterns);
         }
-        // And the accumulate path: two chunks folded in place equal the
-        // interpreted chunks merged.
+        // And the accumulate path: two one-shard batches folded into
+        // one tally equal the interpreted chunks merged.
         let mut acc = program.empty_tally();
-        program
-            .run_tally_accumulate(&mut scratch, &cfg, 100, acc_seed, &mut acc)
-            .unwrap();
-        program
-            .run_tally_accumulate(&mut scratch, &cfg, 31, acc_seed ^ 1, &mut acc)
-            .unwrap();
+        for (patterns, pattern_seed) in [(100, acc_seed), (31, acc_seed ^ 1)] {
+            let shard = ShardSpec { fault_seed, pattern_seed, patterns };
+            let acc = std::slice::from_mut(&mut acc);
+            program
+                .run_tally_batch(&mut scratch, cfg.epsilon, &[shard], acc)
+                .unwrap();
+        }
         let mut expected = monte_carlo_tally(&nl, &cfg, 100, acc_seed).unwrap();
         expected.merge(&monte_carlo_tally(&nl, &cfg, 31, acc_seed ^ 1).unwrap());
         prop_assert_eq!(&acc, &expected);
