@@ -9,11 +9,17 @@
 #      golden-file and parallel-determinism property suites)
 #   3. clippy with warnings denied
 #   4. rustfmt in check mode
-#   5. the figure-bench dry run TWICE — single-threaded and with every
+#   5. rustdoc with warnings denied: a broken, ambiguous or private
+#      intra-doc link fails the gate, so renamed items cannot leave
+#      dangling links behind
+#   6. the benchmark probe (`perfbench/probe`, its own workspace and
+#      lockfile) builds `--locked` against the current library APIs,
+#      into target/ so no build output lands under perfbench/
+#   7. the figure-bench dry run TWICE — single-threaded and with every
 #      hardware thread — plus a byte-level diff of the `figures` CSVs at
 #      --jobs 1 vs --jobs $(nproc), so any single-thread/multi-thread
 #      divergence in the parallel runner fails the gate
-#   6. the cache gate: `figures` cold into a fresh --cache-dir, again
+#   8. the cache gate: `figures` cold into a fresh --cache-dir, again
 #      warm from the same cache, and once more with --no-cache, diffing
 #      all three outputs byte-for-byte — a cache that changes results
 #      (or a warm run that misses) fails the gate; then the stale-format
@@ -21,25 +27,25 @@
 #      v1-era cache left on disk across the FORMAT_VERSION bump) and
 #      the next run must report zero hits — every stale entry a counted
 #      miss, none replayed — while producing byte-identical figures
-#   7. the serve gate: one scripted multi-request session piped into
+#   9. the serve gate: one scripted multi-request session piped into
 #      `nanobound serve` twice — cold cache at --jobs 1, then warm
 #      cache at --jobs $(nproc) — diffing the two response streams
 #      against each other AND against a stream assembled from the
 #      equivalent one-shot CLI invocations, so a service-mode response
 #      that drifts from the one-shot output by a single byte fails
-#   8. the engine gate: `figures` and `validate` re-run under
+#  10. the engine gate: `figures` and `validate` re-run under
 #      NANOBOUND_ENGINE=interp (the interpreted oracle, spelling out
 #      the v2 fault stream word by word) and diffed byte-for-byte
 #      against the default compiled engine's artifacts (the bulk v2
 #      paths) — a compiled executor that drifts from the oracle by one
 #      bit in any tally, activity or sensitivity fails the gate
-#   9. the analyze gate: `lint --suite --deny warnings` must pass (the
+#  11. the analyze gate: `lint --suite --deny warnings` must pass (the
 #      generated Section-6 suite stays lint-clean), its JSON report must
 #      match the committed golden byte-for-byte, an injected tape
 #      corruption must be rejected with a nonzero exit, and a lint
 #      request through `serve` must answer with the one-shot stdout
 #      bytes verbatim
-#  10. the sweep gate: an ε-grid `profile` sweep over two netlists and
+#  12. the sweep gate: an ε-grid `profile` sweep over two netlists and
 #      a signal-renamed copy of one, cold --jobs 1 vs warm --jobs
 #      $(nproc), byte-identical; then the same sweep with a `stats`
 #      request appended, counter-asserting reuse — the cold sweep
@@ -48,14 +54,14 @@
 #      ε/leak grid points reuse the one ε-independent profile
 #      measurement, and the warm re-run compiles nothing and
 #      re-measures nothing
-#  11. the concurrent serve gate: one interleaved session — computing
+#  13. the concurrent serve gate: one interleaved session — computing
 #      workloads with a --request-jobs mix and a mid-flight `gc`
 #      sweeping the live cache — run serially on a cold cache and again
 #      under --concurrency 4 on its own cold cache; the ordering buffer
 #      keeps frames in request order, so the two response streams must
 #      be byte-identical end to end (a dropped, reordered or drifted
 #      frame fails the diff)
-#  12. the cluster gate: one Monte-Carlo run distributed across three
+#  14. the cluster gate: one Monte-Carlo run distributed across three
 #      `serve` workers, byte-diffed against the serial (zero-worker)
 #      run — healthy, with one worker SIGKILLed mid-run, and under the
 #      pinned chaos schedule (--chaos-seed injecting refused connects,
@@ -81,6 +87,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> rustdoc, warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+echo "==> benchmark probe builds --locked"
+cargo build --release --locked --manifest-path perfbench/probe/Cargo.toml \
+    --target-dir target/perfbench-probe
 
 echo "==> figure-bench dry run, NANOBOUND_JOBS=1 then NANOBOUND_JOBS=$(nproc)"
 NANOBOUND_JOBS=1 cargo bench -p nanobound-bench --bench fig3_redundancy >/dev/null

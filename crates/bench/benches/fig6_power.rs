@@ -2,12 +2,14 @@
 //!
 //! Run: `cargo bench -p nanobound-bench --bench fig6_power`
 
+use nanobound_runner::Exec;
+
 fn main() {
     let cache = nanobound_bench::cache_from_env();
-    let fig = nanobound_experiments::fig6::generate_cached(
-        &nanobound_bench::pool_from_env(),
-        cache.as_ref(),
-    )
-    .expect("fixed parameters are valid");
+    let exec = Exec {
+        cache: cache.as_ref(),
+        ..Exec::new(nanobound_bench::pool_from_env())
+    };
+    let fig = nanobound_experiments::fig6::generate(&exec).expect("fixed parameters are valid");
     nanobound_bench::print_figure(&fig);
 }

@@ -3,15 +3,16 @@
 //!
 //! Run: `cargo bench -p nanobound-bench --bench fig7_benchmarks`
 
-use nanobound_experiments::profiles::{profile_suite_cached, ProfileConfig};
+use nanobound_experiments::profiles::{profile_suite, ProfileConfig};
+use nanobound_runner::Exec;
 
 fn main() {
-    let profiles = profile_suite_cached(
-        &nanobound_bench::pool_from_env(),
-        &ProfileConfig::default(),
-        nanobound_bench::profile_store_from_env().as_ref(),
-    )
-    .expect("suite profiles");
+    let store = nanobound_bench::profile_store_from_env();
+    let exec = Exec {
+        profiles: store.as_ref(),
+        ..Exec::new(nanobound_bench::pool_from_env())
+    };
+    let profiles = profile_suite(&exec, &ProfileConfig::default()).expect("suite profiles");
     println!("profiled {} benchmarks:", profiles.len());
     for p in &profiles {
         println!("  {}", p.profile);

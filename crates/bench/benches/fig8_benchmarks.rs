@@ -3,15 +3,16 @@
 //!
 //! Run: `cargo bench -p nanobound-bench --bench fig8_benchmarks`
 
-use nanobound_experiments::profiles::{profile_suite_cached, ProfileConfig};
+use nanobound_experiments::profiles::{profile_suite, ProfileConfig};
+use nanobound_runner::Exec;
 
 fn main() {
-    let profiles = profile_suite_cached(
-        &nanobound_bench::pool_from_env(),
-        &ProfileConfig::default(),
-        nanobound_bench::profile_store_from_env().as_ref(),
-    )
-    .expect("suite profiles");
+    let store = nanobound_bench::profile_store_from_env();
+    let exec = Exec {
+        profiles: store.as_ref(),
+        ..Exec::new(nanobound_bench::pool_from_env())
+    };
+    let profiles = profile_suite(&exec, &ProfileConfig::default()).expect("suite profiles");
     let fig = nanobound_experiments::fig8::generate_from(&profiles).expect("valid profiles");
     nanobound_bench::print_figure(&fig);
 }

@@ -28,7 +28,7 @@
 //! One cross-run workload on the largest hint-free benchmark:
 //!
 //! - `warm_sweep` — a leak-share grid swept twice through
-//!   `profile_benchmark_cached` against an on-disk [`ProfileStore`].
+//!   `profile_netlist` against an on-disk [`ProfileStore`].
 //!   The cold pass measures activity/sensitivity once and reuses them
 //!   for the rest of the grid (profile keys exclude ε, δ and
 //!   leak-share); the warm pass reopens the store and must measure
@@ -46,9 +46,10 @@
 use std::time::Instant;
 
 use nanobound_cache::{ProfileLayer, ProfileStore};
-use nanobound_experiments::profiles::{profile_benchmark_cached, ProfileConfig};
+use nanobound_experiments::profiles::{profile_netlist, ProfileConfig};
 use nanobound_gen::{standard_suite, Benchmark};
 use nanobound_logic::Netlist;
+use nanobound_runner::Exec;
 use nanobound_sim::{
     estimate_activity, evaluate_packed, monte_carlo_tally, NoisyConfig, PatternSet, ShardSpec,
     SimProgram,
@@ -204,13 +205,18 @@ fn measure_warm_sweep(bench: &Benchmark) -> String {
     let _ = std::fs::remove_dir_all(&root);
 
     let run = |store: &ProfileStore| {
+        let exec = Exec {
+            profiles: Some(store),
+            ..Exec::default()
+        };
         let start = Instant::now();
         for leak in SWEEP_GRID {
             let config = ProfileConfig {
                 leak_share: leak,
                 ..ProfileConfig::default()
             };
-            drop(profile_benchmark_cached(bench, &config, Some(store)).expect("profile"));
+            let profiled = profile_netlist(&exec, &bench.netlist, bench.sensitivity_hint, &config);
+            drop(profiled.expect("profile"));
         }
         start.elapsed().as_secs_f64()
     };

@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use nanobound_gen::iscas;
-use nanobound_runner::{monte_carlo_sharded, ThreadPool};
+use nanobound_runner::{Exec, ThreadPool};
 use nanobound_sim::{
     estimate_activity, evaluate_packed, monte_carlo, monte_carlo_tally, NoisyConfig, PatternSet,
     SimProgram,
@@ -71,16 +71,22 @@ fn bench_sim(c: &mut Criterion) {
     // speedup is the runner's whole value proposition. Expect ~Nx on an
     // N-core host for this embarrassingly parallel workload.
     let cfg = NoisyConfig::new(0.01, 5).unwrap();
-    let serial = ThreadPool::serial();
+    let sharded = |exec: &Exec<'_>| {
+        nanobound_runner::monte_carlo(exec, black_box(&mult), &cfg, 32_768, 7, 1024).unwrap()
+    };
+    let serial = Exec::default();
     c.bench_function("noisy_mc_sharded_32k_jobs1", |b| {
-        b.iter(|| monte_carlo_sharded(&serial, black_box(&mult), &cfg, 32_768, 7, 1024).unwrap());
+        b.iter(|| sharded(&serial));
     });
     // Only meaningful (and only distinctly named) on multi-core hosts.
-    let auto = ThreadPool::auto();
-    if auto.jobs() > 1 {
-        c.bench_function(&format!("noisy_mc_sharded_32k_jobs{}", auto.jobs()), |b| {
-            b.iter(|| monte_carlo_sharded(&auto, black_box(&mult), &cfg, 32_768, 7, 1024).unwrap());
-        });
+    let auto = Exec::new(ThreadPool::auto());
+    if auto.pool.jobs() > 1 {
+        c.bench_function(
+            &format!("noisy_mc_sharded_32k_jobs{}", auto.pool.jobs()),
+            |b| {
+                b.iter(|| sharded(&auto));
+            },
+        );
     }
 
     c.bench_function("sensitivity_sampled_c6288a_256", |b| {

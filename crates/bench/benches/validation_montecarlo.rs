@@ -5,14 +5,15 @@
 //!
 //! Run: `cargo bench -p nanobound-bench --bench validation_montecarlo`
 
+use nanobound_runner::Exec;
+
 fn main() {
     let cache = nanobound_bench::cache_from_env();
-    for fig in nanobound_experiments::validation::generate_cached(
-        &nanobound_bench::pool_from_env(),
-        cache.as_ref(),
-    )
-    .expect("fixed parameters")
-    {
+    let exec = Exec {
+        cache: cache.as_ref(),
+        ..Exec::new(nanobound_bench::pool_from_env())
+    };
+    for fig in nanobound_experiments::validation::generate(&exec).expect("fixed parameters") {
         nanobound_bench::print_figure(&fig);
     }
 }

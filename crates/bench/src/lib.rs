@@ -96,7 +96,8 @@ mod tests {
 
     #[test]
     fn print_figure_smoke() {
-        let fig = nanobound_experiments::fig2::generate().unwrap();
+        let exec = nanobound_runner::Exec::default();
+        let fig = nanobound_experiments::fig2::generate(&exec).unwrap();
         print_figure(&fig); // must not panic
     }
 

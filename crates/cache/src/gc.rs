@@ -100,10 +100,12 @@ impl ShardCache {
     /// Sweeps the store under `policy`, never touching entries of the
     /// `protected` fingerprints (the current-version set in use).
     ///
-    /// See the [module docs](self) for the full contract. The sweep is
-    /// a pure maintenance pass: it cannot change any result the cache
-    /// would serve (deleted entries become misses), and it never
-    /// errors — deletion failures are counted and skipped.
+    /// Protected current-version entries are never deleted; temp
+    /// leftovers and entries that can never hit again go first; live
+    /// entries then leave oldest-first until the byte budget holds. The
+    /// sweep is a pure maintenance pass: it cannot change any result
+    /// the cache would serve (deleted entries become misses), and it
+    /// never errors — deletion failures are counted and skipped.
     pub fn sweep(&self, policy: &GcPolicy, protected: &[Fingerprint]) -> GcReport {
         let protected_dirs: Vec<String> = protected.iter().map(|f| f.to_hex()).collect();
         let mut candidates = Vec::new();

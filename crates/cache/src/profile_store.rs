@@ -67,8 +67,9 @@ pub struct ProfileStore {
 
 impl ProfileStore {
     /// Opens (creating if needed) a profile store rooted at `root` —
-    /// normally the same directory as the shard cache, see the
-    /// [module docs](self).
+    /// normally the same directory as the shard cache, so that
+    /// [`ShardCache::sweep`] classifies profile entries under one GC
+    /// policy instead of misreading a nested directory as garbage.
     ///
     /// # Errors
     ///

@@ -128,7 +128,7 @@ impl ShardCache {
     ///
     /// A fingerprint is "in flight" while a request is between key
     /// computation and final result assembly — the window in which a
-    /// concurrent [`ShardCache::sweep`](crate::gc) deleting its entries
+    /// concurrent [`ShardCache::sweep`] deleting its entries
     /// would discard work the request is about to read back or has just
     /// written. Pins are refcounted, so overlapping requests on the same
     /// experiment compose.

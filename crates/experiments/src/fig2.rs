@@ -5,11 +5,10 @@
 //! pivoting around the fixed point `(½, ½)`, flattening to the constant
 //! ½ at ε = ½.
 
-use nanobound_cache::ShardCache;
 use nanobound_core::sweep::linspace;
 use nanobound_core::switching::noisy_activity;
 use nanobound_report::{Cell, Chart, Series, Table};
-use nanobound_runner::{grid_map_cached, ThreadPool};
+use nanobound_runner::{grid_map_cached, Exec, ThreadPool};
 
 use crate::error::ExperimentError;
 use crate::figure::{sweep_fingerprint, FigureOutput};
@@ -17,39 +16,18 @@ use crate::figure::{sweep_fingerprint, FigureOutput};
 /// The ε values of the plotted family.
 pub const EPSILONS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
 
-/// Regenerates Figure 2 on the serial engine.
+/// Regenerates Figure 2, sharding the sw(y) grid across `exec.pool`
+/// with cells served from / written to `exec.cache` — byte-identical
+/// output for every worker count and any hit/miss mix.
 ///
 /// # Errors
 ///
 /// Infallible in practice (all parameters are fixed and valid); the
 /// `Result` keeps the signature uniform across figures.
-pub fn generate() -> Result<FigureOutput, ExperimentError> {
-    generate_with(&ThreadPool::serial())
-}
-
-/// Regenerates Figure 2, sharding the sw(y) grid across `pool` —
-/// byte-identical output for every worker count.
-///
-/// # Errors
-///
-/// Same as [`generate`].
-pub fn generate_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
-    generate_cached(pool, None)
-}
-
-/// Regenerates Figure 2 with per-cell results served from / written to
-/// `cache` — byte-identical to the uncached run for any hit/miss mix.
-///
-/// # Errors
-///
-/// Same as [`generate`].
-pub fn generate_cached(
-    pool: &ThreadPool,
-    cache: Option<&ShardCache>,
-) -> Result<FigureOutput, ExperimentError> {
+pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
     let sw_values = linspace(0.0, 1.0, 21);
     let fingerprint = sweep_fingerprint("fig2", &sw_values, &EPSILONS);
-    let families: Vec<Vec<f64>> = grid_map_cached(pool, &sw_values, &fingerprint, cache, |&sw| {
+    let families: Vec<Vec<f64>> = grid_map_cached(exec, &sw_values, &fingerprint, |&sw| {
         EPSILONS.iter().map(|&e| noisy_activity(sw, e)).collect()
     });
     let mut table = Table::new(
@@ -81,13 +59,19 @@ pub fn generate_cached(
     })
 }
 
+/// [`generate`] on `pool` with no stores; `perfbench/probe` links it.
+#[doc(hidden)]
+pub fn generate_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
+    generate(&Exec::new(*pool))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn has_one_series_per_epsilon() {
-        let fig = generate().unwrap();
+        let fig = generate(&Exec::default()).unwrap();
         assert_eq!(fig.charts[0].series().len(), EPSILONS.len());
         assert_eq!(fig.tables[0].columns().len(), EPSILONS.len() + 1);
         assert_eq!(fig.tables[0].rows().len(), 21);
@@ -95,7 +79,7 @@ mod tests {
 
     #[test]
     fn pivot_row_is_constant_half() {
-        let fig = generate().unwrap();
+        let fig = generate(&Exec::default()).unwrap();
         // Row with sw(y) = 0.5: every ε column equals 0.5.
         let row = &fig.tables[0].rows()[10];
         for cell in row {
@@ -108,19 +92,30 @@ mod tests {
 
     #[test]
     fn parallel_regeneration_is_identical() {
-        let serial = generate().unwrap();
-        let par = generate_with(&ThreadPool::new(4).unwrap()).unwrap();
-        assert_eq!(serial.tables[0].to_csv(), par.tables[0].to_csv());
+        use crate::request::{
+            tests::assert_sweep_identical_across_pools_and_cache_state, FigureId,
+        };
+        assert_sweep_identical_across_pools_and_cache_state(FigureId::Fig2);
     }
 
     #[test]
     fn warm_cache_regeneration_is_identical() {
+        use nanobound_cache::ShardCache;
+
         let dir = std::env::temp_dir().join("nanobound_fig2_cache");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ShardCache::open(&dir).unwrap();
-        let serial = generate().unwrap();
-        let cold = generate_cached(&ThreadPool::new(2).unwrap(), Some(&cache)).unwrap();
-        let warm = generate_cached(&ThreadPool::serial(), Some(&cache)).unwrap();
+        let serial = generate(&Exec::default()).unwrap();
+        let cold = generate(&Exec {
+            cache: Some(&cache),
+            ..Exec::new(ThreadPool::new(2).unwrap())
+        })
+        .unwrap();
+        let warm = generate(&Exec {
+            cache: Some(&cache),
+            ..Exec::default()
+        })
+        .unwrap();
         assert_eq!(serial.tables[0].to_csv(), cold.tables[0].to_csv());
         assert_eq!(serial.tables[0].to_csv(), warm.tables[0].to_csv());
         assert_eq!(cache.stats().hits, 21);
@@ -129,7 +124,7 @@ mod tests {
 
     #[test]
     fn epsilon_half_line_is_flat() {
-        let fig = generate().unwrap();
+        let fig = generate(&Exec::default()).unwrap();
         let flat = &fig.charts[0].series()[5];
         for &(_, y) in &flat.points {
             assert!((y - 0.5).abs() < 1e-12);

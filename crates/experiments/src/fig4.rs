@@ -1,11 +1,10 @@
 //! Figure 4: normalized leakage/switching energy ratio vs device error,
 //! for a family of error-free switching activities (log-Y in the paper).
 
-use nanobound_cache::ShardCache;
 use nanobound_core::leakage::leakage_ratio_factor;
 use nanobound_core::sweep::linspace;
 use nanobound_report::{Cell, Chart, Series, Table};
-use nanobound_runner::{try_grid_map_cached, ThreadPool};
+use nanobound_runner::{try_grid_map_cached, Exec, ThreadPool};
 
 use crate::error::ExperimentError;
 use crate::figure::{sweep_fingerprint, FigureOutput};
@@ -13,46 +12,24 @@ use crate::figure::{sweep_fingerprint, FigureOutput};
 /// The error-free switching activities of the plotted family.
 pub const ACTIVITIES: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 0.9];
 
-/// Regenerates Figure 4 on the serial engine.
+/// Regenerates Figure 4, sharding the ε grid across `exec.pool`
+/// with cells served from / written to `exec.cache` — byte-identical
+/// output for every worker count and any hit/miss mix.
 ///
 /// # Errors
 ///
 /// Propagates [`nanobound_core::BoundError`] — never triggered by the
 /// fixed parameters used here.
-pub fn generate() -> Result<FigureOutput, ExperimentError> {
-    generate_with(&ThreadPool::serial())
-}
-
-/// Regenerates Figure 4, sharding the ε grid across `pool` —
-/// byte-identical output for every worker count.
-///
-/// # Errors
-///
-/// Same as [`generate`].
-pub fn generate_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
-    generate_cached(pool, None)
-}
-
-/// Regenerates Figure 4 with per-cell results served from / written to
-/// `cache` — byte-identical to the uncached run for any hit/miss mix.
-///
-/// # Errors
-///
-/// Same as [`generate`].
-pub fn generate_cached(
-    pool: &ThreadPool,
-    cache: Option<&ShardCache>,
-) -> Result<FigureOutput, ExperimentError> {
+pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
     let epsilons = linspace(0.0, 0.5, 51);
     let fingerprint = sweep_fingerprint("fig4", &epsilons, &ACTIVITIES);
-    let ratios: Vec<Vec<f64>> =
-        try_grid_map_cached(pool, &epsilons, &fingerprint, cache, |&eps| {
-            ACTIVITIES
-                .iter()
-                .map(|&sw0| leakage_ratio_factor(sw0, eps))
-                .collect::<Result<_, _>>()
-                .map_err(ExperimentError::from)
-        })?;
+    let ratios: Vec<Vec<f64>> = try_grid_map_cached(exec, &epsilons, &fingerprint, |&eps| {
+        ACTIVITIES
+            .iter()
+            .map(|&sw0| leakage_ratio_factor(sw0, eps))
+            .collect::<Result<_, _>>()
+            .map_err(ExperimentError::from)
+    })?;
     let mut table = Table::new(
         "Figure 4 — normalized leakage/switching ratio W(eps)/W0",
         std::iter::once("epsilon".to_owned())
@@ -80,13 +57,19 @@ pub fn generate_cached(
     })
 }
 
+/// [`generate`] on `pool` with no stores; `perfbench/probe` links it.
+#[doc(hidden)]
+pub fn generate_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
+    generate(&Exec::new(*pool))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn pivot_series_is_flat_at_one() {
-        let fig = generate().unwrap();
+        let fig = generate(&Exec::default()).unwrap();
         let pivot = &fig.charts[0].series()[2]; // sw0 = 0.5
         for &(_, y) in &pivot.points {
             assert!((y - 1.0).abs() < 1e-12);
@@ -95,14 +78,15 @@ mod tests {
 
     #[test]
     fn parallel_regeneration_is_identical() {
-        let serial = generate().unwrap();
-        let par = generate_with(&ThreadPool::new(3).unwrap()).unwrap();
-        assert_eq!(serial.tables[0].to_csv(), par.tables[0].to_csv());
+        use crate::request::{
+            tests::assert_sweep_identical_across_pools_and_cache_state, FigureId,
+        };
+        assert_sweep_identical_across_pools_and_cache_state(FigureId::Fig4);
     }
 
     #[test]
     fn below_pivot_decreases_above_increases() {
-        let fig = generate().unwrap();
+        let fig = generate(&Exec::default()).unwrap();
         let low = &fig.charts[0].series()[0]; // sw0 = 0.1
         let high = &fig.charts[0].series()[4]; // sw0 = 0.9
         assert!(low.points.last().unwrap().1 < 0.5);
@@ -111,7 +95,7 @@ mod tests {
 
     #[test]
     fn symmetric_activities_are_reciprocal() {
-        let fig = generate().unwrap();
+        let fig = generate(&Exec::default()).unwrap();
         let s = fig.charts[0].series();
         for i in 0..s[0].points.len() {
             let prod_outer = s[0].points[i].1 * s[4].points[i].1; // 0.1 vs 0.9

@@ -5,53 +5,31 @@
 //! delay blow-up dominates and average power falls *below* the
 //! error-free circuit.
 
-use nanobound_cache::ShardCache;
 use nanobound_core::composite::average_power_factor;
 use nanobound_core::sweep::linspace;
 use nanobound_report::{Cell, Chart, Series, Table};
-use nanobound_runner::{try_grid_map_cached, ThreadPool};
+use nanobound_runner::{try_grid_map_cached, Exec, ThreadPool};
 
 use crate::error::ExperimentError;
 use crate::fig3::{DELTA, FANINS, S0, SENSITIVITY};
 use crate::fig5::{LEAK_SHARE, SW0};
 use crate::figure::{sweep_fingerprint, FigureOutput};
 
-/// Regenerates Figure 6 on the serial engine.
+/// Regenerates Figure 6, sharding the ε grid across `exec.pool`
+/// with cells served from / written to `exec.cache` — byte-identical
+/// output for every worker count and any hit/miss mix.
 ///
 /// # Errors
 ///
 /// Propagates [`nanobound_core::BoundError`] — never triggered by the
 /// fixed parameters used here.
-pub fn generate() -> Result<FigureOutput, ExperimentError> {
-    generate_with(&ThreadPool::serial())
-}
-
-/// Regenerates Figure 6, sharding the ε grid across `pool` —
-/// byte-identical output for every worker count.
-///
-/// # Errors
-///
-/// Same as [`generate`].
-pub fn generate_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
-    generate_cached(pool, None)
-}
-
-/// Regenerates Figure 6 with per-cell results served from / written to
-/// `cache` — byte-identical to the uncached run for any hit/miss mix.
-///
-/// # Errors
-///
-/// Same as [`generate`].
-pub fn generate_cached(
-    pool: &ThreadPool,
-    cache: Option<&ShardCache>,
-) -> Result<FigureOutput, ExperimentError> {
+pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
     let epsilons = linspace(0.0, 0.26, 105);
     let mut params = vec![S0, SENSITIVITY, SW0, LEAK_SHARE, DELTA];
     params.extend_from_slice(&FANINS);
     let fingerprint = sweep_fingerprint("fig6", &epsilons, &params);
     let powers: Vec<Vec<Option<f64>>> =
-        try_grid_map_cached(pool, &epsilons, &fingerprint, cache, |&eps| {
+        try_grid_map_cached(exec, &epsilons, &fingerprint, |&eps| {
             FANINS
                 .iter()
                 .map(|&k| average_power_factor(S0, SENSITIVITY, k, SW0, LEAK_SHARE, eps, DELTA))
@@ -85,13 +63,19 @@ pub fn generate_cached(
     })
 }
 
+/// [`generate`] on `pool` with no stores; `perfbench/probe` links it.
+#[doc(hidden)]
+pub fn generate_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
+    generate(&Exec::new(*pool))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn power_exceeds_one_at_low_error() {
-        let fig = generate().unwrap();
+        let fig = generate(&Exec::default()).unwrap();
         for series in fig.charts[0].series() {
             let early = &series.points[1]; // first non-zero ε
             assert!(
@@ -106,14 +90,15 @@ mod tests {
 
     #[test]
     fn parallel_regeneration_is_identical() {
-        let serial = generate().unwrap();
-        let par = generate_with(&ThreadPool::new(5).unwrap()).unwrap();
-        assert_eq!(serial.tables[0].to_csv(), par.tables[0].to_csv());
+        use crate::request::{
+            tests::assert_sweep_identical_across_pools_and_cache_state, FigureId,
+        };
+        assert_sweep_identical_across_pools_and_cache_state(FigureId::Fig6);
     }
 
     #[test]
     fn power_falls_below_one_near_threshold() {
-        let fig = generate().unwrap();
+        let fig = generate(&Exec::default()).unwrap();
         for series in fig.charts[0].series() {
             let last = series.points.last().unwrap();
             assert!(
@@ -130,7 +115,7 @@ mod tests {
     fn larger_fanin_has_smaller_low_error_overhead() {
         // The paper: "a larger fanin reduces the overhead in average
         // power" at low error rates.
-        let fig = generate().unwrap();
+        let fig = generate(&Exec::default()).unwrap();
         let s = fig.charts[0].series();
         let at = |i: usize, j: usize| s[i].points[j].1;
         // Compare at the same small ε (index 4 ≈ 0.01).
@@ -139,7 +124,7 @@ mod tests {
 
     #[test]
     fn each_curve_crosses_unity_once() {
-        let fig = generate().unwrap();
+        let fig = generate(&Exec::default()).unwrap();
         for series in fig.charts[0].series() {
             // Skip the exact-unity ε = 0 starting point.
             let crossings = series.points[1..]

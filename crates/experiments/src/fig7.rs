@@ -12,7 +12,7 @@ use nanobound_report::{Cell, Table};
 
 use crate::error::ExperimentError;
 use crate::figure::FigureOutput;
-use crate::profiles::{profile_suite, ProfileConfig, ProfiledBenchmark};
+use crate::profiles::ProfiledBenchmark;
 
 /// The paper's gate error probabilities.
 pub const EPSILONS: [f64; 3] = [0.001, 0.01, 0.1];
@@ -60,20 +60,11 @@ pub fn generate_from(profiles: &[ProfiledBenchmark]) -> Result<FigureOutput, Exp
     })
 }
 
-/// Profiles the standard suite and regenerates Figure 7.
-///
-/// # Errors
-///
-/// Propagates pipeline and bound failures.
-pub fn generate() -> Result<FigureOutput, ExperimentError> {
-    generate_from(&profile_suite(&ProfileConfig::default())?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiles::profile_benchmark;
-    use nanobound_gen::standard_suite;
+    use crate::profiles::{profile_suite, ProfileConfig};
+    use nanobound_runner::Exec;
 
     fn quick_profiles() -> Vec<ProfiledBenchmark> {
         let config = ProfileConfig {
@@ -81,11 +72,7 @@ mod tests {
             sensitivity_samples: 128,
             ..Default::default()
         };
-        standard_suite()
-            .unwrap()
-            .iter()
-            .map(|b| profile_benchmark(b, &config).unwrap())
-            .collect()
+        profile_suite(&Exec::default(), &config).unwrap()
     }
 
     #[test]

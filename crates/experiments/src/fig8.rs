@@ -12,7 +12,7 @@ use nanobound_report::{Cell, Table};
 use crate::error::ExperimentError;
 use crate::fig7::{DELTA, EPSILONS};
 use crate::figure::FigureOutput;
-use crate::profiles::{profile_suite, ProfileConfig, ProfiledBenchmark};
+use crate::profiles::ProfiledBenchmark;
 
 /// Regenerates Figure 8 from already-profiled benchmarks.
 ///
@@ -45,20 +45,11 @@ pub fn generate_from(profiles: &[ProfiledBenchmark]) -> Result<FigureOutput, Exp
     })
 }
 
-/// Profiles the standard suite and regenerates Figure 8.
-///
-/// # Errors
-///
-/// Propagates pipeline and bound failures.
-pub fn generate() -> Result<FigureOutput, ExperimentError> {
-    generate_from(&profile_suite(&ProfileConfig::default())?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiles::profile_benchmark;
-    use nanobound_gen::standard_suite;
+    use crate::profiles::{profile_suite, ProfileConfig};
+    use nanobound_runner::Exec;
 
     fn quick_profiles() -> Vec<ProfiledBenchmark> {
         let config = ProfileConfig {
@@ -66,11 +57,7 @@ mod tests {
             sensitivity_samples: 128,
             ..Default::default()
         };
-        standard_suite()
-            .unwrap()
-            .iter()
-            .map(|b| profile_benchmark(b, &config).unwrap())
-            .collect()
+        profile_suite(&Exec::default(), &config).unwrap()
     }
 
     fn num(cell: &Cell) -> f64 {

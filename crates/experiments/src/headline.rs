@@ -14,7 +14,7 @@ use nanobound_report::{Cell, Table};
 
 use crate::error::ExperimentError;
 use crate::figure::FigureOutput;
-use crate::profiles::{profile_suite, ProfileConfig, ProfiledBenchmark};
+use crate::profiles::ProfiledBenchmark;
 
 /// Evaluation of one headline claim.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,16 +76,6 @@ pub fn evaluate_from(profiles: &[ProfiledBenchmark]) -> Result<Vec<ClaimOutcome>
     ])
 }
 
-/// Profiles the suite and renders the claims as a figure-style table.
-///
-/// # Errors
-///
-/// Propagates pipeline and bound failures.
-pub fn generate() -> Result<FigureOutput, ExperimentError> {
-    let profiles = profile_suite(&ProfileConfig::default())?;
-    generate_from(&profiles)
-}
-
 /// Renders claim outcomes from already-profiled benchmarks.
 ///
 /// # Errors
@@ -117,8 +107,8 @@ pub fn generate_from(profiles: &[ProfiledBenchmark]) -> Result<FigureOutput, Exp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiles::profile_benchmark;
-    use nanobound_gen::standard_suite;
+    use crate::profiles::{profile_suite, ProfileConfig};
+    use nanobound_runner::Exec;
 
     #[test]
     fn claims_hold_on_our_suite() {
@@ -127,11 +117,7 @@ mod tests {
             sensitivity_samples: 128,
             ..Default::default()
         };
-        let profiles: Vec<ProfiledBenchmark> = standard_suite()
-            .unwrap()
-            .iter()
-            .map(|b| profile_benchmark(b, &config).unwrap())
-            .collect();
+        let profiles = profile_suite(&Exec::default(), &config).unwrap();
         let outcomes = evaluate_from(&profiles).unwrap();
         assert_eq!(outcomes.len(), 3);
         for o in &outcomes {

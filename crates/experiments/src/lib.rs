@@ -2,18 +2,18 @@
 //! "Energy Bounds for Fault-Tolerant Nanoscale Designs", DATE 2005*,
 //! plus Monte-Carlo validation experiments.
 //!
-//! One module per figure; each exposes `generate()` returning a
-//! [`FigureOutput`] (tables + ASCII charts). Figures 7-8 and the
-//! headline claims consume measured circuit profiles; use
-//! [`profiles::profile_suite`] once and pass the result to their
-//! `generate_from` variants to avoid re-profiling.
+//! One module per figure. The sweep figures (2–6) expose
+//! `generate(exec)` returning a [`FigureOutput`] (tables + ASCII
+//! charts). Figures 7-8 and the headline claims consume measured
+//! circuit profiles: run [`profiles::profile_suite`] once and pass the
+//! result to their `generate_from` functions.
 //!
-//! Every generator also has a `generate_cached` variant taking an
-//! optional [`nanobound_cache::ShardCache`]: sweep cells, Monte-Carlo
-//! chunk tallies and benchmark measurements are then served from the
-//! content-addressed store when present. Cached payloads round-trip
-//! bit-exactly, so warm-cache output is byte-identical to a cold or
-//! uncached run (the golden-CSV suite pins this end to end).
+//! Every entry point takes one [`nanobound_runner::Exec`]: the worker
+//! pool plus the optional shard cache, profile store and program cache.
+//! Sweep cells, Monte-Carlo chunk tallies and benchmark measurements
+//! are served from the stores that are present. Stored payloads
+//! round-trip bit-exactly, so output is byte-identical for every pool
+//! and every store state (the golden-CSV suite pins this end to end).
 //!
 //! | Paper artifact | Module |
 //! |----------------|--------|
@@ -31,7 +31,9 @@
 //! # Examples
 //!
 //! ```
-//! let fig2 = nanobound_experiments::fig2::generate()?;
+//! use nanobound_runner::Exec;
+//!
+//! let fig2 = nanobound_experiments::fig2::generate(&Exec::default())?;
 //! println!("{}", fig2.render());
 //! # Ok::<(), nanobound_experiments::ExperimentError>(())
 //! ```
@@ -53,4 +55,4 @@ pub mod validation;
 
 pub use error::ExperimentError;
 pub use figure::FigureOutput;
-pub use request::{generate_figure_cached, FigureId};
+pub use request::{generate_figure, generate_figure_cached, FigureId};

@@ -17,9 +17,9 @@ use std::sync::Arc;
 
 use nanobound_cache::{CacheCodec, Decoder, Encoder, ProfileLayer, ProfileStore};
 use nanobound_core::CircuitProfile;
-use nanobound_gen::{standard_suite, Benchmark};
+use nanobound_gen::standard_suite;
 use nanobound_logic::{transform, CircuitStats, Netlist};
-use nanobound_runner::{experiment_builder, try_grid_map, ThreadPool};
+use nanobound_runner::{experiment_builder, try_grid_map, Exec, ThreadPool};
 use nanobound_sim::{
     estimate_activity, sensitivity, EngineKind, ProgramCache, SensitivityEstimate, SimProgram,
     SimScratch,
@@ -151,33 +151,21 @@ pub struct ProfiledBenchmark {
     pub sensitivity_source: SensitivitySource,
 }
 
-/// Profiles one netlist (generic entry point).
+/// Profiles one netlist.
 ///
 /// `sensitivity_hint` short-circuits measurement when the analytic value
-/// is known.
+/// is known (a [`Benchmark`](nanobound_gen::Benchmark)'s
+/// `sensitivity_hint`).
 ///
-/// # Errors
-///
-/// Propagates failures from the transforms and the simulator; for
-/// netlists produced by `nanobound-gen` with valid parameters this does
-/// not occur.
-pub fn profile_netlist(
-    netlist: &Netlist,
-    sensitivity_hint: Option<u32>,
-    config: &ProfileConfig,
-) -> Result<ProfiledBenchmark, ExperimentError> {
-    profile_netlist_cached(netlist, sensitivity_hint, config, None)
-}
-
-/// [`profile_netlist`] with the expensive measurements (activity
-/// simulation, sensitivity estimation) served from / written to
-/// `profiles`, each under its own ε-independent experiment fingerprint.
-///
-/// The mapped netlist and its structural statistics are always
-/// recomputed — `transform::prepare` is deterministic and cheap — so a
-/// store hit reproduces the exact [`ProfiledBenchmark`] a cold run
-/// builds, floats included (the store keeps their bit patterns). The
-/// two layers are keyed independently:
+/// The expensive measurements (activity simulation, sensitivity
+/// estimation) are served from / written to `exec.profiles`, each under
+/// its own ε-independent experiment fingerprint, and run on
+/// `exec.programs`'s shared compiled tape when one is present. The
+/// mapped netlist and its structural statistics are always recomputed —
+/// `transform::prepare` is deterministic and cheap — so a store hit
+/// reproduces the exact [`ProfiledBenchmark`] a cold run builds, floats
+/// included (the store keeps their bit patterns). The two layers are
+/// keyed independently:
 ///
 /// - **activity** over the mapped structure + pattern count + seed;
 /// - **sensitivity** over the mapped structure + sample budget + seed
@@ -187,38 +175,27 @@ pub fn profile_netlist(
 /// ε-grid sweep (or a hint change) reuses one measurement across the
 /// whole grid — across runs and processes.
 ///
-/// # Errors
-///
-/// Same as [`profile_netlist`]; store failures degrade to measurement.
-pub fn profile_netlist_cached(
-    netlist: &Netlist,
-    sensitivity_hint: Option<u32>,
-    config: &ProfileConfig,
-    profiles: Option<&ProfileStore>,
-) -> Result<ProfiledBenchmark, ExperimentError> {
-    profile_netlist_cached_programs(netlist, sensitivity_hint, config, profiles, None)
-}
-
-/// [`profile_netlist_cached`] with compiled simulation programs served
-/// from / written to `programs` — for long-lived services that profile
-/// the same structures repeatedly under varying measurement configs.
-///
 /// The measurement backend is resolved from `NANOBOUND_ENGINE`
 /// ([`EngineKind::from_env`]); compiled and interpreted measurements
 /// are bit-identical, so the profile (and everything derived from it —
-/// figures, bounds, cache entries) does not depend on the choice.
+/// figures, bounds, cache entries) does not depend on the choice. One
+/// netlist is one task: `exec.pool` is not used.
 ///
 /// # Errors
 ///
-/// Same as [`profile_netlist`], plus a configuration error for an
-/// unrecognized `NANOBOUND_ENGINE` value.
-pub fn profile_netlist_cached_programs(
+/// Propagates failures from the transforms and the simulator (for
+/// netlists produced by `nanobound-gen` with valid parameters this does
+/// not occur), plus a configuration error for an unrecognized
+/// `NANOBOUND_ENGINE` value; store failures degrade to measurement.
+pub fn profile_netlist(
+    exec: &Exec<'_>,
     netlist: &Netlist,
     sensitivity_hint: Option<u32>,
     config: &ProfileConfig,
-    profiles: Option<&ProfileStore>,
-    programs: Option<&ProgramCache>,
 ) -> Result<ProfiledBenchmark, ExperimentError> {
+    let Exec {
+        profiles, programs, ..
+    } = *exec;
     // Resolve (and strictly validate) the engine before the store is
     // consulted: a typo'd NANOBOUND_ENGINE must be a hard error on warm
     // runs too, not only when a measurement is actually executed.
@@ -384,53 +361,15 @@ fn measure_sensitivity(
     Ok((f64::from(est.value()), source))
 }
 
-/// Profiles a [`Benchmark`] (uses its sensitivity hint when present).
+/// Profiles the paper's whole Section-6 suite, one benchmark per
+/// parallel task on `exec.pool`, each through [`profile_netlist`] with
+/// its generator's sensitivity hint.
 ///
-/// # Errors
-///
-/// Same as [`profile_netlist`].
-pub fn profile_benchmark(
-    benchmark: &Benchmark,
-    config: &ProfileConfig,
-) -> Result<ProfiledBenchmark, ExperimentError> {
-    profile_netlist(&benchmark.netlist, benchmark.sensitivity_hint, config)
-}
-
-/// [`profile_benchmark`] through the measurement cache.
-///
-/// # Errors
-///
-/// Same as [`profile_netlist`].
-pub fn profile_benchmark_cached(
-    benchmark: &Benchmark,
-    config: &ProfileConfig,
-    profiles: Option<&ProfileStore>,
-) -> Result<ProfiledBenchmark, ExperimentError> {
-    profile_benchmark_cached_programs(benchmark, config, profiles, None)
-}
-
-/// [`profile_benchmark_cached`] with compiled programs shared through
-/// `programs`.
-///
-/// # Errors
-///
-/// Same as [`profile_netlist`].
-pub fn profile_benchmark_cached_programs(
-    benchmark: &Benchmark,
-    config: &ProfileConfig,
-    profiles: Option<&ProfileStore>,
-    programs: Option<&ProgramCache>,
-) -> Result<ProfiledBenchmark, ExperimentError> {
-    profile_netlist_cached_programs(
-        &benchmark.netlist,
-        benchmark.sensitivity_hint,
-        config,
-        profiles,
-        programs,
-    )
-}
-
-/// Profiles the paper's whole Section-6 suite.
+/// Each benchmark's measurement is deterministic in `config.seed` and
+/// benchmarks share no state, so the profile list is byte-identical for
+/// every worker count and every store state. The suite is the dominant
+/// cost of a `figures` run, so this is where a warm store pays off
+/// most.
 ///
 /// # Errors
 ///
@@ -440,68 +379,51 @@ pub fn profile_benchmark_cached_programs(
 ///
 /// ```no_run
 /// use nanobound_experiments::profiles::{profile_suite, ProfileConfig};
+/// use nanobound_runner::Exec;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let profiles = profile_suite(&ProfileConfig::default())?;
+/// let profiles = profile_suite(&Exec::default(), &ProfileConfig::default())?;
 /// for p in &profiles {
 ///     println!("{}", p.profile);
 /// }
 /// # Ok(())
 /// # }
 /// ```
-pub fn profile_suite(config: &ProfileConfig) -> Result<Vec<ProfiledBenchmark>, ExperimentError> {
-    profile_suite_with(&ThreadPool::serial(), config)
+pub fn profile_suite(
+    exec: &Exec<'_>,
+    config: &ProfileConfig,
+) -> Result<Vec<ProfiledBenchmark>, ExperimentError> {
+    let suite = standard_suite()?;
+    try_grid_map(&exec.pool, &suite, |b| {
+        profile_netlist(exec, &b.netlist, b.sensitivity_hint, config)
+    })
 }
 
-/// Profiles the paper's Section-6 suite with one benchmark per parallel
-/// task.
-///
-/// Each benchmark's measurement is already deterministic in
-/// `config.seed`, and benchmarks share no state, so the profile list is
-/// byte-identical to the serial [`profile_suite`] for every worker
-/// count.
-///
-/// # Errors
-///
-/// Same as [`profile_netlist`].
+/// [`profile_suite`] on `pool` with no stores; `perfbench/probe` links it.
+#[doc(hidden)]
 pub fn profile_suite_with(
     pool: &ThreadPool,
     config: &ProfileConfig,
 ) -> Result<Vec<ProfiledBenchmark>, ExperimentError> {
-    profile_suite_cached(pool, config, None)
+    profile_suite(&Exec::new(*pool), config)
 }
 
-/// Profiles the Section-6 suite with per-benchmark measurements served
-/// from / written to `profiles` — the dominant cost of a `figures` run,
-/// so this is where a warm store pays off most.
-///
-/// # Errors
-///
-/// Same as [`profile_netlist`].
-pub fn profile_suite_cached(
-    pool: &ThreadPool,
-    config: &ProfileConfig,
-    profiles: Option<&ProfileStore>,
-) -> Result<Vec<ProfiledBenchmark>, ExperimentError> {
-    profile_suite_cached_programs(pool, config, profiles, None)
-}
-
-/// [`profile_suite_cached`] with compiled programs shared through
-/// `programs`.
-///
-/// # Errors
-///
-/// Same as [`profile_netlist`].
+/// [`profile_suite`] with the given stores; `perfbench/probe` links it.
+#[doc(hidden)]
 pub fn profile_suite_cached_programs(
     pool: &ThreadPool,
     config: &ProfileConfig,
     profiles: Option<&ProfileStore>,
     programs: Option<&ProgramCache>,
 ) -> Result<Vec<ProfiledBenchmark>, ExperimentError> {
-    let suite = standard_suite()?;
-    try_grid_map(pool, &suite, |b| {
-        profile_benchmark_cached_programs(b, config, profiles, programs)
-    })
+    profile_suite(
+        &Exec {
+            profiles,
+            programs,
+            ..Exec::new(*pool)
+        },
+        config,
+    )
 }
 
 /// The Section-6 suite's raw netlists, in suite order — the set
@@ -531,7 +453,7 @@ mod tests {
     #[test]
     fn parity_profile_matches_theory() {
         let tree = parity::parity_tree(10, 3).unwrap();
-        let p = profile_netlist(&tree, None, &quick()).unwrap();
+        let p = profile_netlist(&Exec::default(), &tree, None, &quick()).unwrap();
         assert_eq!(p.profile.inputs, 10);
         assert_eq!(p.profile.sensitivity, 10.0);
         assert_eq!(p.sensitivity_source, SensitivitySource::Exact);
@@ -548,7 +470,7 @@ mod tests {
     #[test]
     fn hint_bypasses_measurement() {
         let tree = parity::parity_tree(10, 3).unwrap();
-        let p = profile_netlist(&tree, Some(10), &quick()).unwrap();
+        let p = profile_netlist(&Exec::default(), &tree, Some(10), &quick()).unwrap();
         assert_eq!(p.sensitivity_source, SensitivitySource::Hint);
         assert_eq!(p.profile.sensitivity, 10.0);
     }
@@ -556,7 +478,7 @@ mod tests {
     #[test]
     fn wide_circuit_gets_sampled_sensitivity() {
         let c432 = iscas::c432_analog().unwrap(); // 40 inputs
-        let p = profile_netlist(&c432, None, &quick()).unwrap();
+        let p = profile_netlist(&Exec::default(), &c432, None, &quick()).unwrap();
         assert!(matches!(
             p.sensitivity_source,
             SensitivitySource::Sampled { samples: 128 }
@@ -568,7 +490,7 @@ mod tests {
     #[test]
     fn control_logic_has_low_activity() {
         let c432 = iscas::c432_analog().unwrap();
-        let p = profile_netlist(&c432, None, &quick()).unwrap();
+        let p = profile_netlist(&Exec::default(), &c432, None, &quick()).unwrap();
         // Priority/inhibition chains idle most of the time.
         assert!(p.profile.activity < 0.4, "sw0 {}", p.profile.activity);
     }
@@ -576,7 +498,7 @@ mod tests {
     #[test]
     fn mapping_respects_fanin_budget() {
         let c6288 = iscas::c6288_analog().unwrap();
-        let p = profile_netlist(&c6288, Some(32), &quick()).unwrap();
+        let p = profile_netlist(&Exec::default(), &c6288, Some(32), &quick()).unwrap();
         let stats = CircuitStats::of(&p.mapped);
         assert!(stats.max_fanin <= 3);
         assert!(
@@ -589,8 +511,8 @@ mod tests {
     #[test]
     fn profiles_are_deterministic() {
         let tree = parity::parity_tree(8, 2).unwrap();
-        let a = profile_netlist(&tree, None, &quick()).unwrap();
-        let b = profile_netlist(&tree, None, &quick()).unwrap();
+        let a = profile_netlist(&Exec::default(), &tree, None, &quick()).unwrap();
+        let b = profile_netlist(&Exec::default(), &tree, None, &quick()).unwrap();
         assert_eq!(a.profile, b.profile);
     }
 
@@ -601,9 +523,13 @@ mod tests {
         let store = ProfileStore::open(&dir).unwrap();
         let config = quick();
         let tree = parity::parity_tree(8, 2).unwrap();
-        let plain = profile_netlist(&tree, None, &config).unwrap();
-        let cold = profile_netlist_cached(&tree, None, &config, Some(&store)).unwrap();
-        let warm = profile_netlist_cached(&tree, None, &config, Some(&store)).unwrap();
+        let stored = Exec {
+            profiles: Some(&store),
+            ..Exec::default()
+        };
+        let plain = profile_netlist(&Exec::default(), &tree, None, &config).unwrap();
+        let cold = profile_netlist(&stored, &tree, None, &config).unwrap();
+        let warm = profile_netlist(&stored, &tree, None, &config).unwrap();
         for p in [&cold, &warm] {
             assert_eq!(p.profile, plain.profile);
             assert_eq!(p.sensitivity_source, plain.sensitivity_source);
@@ -617,12 +543,12 @@ mod tests {
             seed: 0xD00D,
             ..config
         };
-        let _ = profile_netlist_cached(&tree, None, &other, Some(&store)).unwrap();
+        let _ = profile_netlist(&stored, &tree, None, &other).unwrap();
         assert_eq!(store.layer_stats(ProfileLayer::Activity).measured, 2);
         assert_eq!(store.layer_stats(ProfileLayer::Sensitivity).measured, 2);
         // A hint bypasses the sensitivity layer but the activity layer
         // still hits: the hint is deliberately not part of its identity.
-        let hinted = profile_netlist_cached(&tree, Some(8), &config, Some(&store)).unwrap();
+        let hinted = profile_netlist(&stored, &tree, Some(8), &config).unwrap();
         assert_eq!(hinted.sensitivity_source, SensitivitySource::Hint);
         assert_eq!(store.layer_stats(ProfileLayer::Activity).reused, 2);
         assert_eq!(store.layer_stats(ProfileLayer::Sensitivity).reused, 1);
@@ -639,13 +565,17 @@ mod tests {
         let store = ProfileStore::open(&dir).unwrap();
         let config = quick();
         let tree = parity::parity_tree(8, 2).unwrap();
-        let base = profile_netlist_cached(&tree, None, &config, Some(&store)).unwrap();
+        let stored = Exec {
+            profiles: Some(&store),
+            ..Exec::default()
+        };
+        let base = profile_netlist(&stored, &tree, None, &config).unwrap();
         let varied = ProfileConfig {
             sensitivity_samples: 64,
             leak_share: 0.3,
             ..config
         };
-        let swept = profile_netlist_cached(&tree, None, &varied, Some(&store)).unwrap();
+        let swept = profile_netlist(&stored, &tree, None, &varied).unwrap();
         assert_eq!(swept.profile.activity, base.profile.activity);
         assert_eq!(
             store.layer_stats(ProfileLayer::Activity),
@@ -669,8 +599,8 @@ mod tests {
     #[test]
     fn parallel_suite_matches_serial() {
         let config = quick();
-        let serial = profile_suite(&config).unwrap();
-        let par = profile_suite_with(&ThreadPool::new(4).unwrap(), &config).unwrap();
+        let serial = profile_suite(&Exec::default(), &config).unwrap();
+        let par = profile_suite(&Exec::new(ThreadPool::new(4).unwrap()), &config).unwrap();
         assert_eq!(serial.len(), par.len());
         for (s, p) in serial.iter().zip(&par) {
             assert_eq!(s.profile, p.profile, "{}", s.name);

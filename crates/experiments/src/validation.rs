@@ -20,7 +20,7 @@ use nanobound_gen::{alu, parity, priority};
 use nanobound_logic::Netlist;
 use nanobound_redundancy::{multiplex, nmr, MultiplexConfig};
 use nanobound_report::{Cell, Table};
-use nanobound_runner::{monte_carlo_sharded_cached_programs, ThreadPool, DEFAULT_CHUNK};
+use nanobound_runner::{monte_carlo, Exec, ThreadPool, DEFAULT_CHUNK};
 use nanobound_sim::{NoisyConfig, NoisyOutcome, ProgramCache, SimError};
 
 use crate::error::ExperimentError;
@@ -35,69 +35,23 @@ const PATTERNS: usize = 100_000;
 /// validation numbers are part of the workspace's reproducibility
 /// contract: any `--jobs` count replays the same RNG stream layout.
 fn validation_mc(
-    pool: &ThreadPool,
+    exec: &Exec<'_>,
     netlist: &Netlist,
     config: &NoisyConfig,
     pattern_seed: u64,
-    cache: Option<&ShardCache>,
-    programs: Option<&ProgramCache>,
 ) -> Result<NoisyOutcome, SimError> {
-    monte_carlo_sharded_cached_programs(
-        pool,
-        netlist,
-        config,
-        PATTERNS,
-        pattern_seed,
-        DEFAULT_CHUNK,
-        cache,
-        programs,
-    )
+    monte_carlo(exec, netlist, config, PATTERNS, pattern_seed, DEFAULT_CHUNK)
 }
 
-/// V1: Theorem-1 validation table, on the serial engine.
+/// V1: Theorem-1 validation table, Monte-Carlo chunks sharded across
+/// `exec.pool` and served from / written to `exec.cache` —
+/// byte-identical output for every worker count and any hit/miss mix.
 ///
 /// # Errors
 ///
 /// Propagates generator/simulation failures (not expected with the
 /// fixed parameters used here).
-pub fn theorem1_validation() -> Result<FigureOutput, ExperimentError> {
-    theorem1_validation_with(&ThreadPool::serial())
-}
-
-/// V1: Theorem-1 validation table, Monte-Carlo chunks sharded across
-/// `pool` — byte-identical output for every worker count.
-///
-/// # Errors
-///
-/// Same as [`theorem1_validation`].
-pub fn theorem1_validation_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
-    theorem1_validation_cached(pool, None)
-}
-
-/// V1 with Monte-Carlo chunk tallies served from / written to `cache` —
-/// byte-identical to the uncached run for any hit/miss mix.
-///
-/// # Errors
-///
-/// Same as [`theorem1_validation`].
-pub fn theorem1_validation_cached(
-    pool: &ThreadPool,
-    cache: Option<&ShardCache>,
-) -> Result<FigureOutput, ExperimentError> {
-    theorem1_validation_cached_programs(pool, cache, None)
-}
-
-/// V1 with compiled simulation programs shared through `programs`, so a
-/// long-lived service compiles each validation circuit once.
-///
-/// # Errors
-///
-/// Same as [`theorem1_validation`].
-pub fn theorem1_validation_cached_programs(
-    pool: &ThreadPool,
-    cache: Option<&ShardCache>,
-    programs: Option<&ProgramCache>,
-) -> Result<FigureOutput, ExperimentError> {
+pub fn theorem1_validation(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
     let mut table = Table::new(
         "V1 — Theorem 1: measured vs predicted noisy switching activity",
         [
@@ -119,14 +73,7 @@ pub fn theorem1_validation_cached_programs(
     for (name, nl) in &circuits {
         let depth = nanobound_logic::topo::depth(nl);
         for &eps in &[0.01, 0.05, 0.2] {
-            let out = validation_mc(
-                pool,
-                nl,
-                &NoisyConfig::strict(eps, 11)?,
-                13,
-                cache,
-                programs,
-            )?;
+            let out = validation_mc(exec, nl, &NoisyConfig::strict(eps, 11)?, 13)?;
             let predicted = noisy_activity(out.clean_avg_gate_activity, eps);
             table.push_row([
                 Cell::from(*name),
@@ -157,55 +104,18 @@ fn single_and(width: usize) -> Netlist {
     nl
 }
 
-/// V2: constructive schemes vs the size lower bound, on the serial
-/// engine.
+/// V2: constructive schemes vs the size lower bound.
 ///
 /// For the paper's running example (10-input parity) at several ε, the
 /// table reports the Theorem-2 minimum size factor at the δ̂ *actually
 /// achieved* by each construction, next to the construction's real cost.
 /// Constructions must cost at least the bound — in practice far more.
+/// Monte-Carlo runs as in [`theorem1_validation`].
 ///
 /// # Errors
 ///
 /// Propagates generator, redundancy and simulation failures.
-pub fn constructive_vs_bound() -> Result<FigureOutput, ExperimentError> {
-    constructive_vs_bound_with(&ThreadPool::serial())
-}
-
-/// V2: constructive schemes vs the size lower bound, Monte-Carlo chunks
-/// sharded across `pool` — byte-identical output for every worker
-/// count.
-///
-/// # Errors
-///
-/// Same as [`constructive_vs_bound`].
-pub fn constructive_vs_bound_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
-    constructive_vs_bound_cached(pool, None)
-}
-
-/// V2 with Monte-Carlo chunk tallies served from / written to `cache` —
-/// byte-identical to the uncached run for any hit/miss mix.
-///
-/// # Errors
-///
-/// Same as [`constructive_vs_bound`].
-pub fn constructive_vs_bound_cached(
-    pool: &ThreadPool,
-    cache: Option<&ShardCache>,
-) -> Result<FigureOutput, ExperimentError> {
-    constructive_vs_bound_cached_programs(pool, cache, None)
-}
-
-/// V2 with compiled simulation programs shared through `programs`.
-///
-/// # Errors
-///
-/// Same as [`constructive_vs_bound`].
-pub fn constructive_vs_bound_cached_programs(
-    pool: &ThreadPool,
-    cache: Option<&ShardCache>,
-    programs: Option<&ProgramCache>,
-) -> Result<FigureOutput, ExperimentError> {
+pub fn constructive_vs_bound(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
     let base = parity::parity_tree(10, 2)?;
     let s0 = base.gate_count() as f64;
     let mut table = Table::new(
@@ -222,11 +132,11 @@ pub fn constructive_vs_bound_cached_programs(
     for &eps in &[0.001, 0.005] {
         let config = NoisyConfig::strict(eps, 21)?;
         // Unprotected baseline for reference.
-        let bare = validation_mc(pool, &base, &config, 23, cache, programs)?;
+        let bare = validation_mc(exec, &base, &config, 23)?;
         push_scheme(&mut table, "bare", eps, bare.circuit_error_rate, 1.0, s0)?;
         for r in [3usize, 5] {
             let protected = nmr(&base, r)?;
-            let out = validation_mc(pool, &protected, &config, 23, cache, programs)?;
+            let out = validation_mc(exec, &protected, &config, 23)?;
             let actual = protected.gate_count() as f64 / s0;
             push_scheme(
                 &mut table,
@@ -248,7 +158,7 @@ pub fn constructive_vs_bound_cached_programs(
                 seed: 31,
             },
         )?;
-        let out = validation_mc(pool, &mux, &config, 23, cache, programs)?;
+        let out = validation_mc(exec, &mux, &config, 23)?;
         let actual = mux.gate_count() as f64 / s0;
         push_scheme(
             &mut table,
@@ -292,52 +202,44 @@ fn push_scheme(
     Ok(())
 }
 
-/// Runs both validation experiments on the serial engine.
+/// Runs both validation experiments (V1, then V2).
 ///
 /// # Errors
 ///
 /// Propagates the underlying experiment failures.
-pub fn generate() -> Result<Vec<FigureOutput>, ExperimentError> {
-    generate_with(&ThreadPool::serial())
+pub fn generate(exec: &Exec<'_>) -> Result<Vec<FigureOutput>, ExperimentError> {
+    Ok(vec![
+        theorem1_validation(exec)?,
+        constructive_vs_bound(exec)?,
+    ])
 }
 
-/// Runs both validation experiments with Monte-Carlo chunks sharded
-/// across `pool` — byte-identical output for every worker count.
-///
-/// # Errors
-///
-/// Same as [`generate`].
-pub fn generate_with(pool: &ThreadPool) -> Result<Vec<FigureOutput>, ExperimentError> {
-    generate_cached(pool, None)
+/// [`theorem1_validation`] on `pool` with no stores; `perfbench/probe`
+/// links it.
+#[doc(hidden)]
+pub fn theorem1_validation_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
+    theorem1_validation(&Exec::new(*pool))
 }
 
-/// Runs both validation experiments through the shard result cache.
-///
-/// # Errors
-///
-/// Same as [`generate`].
-pub fn generate_cached(
-    pool: &ThreadPool,
-    cache: Option<&ShardCache>,
-) -> Result<Vec<FigureOutput>, ExperimentError> {
-    generate_cached_programs(pool, cache, None)
+/// [`constructive_vs_bound`] on `pool` with no stores;
+/// `perfbench/probe` links it.
+#[doc(hidden)]
+pub fn constructive_vs_bound_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
+    constructive_vs_bound(&Exec::new(*pool))
 }
 
-/// Runs both validation experiments with compiled simulation programs
-/// shared through `programs`.
-///
-/// # Errors
-///
-/// Same as [`generate`].
+/// [`generate`] with the given stores; `perfbench/probe` links it.
+#[doc(hidden)]
 pub fn generate_cached_programs(
     pool: &ThreadPool,
     cache: Option<&ShardCache>,
     programs: Option<&ProgramCache>,
 ) -> Result<Vec<FigureOutput>, ExperimentError> {
-    Ok(vec![
-        theorem1_validation_cached_programs(pool, cache, programs)?,
-        constructive_vs_bound_cached_programs(pool, cache, programs)?,
-    ])
+    generate(&Exec {
+        cache,
+        programs,
+        ..Exec::new(*pool)
+    })
 }
 
 #[cfg(test)]
@@ -353,7 +255,7 @@ mod tests {
 
     #[test]
     fn device_level_rows_match_theorem_tightly() {
-        let fig = theorem1_validation().unwrap();
+        let fig = theorem1_validation(&Exec::default()).unwrap();
         // The first three rows are the single-gate circuit: deviation
         // within Monte-Carlo noise.
         for row in &fig.tables[0].rows()[..3] {
@@ -366,7 +268,7 @@ mod tests {
     fn circuit_level_deviation_is_positive() {
         // Error accumulation over depth can only push activity toward
         // randomness beyond the single-channel prediction.
-        let fig = theorem1_validation().unwrap();
+        let fig = theorem1_validation(&Exec::default()).unwrap();
         for row in &fig.tables[0].rows()[3..] {
             let deviation = num(&row[6]);
             assert!(deviation > -0.01, "accumulation went negative: {row:?}");
@@ -375,14 +277,15 @@ mod tests {
 
     #[test]
     fn parallel_validation_is_identical() {
-        let serial = theorem1_validation().unwrap();
-        let par = theorem1_validation_with(&ThreadPool::new(4).unwrap()).unwrap();
-        assert_eq!(serial.tables[0].to_csv(), par.tables[0].to_csv());
+        crate::request::tests::assert_identical_across_pools_and_cache_state(
+            "validation",
+            generate,
+        );
     }
 
     #[test]
     fn constructions_respect_the_lower_bound() {
-        let fig = constructive_vs_bound().unwrap();
+        let fig = constructive_vs_bound(&Exec::default()).unwrap();
         for row in fig.tables[0].rows() {
             let slack = num(&row[5]);
             assert!(slack >= -1e-9, "construction beat the bound: {row:?}");
@@ -391,7 +294,7 @@ mod tests {
 
     #[test]
     fn protection_improves_delta_over_bare() {
-        let fig = constructive_vs_bound().unwrap();
+        let fig = constructive_vs_bound(&Exec::default()).unwrap();
         let rows = fig.tables[0].rows();
         // Rows come in groups of 4 per ε: bare, TMR, 5MR, mux.
         for group in rows.chunks(4) {

@@ -3,7 +3,7 @@
 //! The classic combinational array multiplier: an AND matrix of partial
 //! products reduced row by row with carry-save full-adder rows. ISCAS'85
 //! `c6288` *is* a 16×16 array multiplier (32 inputs, 32 outputs), so
-//! [`array`]`(16, 16)` is a structurally faithful stand-in for it.
+//! [`array()`]`(16, 16)` is a structurally faithful stand-in for it.
 //!
 //! The sensitivity of an `n×m` multiplier is `n + m`: pick `a` and `b` both
 //! non-zero (e.g. all ones); flipping any bit of `a` changes the product by

@@ -2,8 +2,8 @@
 //!
 //! Two interchange formats are supported:
 //!
-//! - [`bench`] — the ISCAS `.bench` format used by the ISCAS'85/'89
-//!   benchmark suites (the circuits the paper evaluates);
+//! - [`bench`](mod@bench) — the ISCAS `.bench` format used by the
+//!   ISCAS'85/'89 benchmark suites (the circuits the paper evaluates);
 //! - [`blif`] — a practical subset of Berkeley BLIF (models with `.names`
 //!   sum-of-products covers and `.latch`), the native format of SIS, the
 //!   synthesis tool the paper used.

@@ -8,8 +8,8 @@
 //! schemes, built gate-for-gate as netlists, whose measured cost and
 //! measured output error rate can be placed against the bound curves.
 //!
-//! - [`nmr`] — r-fold replication with noisy majority voters;
-//! - [`multiplex`] — von Neumann bundles with executive and restorative
+//! - [`nmr()`] — r-fold replication with noisy majority voters;
+//! - [`multiplex()`] — von Neumann bundles with executive and restorative
 //!   NAND stages ([`to_nand2`] rewrites arbitrary netlists first);
 //! - [`analysis`] — binomial voting reliability, stimulated-level
 //!   recursions and the ε* ≈ 0.0886 multiplexing threshold.

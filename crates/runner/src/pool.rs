@@ -39,7 +39,7 @@ pub const MAX_JOBS: usize = 512;
 /// call (spawned on entry, joined before return): the pool holds no
 /// global state, cannot leak threads and cannot be poisoned by a
 /// panicking task — the panic is propagated to the caller instead.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ThreadPool {
     jobs: NonZeroUsize,
 }

@@ -11,15 +11,14 @@
 //! whatever order, without ever re-deriving a different result.
 //!
 //! [`monte_carlo_shard_tallies`] computes the per-shard tallies of one
-//! range — the worker side of the cluster protocol and the common
-//! engine under [`monte_carlo_sharded_cached_programs`]'s merged
-//! variant. [`tally_admissible`] is the single admission predicate for
+//! range. It is the only Monte-Carlo executor in the crate: the worker
+//! side of the cluster protocol, and the body of
+//! [`monte_carlo`](crate::monte_carlo), which folds it over the whole
+//! plan. [`tally_admissible`] is the single admission predicate for
 //! tallies arriving from *outside* the live computation (cache entries,
 //! remote workers): both paths cross-check against the live netlist
-//! before merging, so a fingerprint collision or a corrupt worker can
-//! force a recompute but never a panic.
-//!
-//! [`monte_carlo_sharded_cached_programs`]: crate::monte_carlo_sharded_cached_programs
+//! before merging, so a fingerprint collision, a forged cache entry or
+//! a corrupt worker can force a recompute but never a wrong merge.
 
 use std::sync::Arc;
 
@@ -127,25 +126,42 @@ impl ShardRange {
 /// `len`-trial shard of `netlist`.
 ///
 /// The check guards the merge: [`NoisyTally::merge`] asserts matching
-/// gate and output counts, so an inadmissible tally must be treated as
-/// a miss (cache) or a counted worker failure (cluster), never merged.
+/// gate and output counts and adds with plain `+=`, so an inadmissible
+/// tally must be treated as a miss (cache) or a counted worker failure
+/// (cluster), never merged. Besides the shape, it requires the exact
+/// invariants every real single-shard tally of either engine has: one
+/// transition per consecutive pattern pair, no count of erroneous
+/// patterns above `len`, and no toggle sum above one toggle per gate
+/// per transition.
 #[must_use]
 pub fn tally_admissible(netlist: &Netlist, tally: &NoisyTally, len: usize) -> bool {
+    let gates = netlist.gate_count();
+    let trials = len as u64;
+    let toggle_slots = (tally.transitions as u64).saturating_mul(gates as u64);
     tally.patterns == len
-        && tally.gates == netlist.gate_count()
+        && len.checked_sub(1) == Some(tally.transitions)
+        && tally.gates == gates
         && tally.per_output_errors.len() == netlist.output_count()
+        && tally.circuit_errors <= trials
+        && tally
+            .per_output_errors
+            .iter()
+            .all(|&errors| errors <= trials)
+        && tally.clean_gate_toggles <= toggle_slots
+        && tally.noisy_gate_toggles <= toggle_slots
 }
 
 /// Computes the per-shard tallies of `range` under `plan` — the worker
 /// side of the cluster protocol.
 ///
 /// Each returned tally is the bit-exact result of its shard, identical
-/// to what any other process (or the merged single-process pipeline)
-/// derives for the same `(config, pattern_seed, plan)` — shards are
-/// relocatable by construction. With a cache, shards are served from /
-/// written to the **same fingerprint** the merged pipeline uses, so a
-/// cluster worker warms the cache for later local runs and vice versa;
-/// the fingerprint stays pinned against concurrent GC for the duration.
+/// to what any other process derives for the same
+/// `(config, pattern_seed, plan)` — shards are relocatable by
+/// construction. With a cache, shards are served from / written to
+/// [`monte_carlo_fingerprint`], the address
+/// [`monte_carlo`](crate::monte_carlo) uses too, so a cluster worker
+/// warms the cache for later local runs and vice versa; the
+/// fingerprint stays pinned against concurrent GC for the duration.
 ///
 /// The evaluation backend is resolved per call from `NANOBOUND_ENGINE`
 /// ([`EngineKind::from_env`]); both backends produce bit-identical
@@ -218,9 +234,12 @@ pub fn monte_carlo_shard_tallies(
             .collect();
     }
 
-    // Compiled engine: misses within a group run through one batched
-    // tape pass, exactly like the merged pipeline — batching changes
-    // wall-clock, never counts (v2 fault-stream contract).
+    // Compiled engine: one program per call (or shared through the
+    // program cache), one scratch per worker. Misses within a group run
+    // through one batched tape pass — legal because the v2 fault stream
+    // derives each shard's masks as pure functions of its own seed, so
+    // batching changes wall-clock, never counts. Every computed shard
+    // is stored individually, so each stays a relocatable unit.
     let program: Arc<SimProgram> = match programs {
         Some(cache) => cache.get_or_compile(netlist),
         None => Arc::new(SimProgram::compile(netlist)),
@@ -276,7 +295,8 @@ pub fn monte_carlo_shard_tallies(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cached::monte_carlo_sharded_cached;
+    use crate::exec::Exec;
+    use crate::montecarlo::monte_carlo;
     use nanobound_logic::GateKind;
 
     fn xor_pair() -> Netlist {
@@ -325,8 +345,7 @@ mod tests {
         let cfg = NoisyConfig::new(0.05, 17).unwrap();
         let pool = ThreadPool::serial();
         let plan = ShardPlan::new(10_000, 512).unwrap();
-        let reference =
-            monte_carlo_sharded_cached(&pool, &nl, &cfg, 10_000, 19, 512, None).unwrap();
+        let reference = monte_carlo(&Exec::default(), &nl, &cfg, 10_000, 19, 512).unwrap();
         // Split the plan into uneven ranges, compute each independently
         // (as distinct cluster workers would), merge in a scrambled
         // order: bit-identical outcome.
@@ -371,11 +390,108 @@ mod tests {
         }
         // The shards landed under the merged pipeline's fingerprint:
         // a whole-experiment cached run is now all hits.
-        let warm =
-            monte_carlo_sharded_cached(&pool, &nl, &cfg, 5_000, 19, 512, Some(&cache)).unwrap();
-        let cold = monte_carlo_sharded_cached(&pool, &nl, &cfg, 5_000, 19, 512, None).unwrap();
+        let cached = Exec {
+            cache: Some(&cache),
+            ..Exec::default()
+        };
+        let warm = monte_carlo(&cached, &nl, &cfg, 5_000, 19, 512).unwrap();
+        let cold = monte_carlo(&Exec::default(), &nl, &cfg, 5_000, 19, 512).unwrap();
         assert_eq!(warm, cold);
         assert_eq!(cache.stats().hits as usize, plan.shard_count());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The computed tally of shard 0 of a 5,000-pattern, 512-chunk plan
+    /// over [`xor_pair`], for forging variants of it.
+    fn real_shard_tally(nl: &Netlist) -> NoisyTally {
+        let cfg = NoisyConfig::new(0.05, 17).unwrap();
+        let plan = ShardPlan::new(5_000, 512).unwrap();
+        let range = ShardRange { first: 0, last: 1 };
+        let mut tallies = monte_carlo_shard_tallies(
+            &ThreadPool::serial(),
+            nl,
+            &cfg,
+            &plan,
+            19,
+            range,
+            None,
+            None,
+        )
+        .unwrap();
+        tallies.pop().unwrap()
+    }
+
+    #[test]
+    fn impossible_counts_are_inadmissible() {
+        let nl = xor_pair();
+        let real = real_shard_tally(&nl);
+        assert!(tally_admissible(&nl, &real, 512));
+        let slots = (511 * nl.gate_count()) as u64;
+        let forged = |forge: &dyn Fn(&mut NoisyTally)| {
+            let mut tally = real.clone();
+            forge(&mut tally);
+            tally
+        };
+        for (bound, tally) in [
+            ("transitions", forged(&|t| t.transitions = 0)),
+            ("circuit errors", forged(&|t| t.circuit_errors = 513)),
+            (
+                "per-output errors",
+                forged(&|t| t.per_output_errors[1] = 513),
+            ),
+            (
+                "clean toggles",
+                forged(&|t| t.clean_gate_toggles = slots + 1),
+            ),
+            (
+                "noisy toggles",
+                forged(&|t| t.noisy_gate_toggles = slots + 1),
+            ),
+        ] {
+            assert!(!tally_admissible(&nl, &tally, 512), "{bound} admitted");
+        }
+        // Each bound is inclusive: a tally at the limits is possible.
+        let mut limit = real.clone();
+        limit.circuit_errors = 512;
+        limit.per_output_errors = vec![512; nl.output_count()];
+        limit.clean_gate_toggles = slots;
+        limit.noisy_gate_toggles = slots;
+        assert!(tally_admissible(&nl, &limit, 512));
+        // A huge transition count cannot overflow the toggle bound.
+        let mut huge = real;
+        huge.transitions = usize::MAX;
+        huge.clean_gate_toggles = u64::MAX;
+        assert!(!tally_admissible(&nl, &huge, 512));
+    }
+
+    #[test]
+    fn forged_cache_entries_recompute_instead_of_merging() {
+        // A correctly framed entry under the experiment's own address
+        // whose counts no real shard can produce: more erroneous
+        // patterns than patterns, no transitions, absurd toggles.
+        let dir = std::env::temp_dir().join("nanobound_runner_shards_forged");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ShardCache::open(&dir).unwrap();
+        let nl = xor_pair();
+        let cfg = NoisyConfig::new(0.05, 17).unwrap();
+        let cold = monte_carlo(&Exec::default(), &nl, &cfg, 5_000, 19, 512).unwrap();
+
+        let mut forged = real_shard_tally(&nl);
+        forged.transitions = 0;
+        forged.circuit_errors = 513;
+        forged.clean_gate_toggles = 1 << 50;
+        let fingerprint = monte_carlo_fingerprint(&nl, &cfg, 5_000, 19, 512);
+        cache.store_value(&fingerprint, 0, &forged);
+
+        let cached = Exec {
+            cache: Some(&cache),
+            ..Exec::default()
+        };
+        let warm = monte_carlo(&cached, &nl, &cfg, 5_000, 19, 512).unwrap();
+        assert_eq!(warm, cold, "a forged entry changed the outcome");
+        // The forgery was overwritten by the recomputed shard.
+        let stored: NoisyTally = cache.load_value(&fingerprint, 0).unwrap();
+        assert_eq!(stored, real_shard_tally(&nl));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

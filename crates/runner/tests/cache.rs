@@ -1,4 +1,4 @@
-//! Corruption-tolerance suite for the cached runner entry points.
+//! Corruption-tolerance suite for the runner entry points with a cache.
 //!
 //! The cache's contract is that it can *never* change a result or crash
 //! a run: a truncated, bit-flipped, oversized or garbage entry is a
@@ -11,10 +11,7 @@ use std::path::PathBuf;
 
 use nanobound_cache::{FingerprintBuilder, ShardCache};
 use nanobound_logic::{GateKind, Netlist};
-use nanobound_runner::{
-    grid_map_cached, monte_carlo_fingerprint, monte_carlo_sharded, monte_carlo_sharded_cached,
-    ThreadPool,
-};
+use nanobound_runner::{grid_map_cached, monte_carlo, monte_carlo_fingerprint, Exec, ThreadPool};
 use nanobound_sim::NoisyConfig;
 
 fn scratch(name: &str) -> PathBuf {
@@ -45,10 +42,13 @@ fn truncated_entries_recompute_to_identical_results() {
     let nl = xor_chain();
     let cfg = NoisyConfig::new(0.03, 5).unwrap();
     let pool = ThreadPool::new(2).unwrap();
+    let exec = Exec {
+        cache: Some(&cache),
+        ..Exec::new(pool)
+    };
 
-    let cold =
-        monte_carlo_sharded_cached(&pool, &nl, &cfg, PATTERNS, 7, CHUNK, Some(&cache)).unwrap();
-    let uncached = monte_carlo_sharded(&pool, &nl, &cfg, PATTERNS, 7, CHUNK).unwrap();
+    let cold = monte_carlo(&exec, &nl, &cfg, PATTERNS, 7, CHUNK).unwrap();
+    let uncached = monte_carlo(&Exec::new(pool), &nl, &cfg, PATTERNS, 7, CHUNK).unwrap();
     assert_eq!(cold, uncached);
 
     // Truncate a few entries at different depths: empty file, inside
@@ -62,8 +62,7 @@ fn truncated_entries_recompute_to_identical_results() {
     }
 
     let before = cache.stats();
-    let warm =
-        monte_carlo_sharded_cached(&pool, &nl, &cfg, PATTERNS, 7, CHUNK, Some(&cache)).unwrap();
+    let warm = monte_carlo(&exec, &nl, &cfg, PATTERNS, 7, CHUNK).unwrap();
     assert_eq!(warm, cold, "corruption changed the outcome");
     let after = cache.stats();
     assert_eq!(
@@ -74,8 +73,7 @@ fn truncated_entries_recompute_to_identical_results() {
     assert_eq!(after.hits - before.hits, 9, "undamaged shards must hit");
 
     // The damaged entries were rewritten: a third run is all hits.
-    let third =
-        monte_carlo_sharded_cached(&pool, &nl, &cfg, PATTERNS, 7, CHUNK, Some(&cache)).unwrap();
+    let third = monte_carlo(&exec, &nl, &cfg, PATTERNS, 7, CHUNK).unwrap();
     assert_eq!(third, cold);
     assert_eq!(cache.stats().hits - after.hits, 12);
     fs::remove_dir_all(&dir).unwrap();
@@ -87,10 +85,12 @@ fn bit_flipped_entries_recompute_to_identical_results() {
     let cache = ShardCache::open(&dir).unwrap();
     let nl = xor_chain();
     let cfg = NoisyConfig::new(0.08, 21).unwrap();
-    let pool = ThreadPool::serial();
+    let exec = Exec {
+        cache: Some(&cache),
+        ..Exec::default()
+    };
 
-    let cold =
-        monte_carlo_sharded_cached(&pool, &nl, &cfg, PATTERNS, 9, CHUNK, Some(&cache)).unwrap();
+    let cold = monte_carlo(&exec, &nl, &cfg, PATTERNS, 9, CHUNK).unwrap();
 
     // Flip one bit in every entry — header bytes, checksum bytes and
     // payload bytes alike.
@@ -105,8 +105,7 @@ fn bit_flipped_entries_recompute_to_identical_results() {
     }
 
     let before = cache.stats();
-    let warm =
-        monte_carlo_sharded_cached(&pool, &nl, &cfg, PATTERNS, 9, CHUNK, Some(&cache)).unwrap();
+    let warm = monte_carlo(&exec, &nl, &cfg, PATTERNS, 9, CHUNK).unwrap();
     assert_eq!(warm, cold, "bit flips changed the outcome");
     assert_eq!(
         cache.stats().misses - before.misses,
@@ -122,7 +121,6 @@ fn garbage_and_oversized_entries_never_panic() {
     let cache = ShardCache::open(&dir).unwrap();
     let nl = xor_chain();
     let cfg = NoisyConfig::new(0.05, 3).unwrap();
-    let pool = ThreadPool::serial();
     let fp = monte_carlo_fingerprint(&nl, &cfg, PATTERNS, 4, CHUNK);
 
     // Pre-seed hostile entries before any run: random noise, a valid
@@ -136,9 +134,12 @@ fn garbage_and_oversized_entries_never_panic() {
     oversized.extend_from_slice(&[0u8; 16]);
     fs::write(cache.entry_path(&fp, 2), &oversized).unwrap();
 
-    let out =
-        monte_carlo_sharded_cached(&pool, &nl, &cfg, PATTERNS, 4, CHUNK, Some(&cache)).unwrap();
-    let reference = monte_carlo_sharded(&pool, &nl, &cfg, PATTERNS, 4, CHUNK).unwrap();
+    let exec = Exec {
+        cache: Some(&cache),
+        ..Exec::default()
+    };
+    let out = monte_carlo(&exec, &nl, &cfg, PATTERNS, 4, CHUNK).unwrap();
+    let reference = monte_carlo(&Exec::default(), &nl, &cfg, PATTERNS, 4, CHUNK).unwrap();
     assert_eq!(out, reference);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -150,9 +151,12 @@ fn grid_cells_survive_corruption_bit_identically() {
     let fp = FingerprintBuilder::new("corruption-grid").finish();
     let xs: Vec<f64> = (0..40).map(|i| f64::from(i) * 0.17).collect();
     let f = |x: &f64| vec![x.sin(), x.exp(), x.sqrt()];
-    let pool = ThreadPool::new(3).unwrap();
+    let exec = Exec {
+        cache: Some(&cache),
+        ..Exec::new(ThreadPool::new(3).unwrap())
+    };
 
-    let cold = grid_map_cached(&pool, &xs, &fp, Some(&cache), f);
+    let cold = grid_map_cached(&exec, &xs, &fp, f);
 
     // Truncate one cell, flip a bit in another, delete a third.
     let truncate = cache.entry_path(&fp, 5);
@@ -166,7 +170,7 @@ fn grid_cells_survive_corruption_bit_identically() {
     fs::remove_file(cache.entry_path(&fp, 33)).unwrap();
 
     let before = cache.stats();
-    let warm = grid_map_cached(&pool, &xs, &fp, Some(&cache), f);
+    let warm = grid_map_cached(&exec, &xs, &fp, f);
     assert_eq!(warm, cold, "corrupted grid cells changed the sweep");
     assert_eq!(cache.stats().misses - before.misses, 3);
     fs::remove_dir_all(&dir).unwrap();

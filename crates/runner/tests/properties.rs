@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use nanobound_core::size::redundancy_lower_bound;
 use nanobound_core::sweep;
 use nanobound_gen::random::{random_dag, RandomDagConfig};
-use nanobound_runner::{grid_map, monte_carlo_sharded, try_grid_map, ThreadPool};
+use nanobound_runner::{grid_map, monte_carlo, try_grid_map, Exec, ThreadPool};
 use nanobound_sim::NoisyConfig;
 
 /// The thread counts the issue contract names explicitly.
@@ -37,14 +37,14 @@ proptest! {
         .expect("valid random DAG parameters");
         let config = NoisyConfig::new(epsilon, noise_seed).expect("epsilon in [0, 1]");
 
-        let reference = monte_carlo_sharded(
-            &ThreadPool::serial(), &netlist, &config, patterns, pattern_seed, chunk,
+        let reference = monte_carlo(
+            &Exec::default(), &netlist, &config, patterns, pattern_seed, chunk,
         )
         .expect("serial reference run");
         for jobs in JOBS {
-            let pool = ThreadPool::new(jobs).expect("supported worker count");
-            let out = monte_carlo_sharded(
-                &pool, &netlist, &config, patterns, pattern_seed, chunk,
+            let exec = Exec::new(ThreadPool::new(jobs).expect("supported worker count"));
+            let out = monte_carlo(
+                &exec, &netlist, &config, patterns, pattern_seed, chunk,
             )
             .expect("parallel run");
             // NoisyOutcome is all f64 rates: PartialEq here means the

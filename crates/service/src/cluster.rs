@@ -33,8 +33,8 @@
 //! like cache hits before they may merge: the response id must match,
 //! the frame count and shard indices must match the requested range
 //! exactly, and every tally must pass the same
-//! [`nanobound_runner::tally_admissible`] shape check the shard cache
-//! applies. Admitted tallies are written into the coordinator's local
+//! [`nanobound_runner::tally_admissible`] shape-and-count check the
+//! shard cache applies. Admitted tallies are written into the coordinator's local
 //! [`ShardCache`] under the experiment's own fingerprint (pinned for
 //! the duration of the run), so a cluster run warms the same cache a
 //! local run would.
@@ -842,7 +842,7 @@ fn attempt_batch(
             &tally,
             job.plan.shard_patterns(batch.first + offset),
         ) {
-            return Err(format!("shard {index}: tally shape rejected"));
+            return Err(format!("shard {index}: tally inadmissible"));
         }
         tallies.push(tally);
     }

@@ -1,11 +1,12 @@
 //! The long-lived job engine.
 //!
-//! An [`Engine`] owns the two expensive, shareable resources of the
-//! workspace — one [`ThreadPool`] and one open [`ShardCache`] — for its
-//! whole lifetime, and executes [`ProfileRequest`]/[`BoundRequest`]/
-//! figure/validation workloads against them. On top of the on-disk
-//! shard cache it keeps in-memory registries so a busy service
-//! amortizes work across requests:
+//! An [`Engine`] owns the expensive, shareable resources of the
+//! workspace — one [`ThreadPool`], one open [`ShardCache`] with its
+//! [`ProfileStore`], and one [`ProgramCache`] — for its whole lifetime,
+//! and executes [`ProfileRequest`]/[`BoundRequest`]/figure/validation
+//! workloads against them, each in one [`Exec`] over all of them. On
+//! top of the on-disk stores it keeps in-memory registries so a busy
+//! service amortizes work across requests:
 //!
 //! - parsed designs, keyed by file content (a changed file on disk is
 //!   a different design, a re-request of the same bytes parses zero
@@ -29,7 +30,7 @@
 //! count.
 //!
 //! **Sharing.** Every workload method takes `&self`: the registries are
-//! keyed compute-once tables ([`Registry`]), so a concurrent serve
+//! keyed compute-once tables (`Registry`), so a concurrent serve
 //! session can dispatch requests onto one engine from many workers —
 //! a burst of identical requests still computes (and counts) each
 //! design parse, profile measurement and figure exactly once.
@@ -47,14 +48,14 @@ use nanobound_cache::{
 };
 use nanobound_core::{BoundReport, CircuitProfile, DepthBound};
 use nanobound_experiments::profiles::{
-    profile_netlist_cached_programs, profile_suite_cached_programs, suite_netlists, ProfileConfig,
-    ProfiledBenchmark,
+    profile_netlist, profile_suite, suite_netlists, ProfileConfig, ProfiledBenchmark,
 };
-use nanobound_experiments::{generate_figure_cached, validation, FigureId, FigureOutput};
+use nanobound_experiments::{generate_figure, validation, FigureId, FigureOutput};
 use nanobound_io::{bench, blif, unroll, Design};
 use nanobound_report::Table;
 use nanobound_runner::{
-    monte_carlo_shard_tallies, netlist_fingerprint, try_grid_map, ShardPlan, ShardRange, ThreadPool,
+    monte_carlo_shard_tallies, netlist_fingerprint, try_grid_map, Exec, ShardPlan, ShardRange,
+    ThreadPool,
 };
 use nanobound_sim::{NoisyConfig, ProgramCache};
 
@@ -312,6 +313,18 @@ impl Engine {
         self.cache.as_ref()
     }
 
+    /// The execution context of one workload: `pool` (the engine's own,
+    /// or a request's `--request-jobs` override) over every store the
+    /// engine holds.
+    fn exec<'a>(&'a self, pool: &ThreadPool) -> Exec<'a> {
+        Exec {
+            pool: *pool,
+            cache: self.cache.as_ref(),
+            profiles: self.profiles.as_ref(),
+            programs: Some(&self.programs),
+        }
+    }
+
     /// Sweeps the shard cache under `policy` (no-op without a cache),
     /// protecting every pinned in-flight experiment and profile
     /// fingerprint — safe to run mid-flight from the `gc` serve
@@ -379,14 +392,7 @@ impl Engine {
         profile_key.push_f64(config.leak_share);
         let profile_key = profile_key.finish();
         let profiled = self.profiled.get_or_try_insert(profile_key, || {
-            profile_netlist_cached_programs(
-                &netlist,
-                None,
-                &config,
-                self.profiles.as_ref(),
-                Some(&self.programs),
-            )
-            .map_err(|e| e.to_string())
+            profile_netlist(&self.exec(pool), &netlist, None, &config).map_err(|e| e.to_string())
         })?;
 
         let _ = writeln!(out, "profile: {}", profiled.profile);
@@ -450,8 +456,7 @@ impl Engine {
                 None
             };
             let profiles: &[ProfiledBenchmark] = suite.as_ref().map_or(&[], |s| s.as_slice());
-            generate_figure_cached(id, pool, self.cache.as_ref(), profiles)
-                .map_err(|e| e.to_string())
+            generate_figure(id, &self.exec(pool), profiles).map_err(|e| e.to_string())
         })?;
         Ok((*figure).clone())
     }
@@ -491,8 +496,7 @@ impl Engine {
     /// Same as [`Engine::validation`].
     pub fn validation_with(&self, pool: &ThreadPool) -> Result<Vec<FigureOutput>, String> {
         let outputs = self.validation.get_or_try_insert((), || {
-            validation::generate_cached_programs(pool, self.cache.as_ref(), Some(&self.programs))
-                .map_err(|e| e.to_string())
+            validation::generate(&self.exec(pool)).map_err(|e| e.to_string())
         })?;
         Ok((*outputs).clone())
     }
@@ -645,15 +649,16 @@ impl Engine {
             first: request.first as usize,
             last: request.last as usize,
         };
+        let exec = self.exec(pool);
         let tallies = monte_carlo_shard_tallies(
-            pool,
+            &exec.pool,
             &design.netlist,
             &config,
             &plan,
             request.pattern_seed,
             range,
-            self.cache.as_ref(),
-            Some(&self.programs),
+            exec.cache,
+            exec.programs,
         )
         .map_err(|e| e.to_string())?;
         Ok(crate::cluster::encode_tally_frames(request.first, &tallies))
@@ -663,13 +668,7 @@ impl Engine {
     /// that consumes measured profiles.
     fn ensure_suite_with(&self, pool: &ThreadPool) -> Result<Arc<Vec<ProfiledBenchmark>>, String> {
         self.suite.get_or_try_insert((), || {
-            profile_suite_cached_programs(
-                pool,
-                &ProfileConfig::default(),
-                self.profiles.as_ref(),
-                Some(&self.programs),
-            )
-            .map_err(|e| e.to_string())
+            profile_suite(&self.exec(pool), &ProfileConfig::default()).map_err(|e| e.to_string())
         })
     }
 }

@@ -4,12 +4,13 @@
 //! one-shot CLI process pays netlist parsing, benchmark profiling and
 //! thread-pool construction on every invocation. This crate turns the
 //! pipeline into a **service**: one [`Engine`] owns one
-//! [`nanobound_runner::ThreadPool`] and one open
-//! [`nanobound_cache::ShardCache`] for its whole lifetime, keeps
-//! in-memory registries of parsed designs, profiled netlists (keyed by
+//! [`nanobound_runner::ThreadPool`], one open
+//! [`nanobound_cache::ShardCache`] and one compiled-program cache for
+//! its whole lifetime, keeps in-memory registries of parsed designs,
+//! profiled netlists (keyed by
 //! [`nanobound_runner::netlist_fingerprint`]) and rendered figures, and
-//! executes every request through the same
-//! `grid_map_cached`/`monte_carlo_sharded_cached` shard contract the
+//! executes every request in one [`nanobound_runner::Exec`] over those
+//! resources — the same entry points, and the same shard contract, the
 //! one-shot commands use.
 //!
 //! The crate has two faces:

@@ -294,7 +294,7 @@ impl<'w, W: Write> FrameSink<'w, W> {
 ///
 /// The calling thread parses and admits requests; admitted workloads
 /// run on `limits.concurrency` dispatch workers and their responses
-/// are re-sequenced into request order by a [`FrameSink`]. Transport
+/// are re-sequenced into request order by a `FrameSink`. Transport
 /// failures land in [`SessionOutcome::result`]; workload failures are
 /// answered in-band as `status: error` responses.
 pub fn serve_session<R: BufRead, W: Write + Send>(

@@ -11,7 +11,7 @@
 //!
 //! [`SimProgram`] lowers a netlist once into a flat instruction tape:
 //!
-//! - one [`Op`] per *logic gate* (in topological node order, which is
+//! - one `Op` per *logic gate* (in topological node order, which is
 //!   id order by the netlist invariant), each carrying its [`GateKind`]
 //!   and the operand *slot* offsets of its fanins;
 //! - buffers are **slot aliases** — a `Buf` node shares its fanin's

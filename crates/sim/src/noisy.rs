@@ -439,7 +439,7 @@ pub fn monte_carlo_tally(
 /// Integer-only encoding: every field round-trips exactly, so a tally
 /// served from the shard cache merges bit-identically with freshly
 /// computed ones — the substrate of `nanobound-runner`'s
-/// `monte_carlo_sharded_cached`.
+/// `monte_carlo` with a shard cache.
 impl CacheCodec for NoisyTally {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_usize(self.patterns);

@@ -21,10 +21,11 @@ use nanobound::energy::{
 use nanobound::experiments::profiles::{profile_netlist, ProfileConfig};
 use nanobound::gen::alu;
 use nanobound::report::{Cell, Table};
+use nanobound::runner::Exec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let alu = alu::alu(8)?;
-    let profiled = profile_netlist(&alu, None, &ProfileConfig::default())?;
+    let profiled = profile_netlist(&Exec::default(), &alu, None, &ProfileConfig::default())?;
     let profile = &profiled.profile;
     println!("{}\n", profile);
 

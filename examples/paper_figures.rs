@@ -13,6 +13,7 @@ use std::path::Path;
 use nanobound::experiments::profiles::{profile_suite, ProfileConfig};
 use nanobound::experiments::FigureOutput;
 use nanobound::experiments::{fig2, fig3, fig4, fig5, fig6, fig7, fig8, headline, validation};
+use nanobound::runner::Exec;
 
 fn save(dir: &Path, fig: &FigureOutput) -> std::io::Result<()> {
     println!("{}", fig.render());
@@ -33,21 +34,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = Path::new("results");
     fs::create_dir_all(dir)?;
 
+    // Serial, no stores. `Exec::new(ThreadPool::auto())` spreads the
+    // work over every hardware thread and writes the same bytes.
+    let exec = Exec::default();
+
     // Closed-form figures.
-    save(dir, &fig2::generate()?)?;
-    save(dir, &fig3::generate()?)?;
-    save(dir, &fig4::generate()?)?;
-    save(dir, &fig5::generate()?)?;
-    save(dir, &fig6::generate()?)?;
+    save(dir, &fig2::generate(&exec)?)?;
+    save(dir, &fig3::generate(&exec)?)?;
+    save(dir, &fig4::generate(&exec)?)?;
+    save(dir, &fig5::generate(&exec)?)?;
+    save(dir, &fig6::generate(&exec)?)?;
 
     // Benchmark-driven figures share one profiling pass.
-    let profiles = profile_suite(&ProfileConfig::default())?;
+    let profiles = profile_suite(&exec, &ProfileConfig::default())?;
     save(dir, &fig7::generate_from(&profiles)?)?;
     save(dir, &fig8::generate_from(&profiles)?)?;
     save(dir, &headline::generate_from(&profiles)?)?;
 
     // Monte-Carlo validation (slowest part).
-    for fig in validation::generate()? {
+    for fig in validation::generate(&exec)? {
         save(dir, &fig)?;
     }
     println!("\nall figures regenerated into {}", dir.display());

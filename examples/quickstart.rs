@@ -10,6 +10,7 @@
 use nanobound::core::{BoundReport, DepthBound};
 use nanobound::experiments::profiles::{profile_netlist, ProfileConfig};
 use nanobound::gen::parity;
+use nanobound::runner::Exec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A real netlist: 10-input parity, XOR-3 tree.
@@ -17,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("circuit : {tree}");
 
     // 2. Measure the parameters the bounds need.
-    let profiled = profile_netlist(&tree, None, &ProfileConfig::default())?;
+    let profiled = profile_netlist(&Exec::default(), &tree, None, &ProfileConfig::default())?;
     println!("profile : {}", profiled.profile);
 
     // 3. Evaluate Theorems 1-4 and the composite metrics.

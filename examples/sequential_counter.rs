@@ -15,6 +15,7 @@ use nanobound::core::BoundReport;
 use nanobound::experiments::profiles::{profile_netlist, ProfileConfig};
 use nanobound::io::{bench, unroll};
 use nanobound::report::{Cell, Table};
+use nanobound::runner::Exec;
 
 /// A 4-bit synchronous counter with enable, in ISCAS `.bench` syntax.
 const COUNTER: &str = "\
@@ -63,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ProfileConfig::default();
     for frames in [1usize, 2, 4, 8, 16] {
         let unrolled = unroll::unroll_free(&design, frames)?;
-        let profiled = profile_netlist(&unrolled, None, &config)?;
+        let profiled = profile_netlist(&Exec::default(), &unrolled, None, &config)?;
         let report = BoundReport::evaluate(&profiled.profile, 0.01, 0.01)?;
         table.push_row([
             Cell::from(frames),

@@ -24,8 +24,8 @@
 //!   multiplexing);
 //! - [`report`] — tables, CSV/Markdown emitters, ASCII charts;
 //! - [`runner`] — deterministic parallel execution (work-stealing pool,
-//!   sharded Monte-Carlo, parallel grid sweeps; `--jobs N` is
-//!   byte-identical to `--jobs 1`);
+//!   the `Exec` context every entry point takes, sharded Monte-Carlo,
+//!   parallel grid sweeps; `--jobs N` is byte-identical to `--jobs 1`);
 //! - [`experiments`] — regeneration of every figure and headline claim of
 //!   the paper;
 //! - [`service`] — the long-running batch service: job engine over one
@@ -42,10 +42,11 @@
 //! use nanobound::core::BoundReport;
 //! use nanobound::experiments::profiles::{profile_netlist, ProfileConfig};
 //! use nanobound::gen::parity;
+//! use nanobound::runner::Exec;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let tree = parity::parity_tree(10, 3)?;
-//! let profiled = profile_netlist(&tree, None, &ProfileConfig::default())?;
+//! let profiled = profile_netlist(&Exec::default(), &tree, None, &ProfileConfig::default())?;
 //! let bounds = BoundReport::evaluate(&profiled.profile, 0.01, 0.01)?;
 //! assert!(bounds.total_energy_factor >= 1.0);
 //! println!(

@@ -2,9 +2,10 @@
 //! profile → bounds, spanning every substrate crate through the facade.
 
 use nanobound::core::{BoundReport, DepthBound};
-use nanobound::experiments::profiles::{profile_benchmark, profile_netlist, ProfileConfig};
+use nanobound::experiments::profiles::{profile_netlist, ProfileConfig};
 use nanobound::gen::{adder, iscas, standard_suite};
 use nanobound::logic::{transform, CircuitStats};
+use nanobound::runner::Exec;
 use nanobound::sim::equivalence;
 
 fn quick_config() -> ProfileConfig {
@@ -40,7 +41,7 @@ fn pipeline_preserves_function_and_respects_fanin() {
 fn every_suite_profile_supports_every_bound() {
     let config = quick_config();
     for b in standard_suite().unwrap() {
-        let p = profile_benchmark(&b, &config).unwrap();
+        let p = profile_netlist(&Exec::default(), &b.netlist, b.sensitivity_hint, &config).unwrap();
         p.profile.validate().unwrap();
         for eps in [0.0, 0.001, 0.01, 0.1] {
             let r = BoundReport::evaluate(&p.profile, eps, 0.01).unwrap();
@@ -69,7 +70,7 @@ fn measured_sensitivity_matches_analytic_hint() {
     // The pipeline's measured sensitivity agrees with the generator's
     // analytic value where both are available (exact range).
     let rca = adder::ripple_carry(8).unwrap(); // 17 inputs: exact
-    let measured = profile_netlist(&rca, None, &quick_config()).unwrap();
+    let measured = profile_netlist(&Exec::default(), &rca, None, &quick_config()).unwrap();
     assert_eq!(
         measured.profile.sensitivity,
         f64::from(adder::adder_sensitivity(8))
@@ -84,7 +85,13 @@ fn bounds_scale_with_problem_difficulty() {
     let mut last = 0.0;
     for width in [8usize, 16, 32] {
         let rca = adder::ripple_carry(width).unwrap();
-        let p = profile_netlist(&rca, Some(adder::adder_sensitivity(width)), &config).unwrap();
+        let p = profile_netlist(
+            &Exec::default(),
+            &rca,
+            Some(adder::adder_sensitivity(width)),
+            &config,
+        )
+        .unwrap();
         let r = BoundReport::evaluate(&p.profile, 0.01, 0.01).unwrap();
         assert!(
             r.total_energy_factor > last,
@@ -98,8 +105,20 @@ fn bounds_scale_with_problem_difficulty() {
 #[test]
 fn xor_heavy_and_control_circuits_land_in_expected_regimes() {
     let config = quick_config();
-    let xor = profile_netlist(&iscas::c499_analog().unwrap(), None, &config).unwrap();
-    let control = profile_netlist(&iscas::c432_analog().unwrap(), None, &config).unwrap();
+    let xor = profile_netlist(
+        &Exec::default(),
+        &iscas::c499_analog().unwrap(),
+        None,
+        &config,
+    )
+    .unwrap();
+    let control = profile_netlist(
+        &Exec::default(),
+        &iscas::c432_analog().unwrap(),
+        None,
+        &config,
+    )
+    .unwrap();
     // XOR-dominated logic switches more than priority/control logic.
     assert!(
         xor.profile.activity > control.profile.activity,
