@@ -15,10 +15,12 @@
 #   6. the benchmark probe (`perfbench/probe`, its own workspace and
 #      lockfile) builds `--locked` against the current library APIs,
 #      into target/ so no build output lands under perfbench/
-#   7. the figure-bench dry run TWICE — single-threaded and with every
-#      hardware thread — plus a byte-level diff of the `figures` CSVs at
-#      --jobs 1 vs --jobs $(nproc), so any single-thread/multi-thread
-#      divergence in the parallel runner fails the gate
+#   7. every example (`examples/*.rs`, the list derived from the
+#      directory) built in release mode and run once from its own fresh
+#      temp cwd, stdout discarded — a nonzero exit fails the gate; then
+#      a byte-level diff of the `figures` CSVs at --jobs 1 vs
+#      --jobs $(nproc), so any single-thread/multi-thread divergence in
+#      the parallel runner fails the gate
 #   8. the cache gate: `figures` cold into a fresh --cache-dir, again
 #      warm from the same cache, and once more with --no-cache, diffing
 #      all three outputs byte-for-byte — a cache that changes results
@@ -95,13 +97,21 @@ echo "==> benchmark probe builds --locked"
 cargo build --release --locked --manifest-path perfbench/probe/Cargo.toml \
     --target-dir target/perfbench-probe
 
-echo "==> figure-bench dry run, NANOBOUND_JOBS=1 then NANOBOUND_JOBS=$(nproc)"
-NANOBOUND_JOBS=1 cargo bench -p nanobound-bench --bench fig3_redundancy >/dev/null
-NANOBOUND_JOBS="$(nproc)" cargo bench -p nanobound-bench --bench fig3_redundancy >/dev/null
-
-echo "==> determinism gate: figures --jobs 1 vs --jobs $(nproc)"
 detdir="$(mktemp -d)"
 trap 'rm -rf "$detdir"' EXIT
+
+echo "==> examples: each examples/*.rs runs once from a fresh cwd"
+# A fresh cwd per example: `paper_figures` writes `results/` under it.
+cargo build --release --examples
+for src in examples/*.rs; do
+  name="$(basename "$src" .rs)"
+  bin="$PWD/target/release/examples/$name"
+  mkdir "$detdir/example-$name"
+  echo "    $name"
+  (cd "$detdir/example-$name" && "$bin" >/dev/null)
+done
+
+echo "==> determinism gate: figures --jobs 1 vs --jobs $(nproc)"
 target/release/nanobound figures --out "$detdir/j1" --jobs 1 >/dev/null
 target/release/nanobound figures --out "$detdir/jn" --jobs "$(nproc)" >/dev/null
 diff -r "$detdir/j1" "$detdir/jn"

@@ -48,12 +48,6 @@ impl Encoder {
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
-
-    /// Appends a length-prefixed byte string.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_usize(v.len());
-        self.buf.extend_from_slice(v);
-    }
 }
 
 /// Reads codec-framed values back out of a byte slice.
@@ -107,12 +101,6 @@ impl<'a> Decoder<'a> {
             [1] => Some(true),
             _ => None,
         }
-    }
-
-    /// Reads a length-prefixed byte string.
-    pub fn take_bytes(&mut self) -> Option<&'a [u8]> {
-        let len = self.take_usize()?;
-        self.take(len)
     }
 }
 

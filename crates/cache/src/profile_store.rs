@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::codec::CacheCodec;
 use crate::fingerprint::Fingerprint;
-use crate::store::{CacheStats, InFlightGuard, ShardCache};
+use crate::store::{InFlightGuard, ShardCache};
 
 /// Which ε-independent measurement a profile entry holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,12 +132,6 @@ impl ProfileStore {
             reused: reused.load(Ordering::Relaxed),
             measured: measured.load(Ordering::Relaxed),
         }
-    }
-
-    /// The underlying disk-traffic counters (both layers combined).
-    #[must_use]
-    pub fn io_stats(&self) -> CacheStats {
-        self.disk.stats()
     }
 
     fn counters(&self, layer: ProfileLayer) -> (&AtomicU64, &AtomicU64) {

@@ -128,9 +128,7 @@ pub fn c1355_analog() -> Result<Netlist, GenError> {
 /// double-error-detecting circuit in NAND-dominated form (~880 gates,
 /// 33 inputs). The analog lands in the same structural class:
 /// NAND-dominated parity cones plus a syndrome decoder, hundreds of
-/// gates, 22 inputs. (An earlier revision shipped a 6-gate
-/// detector-only stub under this name; BENCH entries before BENCH_6
-/// misreport it.)
+/// gates, 22 inputs.
 ///
 /// # Errors
 ///

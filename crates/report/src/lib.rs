@@ -1,9 +1,9 @@
 //! Tables, CSV/Markdown emitters and log-aware ASCII charts.
 //!
 //! The reporting substrate of the `nanobound` workspace: experiments
-//! produce [`Table`]s and [`Chart`]s, bench harnesses print them, and
-//! `EXPERIMENTS.md` embeds their Markdown form. No dependencies beyond
-//! the standard library.
+//! produce [`Table`]s and [`Chart`]s, the CLI writes them as CSV and
+//! the examples print them. No dependencies beyond the standard
+//! library.
 //!
 //! # Examples
 //!

@@ -81,19 +81,15 @@ impl ShardPlan {
         self.chunk.min(self.patterns - shard * self.chunk)
     }
 
-    /// Splits the whole plan into contiguous ranges of at most `batch`
-    /// shards — the distribution granularity of the cluster
-    /// coordinator.
+    /// Splits the whole plan with [`ShardRange::batches`].
     #[must_use]
     pub fn batches(&self, batch: usize) -> Vec<ShardRange> {
-        let batch = batch.max(1);
-        let shards = self.shard_count();
-        (0..shards.div_ceil(batch))
-            .map(|g| ShardRange {
-                first: g * batch,
-                last: ((g + 1) * batch).min(shards),
-            })
-            .collect()
+        ShardRange {
+            first: 0,
+            last: self.shard_count(),
+        }
+        .batches(batch)
+        .collect()
     }
 }
 
@@ -118,6 +114,19 @@ impl ShardRange {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.last <= self.first
+    }
+
+    /// Splits the range into contiguous ranges of at most `batch`
+    /// shards (a `batch` of 0 counts as 1) — the distribution
+    /// granularity of the cluster coordinator.
+    pub fn batches(self, batch: usize) -> impl Iterator<Item = ShardRange> {
+        let batch = batch.max(1);
+        (self.first..self.last)
+            .step_by(batch)
+            .map(move |first| ShardRange {
+                first,
+                last: first.saturating_add(batch).min(self.last),
+            })
     }
 }
 
@@ -326,17 +335,25 @@ mod tests {
     #[test]
     fn batches_tile_the_plan_contiguously() {
         let plan = ShardPlan::new(10_000, 512).unwrap();
+        let whole = ShardRange {
+            first: 0,
+            last: plan.shard_count(),
+        };
         for batch in [1, 3, 7, 20, 100] {
-            let batches = plan.batches(batch);
+            let batches: Vec<ShardRange> = whole.batches(batch).collect();
             assert_eq!(batches[0].first, 0, "batch={batch}");
             assert_eq!(batches.last().unwrap().last, plan.shard_count());
             for pair in batches.windows(2) {
                 assert_eq!(pair[0].last, pair[1].first, "batch={batch}");
                 assert!(pair[0].len() <= batch);
             }
+            assert_eq!(plan.batches(batch), batches);
         }
-        // batch 0 is clamped, not a division by zero.
-        assert_eq!(plan.batches(0).len(), plan.shard_count());
+        // batch 0 is clamped, not a division by zero; a huge batch past
+        // a nonzero start saturates instead of wrapping.
+        assert_eq!(whole.batches(0).count(), plan.shard_count());
+        let tail = ShardRange { first: 3, last: 9 };
+        assert_eq!(tail.batches(usize::MAX).collect::<Vec<_>>(), [tail]);
     }
 
     #[test]

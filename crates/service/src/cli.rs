@@ -8,7 +8,6 @@
 //! responses are byte-identical: they are the same code path.
 
 use std::fs;
-use std::path::Path;
 use std::time::Duration;
 
 use nanobound_cache::GcPolicy;
@@ -21,8 +20,8 @@ use crate::args::{
     switch, FlagSpec, Flags, COMMON_FLAGS,
 };
 use crate::cluster::{run_cluster, stats_line, ClusterJob, ClusterOptions};
-use crate::engine::{csv_of, Engine};
-use crate::requests::{BoundRequest, LintRequest, ProfileRequest};
+use crate::engine::{csv_of, parse_design, read_netlist, Engine};
+use crate::requests::{gc_policy, BoundRequest, LintRequest, ProfileRequest};
 use crate::serve::{self, ServeOptions};
 
 /// The binary's usage text (printed to stderr on `--help`).
@@ -307,33 +306,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err("`serve` takes only flags".to_owned());
     }
     let cache = cache_from_flags(&flags)?;
-    let max_bytes = match flag_values(&flags, "gc-bytes").last() {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("--gc-bytes: `{v}` is not a byte count"))?,
-        ),
-    };
-    let max_age = match flag_values(&flags, "gc-age-days").last() {
-        None => None,
-        Some(v) => {
-            // Absurd values are configuration errors, not panics:
-            // Duration::from_secs_f64 would abort on NaN/∞/overflow.
-            let days: f64 = v
-                .parse()
-                .map_err(|_| format!("--gc-age-days: `{v}` is not a number"))?;
-            if !days.is_finite() || days < 0.0 {
-                return Err(format!(
-                    "--gc-age-days: `{v}` must be a finite, non-negative number of days"
-                ));
-            }
-            Some(
-                Duration::try_from_secs_f64(days * 86_400.0)
-                    .map_err(|_| format!("--gc-age-days: `{v}` is out of range"))?,
-            )
-        }
-    };
-    if (max_bytes.is_some() || max_age.is_some()) && cache.is_none() {
+    let gc = gc_policy(&flags, "gc-bytes", "gc-age-days")?;
+    if gc != GcPolicy::default() && cache.is_none() {
         return Err("--gc-bytes/--gc-age-days need --cache-dir".to_owned());
     }
     let concurrency = match flag_values(&flags, "concurrency").last() {
@@ -389,7 +363,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     let options = ServeOptions {
         listen,
-        gc: GcPolicy { max_bytes, max_age },
+        gc,
         concurrency,
         queue,
         idle_timeout,
@@ -443,15 +417,8 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     let [path] = positional.as_slice() else {
         return Err("`cluster` expects exactly one netlist file".to_owned());
     };
-    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let blif = Path::new(path)
-        .extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("blif"));
-    let design = if blif {
-        nanobound_io::blif::parse(&text).map_err(|e| format!("{path}: {e}"))?
-    } else {
-        nanobound_io::bench::parse(&text).map_err(|e| format!("{path}: {e}"))?
-    };
+    let (text, blif) = read_netlist(path)?;
+    let design = parse_design(&text, blif, path)?;
     if design.is_sequential() {
         return Err(format!(
             "{path}: `cluster` takes combinational netlists only ({} latches)",

@@ -511,29 +511,12 @@ pub fn run_cluster(
         }
     }
     // Tile contiguous miss runs into batches.
-    let batch = job.batch.max(1);
-    let mut run_start: Option<usize> = None;
-    for window in 0..=misses.len() {
-        let boundary = window == misses.len()
-            || run_start.is_none()
-            || misses[window] != misses[window - 1] + 1;
-        if boundary {
-            if let Some(start) = run_start.take() {
-                let (first, last) = (misses[start], misses[window - 1] + 1);
-                let mut at = first;
-                while at < last {
-                    let end = (at + batch).min(last);
-                    shared.queue.push_back(ShardRange {
-                        first: at,
-                        last: end,
-                    });
-                    at = end;
-                }
-            }
-            if window < misses.len() {
-                run_start = Some(window);
-            }
-        }
+    for run in misses.chunk_by(|a, b| a + 1 == *b) {
+        let range = ShardRange {
+            first: run[0],
+            last: run[run.len() - 1] + 1,
+        };
+        shared.queue.extend(range.batches(job.batch));
     }
     shared.remaining = misses.len();
     shared.finished = shared.remaining == 0;

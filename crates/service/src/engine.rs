@@ -584,10 +584,7 @@ impl Engine {
     /// so a changed file is a different design and a re-request of the
     /// same bytes parses zero times.
     fn load_design(&self, path: &str) -> Result<Arc<Design>, String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let as_blif = Path::new(path)
-            .extension()
-            .is_some_and(|e| e.eq_ignore_ascii_case("blif"));
+        let (text, as_blif) = read_netlist(path)?;
         self.design_from_text(&text, as_blif, path)
     }
 
@@ -605,13 +602,8 @@ impl Engine {
         design_key.push_str(text);
         design_key.push_u64(u64::from(as_blif));
         let design_key = design_key.finish();
-        self.designs.get_or_try_insert(design_key, || {
-            if as_blif {
-                blif::parse(text).map_err(|e| format!("{origin}: {e}"))
-            } else {
-                bench::parse(text).map_err(|e| format!("{origin}: {e}"))
-            }
-        })
+        self.designs
+            .get_or_try_insert(design_key, || parse_design(text, as_blif, origin))
     }
 
     /// Executes an `mc_shards` workload: computes the requested shard
@@ -671,6 +663,27 @@ impl Engine {
             profile_suite(&self.exec(pool), &ProfileConfig::default()).map_err(|e| e.to_string())
         })
     }
+}
+
+/// Reads a netlist file: its text, and whether its `.blif` extension
+/// selects the BLIF reader over ISCAS `.bench`.
+pub(crate) fn read_netlist(path: &str) -> Result<(String, bool), String> {
+    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let as_blif = Path::new(path)
+        .extension()
+        .is_some_and(|e| e.eq_ignore_ascii_case("blif"));
+    Ok((text, as_blif))
+}
+
+/// Parses netlist source text with the reader `as_blif` selects;
+/// `origin` names the source in error messages.
+pub(crate) fn parse_design(text: &str, as_blif: bool, origin: &str) -> Result<Design, String> {
+    let parsed = if as_blif {
+        blif::parse(text)
+    } else {
+        bench::parse(text)
+    };
+    parsed.map_err(|e| format!("{origin}: {e}"))
 }
 
 /// All of a figure's tables rendered as concatenated CSV.

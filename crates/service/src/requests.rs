@@ -109,12 +109,15 @@ impl BoundRequest {
         if size == 0 || sensitivity <= 0.0 || activity <= 0.0 || fanin < 2.0 {
             return Err("`bounds` needs --size, --sensitivity, --activity and --fanin".to_owned());
         }
+        let depth = flag_usize(flags, "depth", 8)?;
+        let depth = u32::try_from(depth)
+            .map_err(|_| format!("--depth: `{depth}` is out of range (at most {})", u32::MAX))?;
         let profile = CircuitProfile {
             name: "cli".into(),
             inputs: flag_usize(flags, "inputs", sensitivity.ceil().max(2.0) as usize)?,
             outputs: 1,
             size,
-            depth: flag_usize(flags, "depth", 8)? as u32,
+            depth,
             sensitivity,
             activity,
             fanin,
@@ -152,36 +155,49 @@ impl GcRequest {
         if !positional.is_empty() {
             return Err("`gc` takes only flags".to_owned());
         }
-        let max_bytes = match flag_values(flags, "bytes").last() {
-            None => None,
-            Some(v) => Some(
-                v.parse::<u64>()
-                    .map_err(|_| format!("--bytes: `{v}` is not a byte count"))?,
-            ),
-        };
-        let max_age = match flag_values(flags, "age-days").last() {
-            None => None,
-            Some(v) => {
-                // Absurd values are request errors, not panics:
-                // Duration::from_secs_f64 would abort on NaN/∞/overflow.
-                let days: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--age-days: `{v}` is not a number"))?;
-                if !days.is_finite() || days < 0.0 {
-                    return Err(format!(
-                        "--age-days: `{v}` must be a finite, non-negative number of days"
-                    ));
-                }
-                Some(
-                    Duration::try_from_secs_f64(days * 86_400.0)
-                        .map_err(|_| format!("--age-days: `{v}` is out of range"))?,
-                )
-            }
-        };
         Ok(GcRequest {
-            policy: GcPolicy { max_bytes, max_age },
+            policy: gc_policy(flags, "bytes", "age-days")?,
         })
     }
+}
+
+/// Parses a GC policy from a byte-budget flag and an age flag, named
+/// without their `--`: `bytes`/`age-days` on a `gc` request,
+/// `gc-bytes`/`gc-age-days` on `serve`. An absent flag puts no pressure
+/// of its kind.
+///
+/// # Errors
+///
+/// The byte budget must be a byte count and the age a finite,
+/// non-negative number of days; messages name the offending flag.
+pub(crate) fn gc_policy(flags: &Flags, bytes: &str, age_days: &str) -> Result<GcPolicy, String> {
+    let max_bytes = match flag_values(flags, bytes).last() {
+        None => None,
+        Some(v) => Some(
+            v.parse::<u64>()
+                .map_err(|_| format!("--{bytes}: `{v}` is not a byte count"))?,
+        ),
+    };
+    let max_age = match flag_values(flags, age_days).last() {
+        None => None,
+        Some(v) => {
+            // Absurd values are errors, not panics:
+            // Duration::from_secs_f64 would abort on NaN/∞/overflow.
+            let days: f64 = v
+                .parse()
+                .map_err(|_| format!("--{age_days}: `{v}` is not a number"))?;
+            if !days.is_finite() || days < 0.0 {
+                return Err(format!(
+                    "--{age_days}: `{v}` must be a finite, non-negative number of days"
+                ));
+            }
+            Some(
+                Duration::try_from_secs_f64(days * 86_400.0)
+                    .map_err(|_| format!("--{age_days}: `{v}` is out of range"))?,
+            )
+        }
+    };
+    Ok(GcPolicy { max_bytes, max_age })
 }
 
 /// An `mc_shards` serve workload: compute one contiguous range of
@@ -384,6 +400,31 @@ mod tests {
         let (pos, flags) = parse_flags(&strings(&["--size", "10"]), &BoundRequest::FLAGS).unwrap();
         let err = BoundRequest::from_parts(&pos, &flags).unwrap_err();
         assert!(err.contains("needs --size, --sensitivity"));
+
+        // A depth past u32 is an error, never a silent truncation
+        // (2^32 + 8 used to evaluate depth 8).
+        let with_depth = |depth: &str| {
+            let args = strings(&[
+                "--size",
+                "21",
+                "--sensitivity",
+                "10",
+                "--activity",
+                "0.5",
+                "--fanin",
+                "3",
+                "--depth",
+                depth,
+            ]);
+            let (pos, flags) = parse_flags(&args, &BoundRequest::FLAGS).unwrap();
+            BoundRequest::from_parts(&pos, &flags)
+        };
+        assert_eq!(with_depth("4294967295").unwrap().profile.depth, u32::MAX);
+        let err = with_depth("4294967304").unwrap_err();
+        assert!(
+            err.contains("--depth") && err.contains("4294967304"),
+            "{err}"
+        );
     }
 
     #[test]

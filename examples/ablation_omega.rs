@@ -8,7 +8,7 @@
 //!
 //! Figure 3's caption states that "more than an order of magnitude
 //! redundancy factor is needed for error levels close to 0.5"
-//! (s = 10, S0 = 21, δ = 0.01). This bench evaluates the redundancy
+//! (s = 10, S0 = 21, δ = 0.01). This example evaluates the redundancy
 //! bound under both readings and shows only the root form reproduces
 //! that statement — the power form saturates an order of magnitude too
 //! low because its ω reaches ½ (t → 1) far too quickly ... in fact it
@@ -16,10 +16,10 @@
 //! log₂t and inflating the bound at small ε while the paper's Fig 3
 //! clearly starts near zero.
 //!
-//! Run: `cargo bench -p nanobound-bench --bench ablation_omega`
+//! Run: `cargo run --release --example ablation_omega`
 
-use nanobound_core::noise::t_factor;
-use nanobound_report::{Cell, Table};
+use nanobound::core::noise::t_factor;
+use nanobound::report::{Cell, Table};
 
 const S: f64 = 10.0;
 const S0: f64 = 21.0;

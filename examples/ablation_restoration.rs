@@ -1,15 +1,15 @@
 //! Ablation: von Neumann multiplexing — bundle width vs restorative
 //! stages on a *deep* circuit, with ideal (off-circuit) resolution.
 //!
-//! Run: `cargo bench -p nanobound-bench --bench ablation_restoration`
+//! Run: `cargo run --release --example ablation_restoration`
 
-use nanobound_gen::parity;
-use nanobound_redundancy::{multiplex_full, MultiplexConfig};
-use nanobound_report::{Cell, Table};
-use nanobound_sim::{evaluate_noisy, evaluate_packed, NoisyConfig, PatternSet};
+use nanobound::gen::parity;
+use nanobound::redundancy::{multiplex_full, MultiplexConfig};
+use nanobound::report::{Cell, Table};
+use nanobound::sim::{evaluate_noisy, evaluate_packed, NoisyConfig, PatternSet};
 
 fn ideal_error(
-    source: &nanobound_logic::Netlist,
+    source: &nanobound::logic::Netlist,
     cfg: &MultiplexConfig,
     eps: f64,
     patterns: usize,

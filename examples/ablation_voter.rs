@@ -3,18 +3,18 @@
 //! The naive expectation — more replicas, more reliability — fails once
 //! the voter itself is built from failing gates: the r = 3 voter is a
 //! single majority gate, while r ≥ 5 voters are popcount trees whose
-//! own failure rate grows with r. This bench sweeps (r, ε) and prints
+//! own failure rate grows with r. This example sweeps (r, ε) and prints
 //! the measured output error rate, the voter's gate count, and the
 //! binomial prediction with a perfect voter for contrast.
 //!
-//! Run: `cargo bench -p nanobound-bench --bench ablation_voter`
+//! Run: `cargo run --release --example ablation_voter`
 
-use nanobound_gen::parity;
-use nanobound_redundancy::analysis::binomial_majority_failure;
-use nanobound_redundancy::nmr;
-use nanobound_redundancy::voter::majority_voter;
-use nanobound_report::{Cell, Table};
-use nanobound_sim::{monte_carlo, NoisyConfig};
+use nanobound::gen::parity;
+use nanobound::redundancy::analysis::binomial_majority_failure;
+use nanobound::redundancy::nmr;
+use nanobound::redundancy::voter::majority_voter;
+use nanobound::report::{Cell, Table};
+use nanobound::sim::{monte_carlo, NoisyConfig};
 
 fn main() {
     let base = parity::parity_tree(16, 2).unwrap();

@@ -3,9 +3,9 @@
 //!
 //! Run: `cargo run --release --example paper_figures`
 //!
-//! This is the one-shot version of the per-figure bench targets in
-//! `nanobound-bench`; see `EXPERIMENTS.md` for the paper-vs-measured
-//! comparison of each output.
+//! The CSV files match `nanobound figures` + `nanobound validate`
+//! byte for byte; this example adds the charts and the measured suite
+//! profiles behind Figures 7 and 8.
 
 use std::fs;
 use std::path::Path;
@@ -47,6 +47,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Benchmark-driven figures share one profiling pass.
     let profiles = profile_suite(&exec, &ProfileConfig::default())?;
+    println!("profiled {} benchmarks:", profiles.len());
+    for p in &profiles {
+        println!("  {}", p.profile);
+    }
+    println!();
     save(dir, &fig7::generate_from(&profiles)?)?;
     save(dir, &fig8::generate_from(&profiles)?)?;
     save(dir, &headline::generate_from(&profiles)?)?;
