@@ -21,14 +21,18 @@
 #      a byte-level diff of the `figures` CSVs at --jobs 1 vs
 #      --jobs $(nproc), so any single-thread/multi-thread divergence in
 #      the parallel runner fails the gate
-#   8. the cache gate: `figures` cold into a fresh --cache-dir, again
-#      warm from the same cache, and once more with --no-cache, diffing
-#      all three outputs byte-for-byte — a cache that changes results
-#      (or a warm run that misses) fails the gate; then the stale-format
-#      half: every cached shard's frame version is rewritten to 1 (a
-#      v1-era cache left on disk across the FORMAT_VERSION bump) and
-#      the next run must report zero hits — every stale entry a counted
-#      miss, none replayed — while producing byte-identical figures
+#   8. the cache gate: `figures` (whose store traffic is the suite's
+#      profile measurements; the closed-form sweeps store nothing) and
+#      `validate` (Monte-Carlo chunk tallies) each run cold into one
+#      fresh --cache-dir, again warm from it, and once more with
+#      --no-cache, diffing all three outputs byte-for-byte — a cache
+#      that changes results fails the gate, and so does a warm run that
+#      re-measures a profile or misses a tally; then the stale-format
+#      half: every cached entry's frame version is rewritten to 1 (a
+#      v1-era cache left on disk across the FORMAT_VERSION bump) and the
+#      next runs must reuse nothing — every stale entry a counted miss or
+#      re-measurement, none replayed — while producing byte-identical
+#      artifacts
 #   9. the serve gate: one scripted multi-request session piped into
 #      `nanobound serve` twice — cold cache at --jobs 1, then warm
 #      cache at --jobs $(nproc) — diffing the two response streams
@@ -116,19 +120,32 @@ target/release/nanobound figures --out "$detdir/j1" --jobs 1 >/dev/null
 target/release/nanobound figures --out "$detdir/jn" --jobs "$(nproc)" >/dev/null
 diff -r "$detdir/j1" "$detdir/jn"
 
-echo "==> cache gate: figures cold vs warm vs --no-cache"
+echo "==> cache gate: figures and validate cold vs warm vs --no-cache"
 target/release/nanobound figures --out "$detdir/cold" --cache-dir "$detdir/cache" \
     --jobs "$(nproc)" >/dev/null
-warm_summary="$(target/release/nanobound figures --out "$detdir/warm" \
-    --cache-dir "$detdir/cache" --jobs 1 | grep '^cache ')"
-case "$warm_summary" in
-  *" 0 misses"*) ;;
-  *) echo "warm run was not fully cached: $warm_summary" >&2; exit 1 ;;
+target/release/nanobound validate --out "$detdir/val-cold" --cache-dir "$detdir/cache" \
+    --jobs "$(nproc)" >/dev/null
+warm_profiles="$(target/release/nanobound figures --out "$detdir/warm" \
+    --cache-dir "$detdir/cache" --jobs 1 | grep '^cache profiles: ')"
+case "$warm_profiles" in
+  *": 0 activity reused"*) echo "warm figures reused no profile: $warm_profiles" >&2; exit 1 ;;
+  *" activity reused (0 measured), "*" sensitivity reused (0 measured)") ;;
+  *) echo "warm figures re-measured profiles: $warm_profiles" >&2; exit 1 ;;
+esac
+warm_tallies="$(target/release/nanobound validate --out "$detdir/val-warm" \
+    --cache-dir "$detdir/cache" --jobs 1 | grep '^cache .* misses, ')"
+case "$warm_tallies" in
+  *": 0 hits,"*) echo "warm validate hit nothing: $warm_tallies" >&2; exit 1 ;;
+  *" 0 misses,"*) ;;
+  *) echo "warm validate was not fully cached: $warm_tallies" >&2; exit 1 ;;
 esac
 target/release/nanobound figures --out "$detdir/nocache" --no-cache >/dev/null
+target/release/nanobound validate --out "$detdir/val-nocache" --no-cache >/dev/null
 diff -r "$detdir/cold" "$detdir/warm"
 diff -r "$detdir/cold" "$detdir/nocache"
 diff -r "$detdir/j1" "$detdir/cold"
+diff -r "$detdir/val-cold" "$detdir/val-warm"
+diff -r "$detdir/val-cold" "$detdir/val-nocache"
 
 echo "==> stale-cache gate: v1-version frames are counted misses, never replayed"
 # Rewrite every cached frame's version field (4 bytes LE at offset 4)
@@ -137,17 +154,24 @@ echo "==> stale-cache gate: v1-version frames are counted misses, never replayed
 # replayed v1 tally would silently mix two incompatible fault streams.
 find "$detdir/cache" -name '*.bin' -exec sh -c \
     'printf "\001\000\000\000" | dd of="$1" bs=1 seek=4 count=4 conv=notrunc status=none' _ {} \;
-stale_summary="$(target/release/nanobound figures --out "$detdir/stale" \
-    --cache-dir "$detdir/cache" --jobs 1 | grep '^cache ')"
-case "$stale_summary" in
-  *": 0 hits,"*) ;;
-  *) echo "stale-version cache was replayed: $stale_summary" >&2; exit 1 ;;
+stale_profiles="$(target/release/nanobound figures --out "$detdir/stale" \
+    --cache-dir "$detdir/cache" --jobs 1 | grep '^cache profiles: ')"
+case "$stale_profiles" in
+  *": 0 activity reused ("*", 0 sensitivity reused ("*) ;;
+  *) echo "stale-version profiles were replayed: $stale_profiles" >&2; exit 1 ;;
 esac
-case "$stale_summary" in
-  *" 0 misses,"*) echo "stale entries were not counted as misses: $stale_summary" >&2; exit 1 ;;
+stale_tallies="$(target/release/nanobound validate --out "$detdir/val-stale" \
+    --cache-dir "$detdir/cache" --jobs 1 | grep '^cache .* misses, ')"
+case "$stale_tallies" in
+  *": 0 hits,"*) ;;
+  *) echo "stale-version tallies were replayed: $stale_tallies" >&2; exit 1 ;;
+esac
+case "$stale_tallies" in
+  *" 0 misses,"*) echo "stale entries were not counted as misses: $stale_tallies" >&2; exit 1 ;;
   *) ;;
 esac
 diff -r "$detdir/cold" "$detdir/stale"
+diff -r "$detdir/val-cold" "$detdir/val-stale"
 
 echo "==> serve gate: scripted session, cold --jobs 1 vs warm --jobs $(nproc) vs one-shot CLI"
 printf 'INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n' > "$detdir/xor2.bench"

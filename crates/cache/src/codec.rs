@@ -43,11 +43,6 @@ impl Encoder {
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
-
-    /// Appends a `bool` as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
 }
 
 /// Reads codec-framed values back out of a byte slice.
@@ -92,15 +87,6 @@ impl<'a> Decoder<'a> {
     /// Reads an `f64` from its bit pattern.
     pub fn take_f64(&mut self) -> Option<f64> {
         Some(f64::from_bits(self.take_u64()?))
-    }
-
-    /// Reads a `bool` (rejects bytes other than 0 and 1).
-    pub fn take_bool(&mut self) -> Option<bool> {
-        match self.take(1)? {
-            [0] => Some(false),
-            [1] => Some(true),
-            _ => None,
-        }
     }
 }
 
@@ -161,34 +147,6 @@ impl CacheCodec for f64 {
     }
 }
 
-impl CacheCodec for bool {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_bool(*self);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Option<Self> {
-        dec.take_bool()
-    }
-}
-
-impl<T: CacheCodec> CacheCodec for Option<T> {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            None => enc.put_bool(false),
-            Some(v) => {
-                enc.put_bool(true);
-                v.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Option<Self> {
-        if dec.take_bool()? {
-            Some(Some(T::decode(dec)?))
-        } else {
-            Some(None)
-        }
-    }
-}
-
 impl<T: CacheCodec> CacheCodec for Vec<T> {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_usize(self.len());
@@ -211,27 +169,6 @@ impl<T: CacheCodec> CacheCodec for Vec<T> {
     }
 }
 
-impl<A: CacheCodec, B: CacheCodec> CacheCodec for (A, B) {
-    fn encode(&self, enc: &mut Encoder) {
-        self.0.encode(enc);
-        self.1.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Option<Self> {
-        Some((A::decode(dec)?, B::decode(dec)?))
-    }
-}
-
-impl<A: CacheCodec, B: CacheCodec, C: CacheCodec> CacheCodec for (A, B, C) {
-    fn encode(&self, enc: &mut Encoder) {
-        self.0.encode(enc);
-        self.1.encode(enc);
-        self.2.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Option<Self> {
-        Some((A::decode(dec)?, B::decode(dec)?, C::decode(dec)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,8 +183,6 @@ mod tests {
         roundtrip(0u64);
         roundtrip(u64::MAX);
         roundtrip(usize::MAX);
-        roundtrip(true);
-        roundtrip(false);
         roundtrip(1.5f64);
         roundtrip(f64::NEG_INFINITY);
     }
@@ -266,10 +201,6 @@ mod tests {
     fn containers_roundtrip() {
         roundtrip(vec![1.0f64, -2.5, 3.75]);
         roundtrip(Vec::<u64>::new());
-        roundtrip(Some(7u64));
-        roundtrip(Option::<f64>::None);
-        roundtrip(vec![(Some(1.0f64), Option::<f64>::None), (None, Some(2.0))]);
-        roundtrip((1u64, 2.0f64, vec![3u64]));
     }
 
     #[test]
@@ -296,10 +227,5 @@ mod tests {
         let mut enc = Encoder::new();
         enc.put_u64(u64::MAX); // claimed length
         assert_eq!(decode_from_slice::<Vec<u64>>(&enc.into_bytes()), None);
-    }
-
-    #[test]
-    fn bool_bytes_other_than_01_are_malformed() {
-        assert_eq!(decode_from_slice::<bool>(&[2]), None);
     }
 }

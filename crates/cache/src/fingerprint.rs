@@ -2,8 +2,7 @@
 //!
 //! A [`Fingerprint`] is the cache's content address: 128 bits hashed
 //! over *everything that determines a shard's result* — the experiment
-//! domain, its configuration, the sweep grid, the netlist structure,
-//! the chunk size. Two experiments share cache entries exactly when
+//! domain, its configuration, the netlist structure, the chunk size. Two experiments share cache entries exactly when
 //! their fingerprints collide, so the builder is deliberately explicit:
 //! callers push each parameter, and anything not pushed is by
 //! definition not part of the experiment's identity.
@@ -120,14 +119,6 @@ impl FingerprintBuilder {
         self.push_u64(v.to_bits());
     }
 
-    /// Folds every value of a float slice (plus its length).
-    pub fn push_f64s(&mut self, values: &[f64]) {
-        self.push_usize(values.len());
-        for &v in values {
-            self.push_f64(v);
-        }
-    }
-
     /// Folds a string, length-framed.
     pub fn push_str(&mut self, s: &str) {
         self.push_bytes(s.as_bytes());
@@ -234,16 +225,5 @@ mod tests {
         };
         assert_ne!(fp(0.0), fp(-0.0));
         assert_eq!(fp(f64::NAN), fp(f64::NAN)); // same bit pattern
-    }
-
-    #[test]
-    fn slice_push_includes_length() {
-        let mut a = FingerprintBuilder::new("t");
-        a.push_f64s(&[1.0, 2.0]);
-        a.push_f64s(&[]);
-        let mut b = FingerprintBuilder::new("t");
-        b.push_f64s(&[1.0]);
-        b.push_f64s(&[2.0]);
-        assert_ne!(a.finish(), b.finish());
     }
 }

@@ -2,7 +2,7 @@
 //! workspace.
 //!
 //! The runner's shard/seed/merge contract makes every shard — a
-//! Monte-Carlo chunk, a sweep grid cell, a benchmark profile — a pure,
+//! Monte-Carlo chunk, a benchmark profile measurement — a pure,
 //! relocatable unit of work keyed by `(master seed, shard index)`. That
 //! purity is exactly what makes shard results *cacheable*: a cached
 //! shard merged with freshly computed ones is bit-identical to a cold
@@ -11,8 +11,8 @@
 //!
 //! - [`FingerprintBuilder`] / [`Fingerprint`] — a stable 128-bit
 //!   experiment identity hashed over everything that determines a
-//!   shard's result (configuration, grid, netlist structure, chunk
-//!   size), salted with [`FORMAT_VERSION`] so a format bump invalidates
+//!   shard's result (configuration, netlist structure, chunk size),
+//!   salted with [`FORMAT_VERSION`] so a format bump invalidates
 //!   every old entry at once;
 //! - [`Encoder`] / [`Decoder`] / [`CacheCodec`] — a tiny
 //!   explicitly-little-endian binary codec (`f64` via

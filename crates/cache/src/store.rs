@@ -415,8 +415,9 @@ mod tests {
         cache.store_value(&key, 0, &vec![1.5f64, -2.0]);
         assert_eq!(cache.load_value::<Vec<f64>>(&key, 0), Some(vec![1.5, -2.0]));
         // Valid frame, but the payload does not decode as the requested
-        // type (u64 vec of same byte length would, so ask for bools).
-        assert_eq!(cache.load_value::<bool>(&key, 0), None);
+        // type: a `u64` reads the length prefix and leaves the elements
+        // as trailing bytes.
+        assert_eq!(cache.load_value::<u64>(&key, 0), None);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         fs::remove_dir_all(&dir).unwrap();

@@ -79,6 +79,9 @@ impl CircuitProfile {
         if self.fanin.is_nan() || self.fanin < 2.0 {
             return Err(BoundError::bad("fanin", self.fanin, "must be at least 2"));
         }
+        if self.fanin.is_infinite() {
+            return Err(BoundError::bad("fanin", self.fanin, "must be finite"));
+        }
         if !(0.0..1.0).contains(&self.leak_share) {
             return Err(BoundError::bad(
                 "leak_share",
@@ -253,6 +256,9 @@ mod tests {
         assert!(p.validate().is_err());
         let mut p = parity10();
         p.fanin = 1.0;
+        assert!(p.validate().is_err());
+        let mut p = parity10();
+        p.fanin = f64::INFINITY;
         assert!(p.validate().is_err());
         let mut p = parity10();
         p.leak_share = 1.0;

@@ -49,13 +49,11 @@ pub fn logspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 /// Evaluates `f` over every grid point in order, returning one result
 /// per point.
 ///
-/// This is the *reference semantics* for sweep evaluation:
-/// `nanobound_runner::grid_map` promises byte-identical output to this
-/// loop for any worker count, and the runner's property tests compare
-/// against it directly. Production sweeps (the figure generators) go
-/// through the runner — with `ThreadPool::serial()` when they want this
-/// exact loop. Unlike [`curve`] it carries arbitrary per-point payloads
-/// (a whole table row, a family of bounds), not just `(x, y)` pairs.
+/// This is the *reference semantics* for sweep evaluation, and the
+/// closed-form figure generators (Figures 2–6) run their grids through
+/// exactly this loop. Unlike [`curve`] it carries arbitrary per-point
+/// payloads (a whole table row, a family of bounds), not just `(x, y)`
+/// pairs.
 ///
 /// # Examples
 ///

@@ -5,29 +5,26 @@
 //! pivoting around the fixed point `(½, ½)`, flattening to the constant
 //! ½ at ε = ½.
 
-use nanobound_core::sweep::linspace;
+use nanobound_core::sweep::{grid_map, linspace};
 use nanobound_core::switching::noisy_activity;
 use nanobound_report::{Cell, Chart, Series, Table};
-use nanobound_runner::{grid_map_cached, Exec, ThreadPool};
+use nanobound_runner::ThreadPool;
 
 use crate::error::ExperimentError;
-use crate::figure::{sweep_fingerprint, FigureOutput};
+use crate::figure::FigureOutput;
 
 /// The ε values of the plotted family.
 pub const EPSILONS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
 
-/// Regenerates Figure 2, sharding the sw(y) grid across `exec.pool`
-/// with cells served from / written to `exec.cache` — byte-identical
-/// output for every worker count and any hit/miss mix.
+/// Regenerates Figure 2: one in-order pass over the sw(y) grid.
 ///
 /// # Errors
 ///
 /// Infallible in practice (all parameters are fixed and valid); the
 /// `Result` keeps the signature uniform across figures.
-pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
+pub fn generate() -> Result<FigureOutput, ExperimentError> {
     let sw_values = linspace(0.0, 1.0, 21);
-    let fingerprint = sweep_fingerprint("fig2", &sw_values, &EPSILONS);
-    let families: Vec<Vec<f64>> = grid_map_cached(exec, &sw_values, &fingerprint, |&sw| {
+    let families: Vec<Vec<f64>> = grid_map(&sw_values, |&sw| {
         EPSILONS.iter().map(|&e| noisy_activity(sw, e)).collect()
     });
     let mut table = Table::new(
@@ -59,10 +56,10 @@ pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
     })
 }
 
-/// [`generate`] on `pool` with no stores; `perfbench/probe` links it.
+/// [`generate`], ignoring `_pool`; `perfbench/probe` links it.
 #[doc(hidden)]
-pub fn generate_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
-    generate(&Exec::new(*pool))
+pub fn generate_with(_pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
+    generate()
 }
 
 #[cfg(test)]
@@ -71,7 +68,7 @@ mod tests {
 
     #[test]
     fn has_one_series_per_epsilon() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         assert_eq!(fig.charts[0].series().len(), EPSILONS.len());
         assert_eq!(fig.tables[0].columns().len(), EPSILONS.len() + 1);
         assert_eq!(fig.tables[0].rows().len(), 21);
@@ -79,7 +76,7 @@ mod tests {
 
     #[test]
     fn pivot_row_is_constant_half() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         // Row with sw(y) = 0.5: every ε column equals 0.5.
         let row = &fig.tables[0].rows()[10];
         for cell in row {
@@ -91,40 +88,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_regeneration_is_identical() {
-        use crate::request::{
-            tests::assert_sweep_identical_across_pools_and_cache_state, FigureId,
-        };
-        assert_sweep_identical_across_pools_and_cache_state(FigureId::Fig2);
-    }
-
-    #[test]
-    fn warm_cache_regeneration_is_identical() {
-        use nanobound_cache::ShardCache;
-
-        let dir = std::env::temp_dir().join("nanobound_fig2_cache");
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ShardCache::open(&dir).unwrap();
-        let serial = generate(&Exec::default()).unwrap();
-        let cold = generate(&Exec {
-            cache: Some(&cache),
-            ..Exec::new(ThreadPool::new(2).unwrap())
-        })
-        .unwrap();
-        let warm = generate(&Exec {
-            cache: Some(&cache),
-            ..Exec::default()
-        })
-        .unwrap();
-        assert_eq!(serial.tables[0].to_csv(), cold.tables[0].to_csv());
-        assert_eq!(serial.tables[0].to_csv(), warm.tables[0].to_csv());
-        assert_eq!(cache.stats().hits, 21);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn epsilon_half_line_is_flat() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         let flat = &fig.charts[0].series()[5];
         for &(_, y) in &flat.points {
             assert!((y - 0.5).abs() < 1e-12);

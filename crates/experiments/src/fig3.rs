@@ -5,10 +5,10 @@
 use nanobound_core::size::redundancy_lower_bound;
 use nanobound_core::sweep::linspace;
 use nanobound_report::{Cell, Chart, Series, Table};
-use nanobound_runner::{try_grid_map_cached, Exec, ThreadPool};
+use nanobound_runner::ThreadPool;
 
 use crate::error::ExperimentError;
-use crate::figure::{sweep_fingerprint, FigureOutput};
+use crate::figure::FigureOutput;
 
 /// Sensitivity of the target function (10-input parity).
 pub const SENSITIVITY: f64 = 10.0;
@@ -19,26 +19,23 @@ pub const DELTA: f64 = 0.01;
 /// Gate fanins of the plotted family.
 pub const FANINS: [f64; 3] = [2.0, 3.0, 4.0];
 
-/// Regenerates Figure 3, sharding the ε grid across `exec.pool`
-/// with cells served from / written to `exec.cache` — byte-identical
-/// output for every worker count and any hit/miss mix.
+/// Regenerates Figure 3: one in-order pass over the ε grid.
 ///
 /// # Errors
 ///
 /// Propagates [`nanobound_core::BoundError`] — never triggered by the
 /// fixed parameters used here.
-pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
+pub fn generate() -> Result<FigureOutput, ExperimentError> {
     let epsilons = linspace(0.005, 0.495, 50);
-    let mut params = vec![SENSITIVITY, DELTA];
-    params.extend_from_slice(&FANINS);
-    let fingerprint = sweep_fingerprint("fig3", &epsilons, &params);
-    let bounds: Vec<Vec<f64>> = try_grid_map_cached(exec, &epsilons, &fingerprint, |&eps| {
-        FANINS
-            .iter()
-            .map(|&k| redundancy_lower_bound(SENSITIVITY, k, eps, DELTA))
-            .collect::<Result<_, _>>()
-            .map_err(ExperimentError::from)
-    })?;
+    let bounds: Vec<Vec<f64>> = epsilons
+        .iter()
+        .map(|&eps| {
+            FANINS
+                .iter()
+                .map(|&k| redundancy_lower_bound(SENSITIVITY, k, eps, DELTA))
+                .collect()
+        })
+        .collect::<Result<_, _>>()?;
     let mut table = Table::new(
         "Figure 3 — minimum added redundancy (gates), s=10, S0=21, delta=0.01",
         std::iter::once("epsilon".to_owned()).chain(FANINS.iter().map(|k| format!("k={k}"))),
@@ -69,10 +66,10 @@ pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
     })
 }
 
-/// [`generate`] on `pool` with no stores; `perfbench/probe` links it.
+/// [`generate`], ignoring `_pool`; `perfbench/probe` links it.
 #[doc(hidden)]
-pub fn generate_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
-    generate(&Exec::new(*pool))
+pub fn generate_with(_pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
+    generate()
 }
 
 #[cfg(test)]
@@ -81,7 +78,7 @@ mod tests {
 
     #[test]
     fn curves_are_ordered_by_fanin() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         let s = fig.charts[0].series();
         for i in 0..s[0].points.len() {
             let k2 = s[0].points[i].1;
@@ -92,16 +89,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_regeneration_is_identical() {
-        use crate::request::{
-            tests::assert_sweep_identical_across_pools_and_cache_state, FigureId,
-        };
-        assert_sweep_identical_across_pools_and_cache_state(FigureId::Fig3);
-    }
-
-    #[test]
     fn order_of_magnitude_near_half() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         let k2 = &fig.charts[0].series()[0];
         let last = k2.points.last().unwrap();
         assert!(last.1 / S0 > 10.0, "k=2 end factor {}", last.1 / S0);
@@ -109,7 +98,7 @@ mod tests {
 
     #[test]
     fn low_error_needs_few_gates() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         let k4 = &fig.charts[0].series()[2];
         assert!(k4.points[0].1 < 5.0);
     }

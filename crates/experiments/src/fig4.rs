@@ -4,32 +4,31 @@
 use nanobound_core::leakage::leakage_ratio_factor;
 use nanobound_core::sweep::linspace;
 use nanobound_report::{Cell, Chart, Series, Table};
-use nanobound_runner::{try_grid_map_cached, Exec, ThreadPool};
+use nanobound_runner::ThreadPool;
 
 use crate::error::ExperimentError;
-use crate::figure::{sweep_fingerprint, FigureOutput};
+use crate::figure::FigureOutput;
 
 /// The error-free switching activities of the plotted family.
 pub const ACTIVITIES: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 0.9];
 
-/// Regenerates Figure 4, sharding the ε grid across `exec.pool`
-/// with cells served from / written to `exec.cache` — byte-identical
-/// output for every worker count and any hit/miss mix.
+/// Regenerates Figure 4: one in-order pass over the ε grid.
 ///
 /// # Errors
 ///
 /// Propagates [`nanobound_core::BoundError`] — never triggered by the
 /// fixed parameters used here.
-pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
+pub fn generate() -> Result<FigureOutput, ExperimentError> {
     let epsilons = linspace(0.0, 0.5, 51);
-    let fingerprint = sweep_fingerprint("fig4", &epsilons, &ACTIVITIES);
-    let ratios: Vec<Vec<f64>> = try_grid_map_cached(exec, &epsilons, &fingerprint, |&eps| {
-        ACTIVITIES
-            .iter()
-            .map(|&sw0| leakage_ratio_factor(sw0, eps))
-            .collect::<Result<_, _>>()
-            .map_err(ExperimentError::from)
-    })?;
+    let ratios: Vec<Vec<f64>> = epsilons
+        .iter()
+        .map(|&eps| {
+            ACTIVITIES
+                .iter()
+                .map(|&sw0| leakage_ratio_factor(sw0, eps))
+                .collect()
+        })
+        .collect::<Result<_, _>>()?;
     let mut table = Table::new(
         "Figure 4 — normalized leakage/switching ratio W(eps)/W0",
         std::iter::once("epsilon".to_owned())
@@ -57,10 +56,10 @@ pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
     })
 }
 
-/// [`generate`] on `pool` with no stores; `perfbench/probe` links it.
+/// [`generate`], ignoring `_pool`; `perfbench/probe` links it.
 #[doc(hidden)]
-pub fn generate_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
-    generate(&Exec::new(*pool))
+pub fn generate_with(_pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
+    generate()
 }
 
 #[cfg(test)]
@@ -69,7 +68,7 @@ mod tests {
 
     #[test]
     fn pivot_series_is_flat_at_one() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         let pivot = &fig.charts[0].series()[2]; // sw0 = 0.5
         for &(_, y) in &pivot.points {
             assert!((y - 1.0).abs() < 1e-12);
@@ -77,16 +76,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_regeneration_is_identical() {
-        use crate::request::{
-            tests::assert_sweep_identical_across_pools_and_cache_state, FigureId,
-        };
-        assert_sweep_identical_across_pools_and_cache_state(FigureId::Fig4);
-    }
-
-    #[test]
     fn below_pivot_decreases_above_increases() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         let low = &fig.charts[0].series()[0]; // sw0 = 0.1
         let high = &fig.charts[0].series()[4]; // sw0 = 0.9
         assert!(low.points.last().unwrap().1 < 0.5);
@@ -95,7 +86,7 @@ mod tests {
 
     #[test]
     fn symmetric_activities_are_reciprocal() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         let s = fig.charts[0].series();
         for i in 0..s[0].points.len() {
             let prod_outer = s[0].points[i].1 * s[4].points[i].1; // 0.1 vs 0.9

@@ -10,11 +10,11 @@ use nanobound_core::composite::energy_delay_factor;
 use nanobound_core::depth::delay_factor;
 use nanobound_core::sweep::linspace;
 use nanobound_report::{Cell, Chart, Series, Table};
-use nanobound_runner::{try_grid_map_cached, Exec, ThreadPool};
+use nanobound_runner::ThreadPool;
 
 use crate::error::ExperimentError;
 use crate::fig3::{DELTA, FANINS, S0, SENSITIVITY};
-use crate::figure::{sweep_fingerprint, FigureOutput};
+use crate::figure::FigureOutput;
 
 /// Baseline average switching activity.
 pub const SW0: f64 = 0.5;
@@ -22,30 +22,27 @@ pub const SW0: f64 = 0.5;
 /// energy are assumed equal").
 pub const LEAK_SHARE: f64 = 0.5;
 
-/// Regenerates Figure 5, sharding the ε grid across `exec.pool`
-/// with cells served from / written to `exec.cache` — byte-identical
-/// output for every worker count and any hit/miss mix.
+/// Regenerates Figure 5: one in-order pass over the ε grid.
 ///
 /// # Errors
 ///
 /// Propagates [`nanobound_core::BoundError`] — never triggered by the
 /// fixed parameters used here.
-pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
+pub fn generate() -> Result<FigureOutput, ExperimentError> {
     let epsilons = linspace(0.0, 0.26, 53);
-    let mut params = vec![S0, SENSITIVITY, SW0, LEAK_SHARE, DELTA];
-    params.extend_from_slice(&FANINS);
-    let fingerprint = sweep_fingerprint("fig5", &epsilons, &params);
-    type PointRow = Vec<(Option<f64>, Option<f64>)>;
-    let points: Vec<PointRow> = try_grid_map_cached(exec, &epsilons, &fingerprint, |&eps| {
-        FANINS
-            .iter()
-            .map(|&k| {
-                let d = delay_factor(k, eps)?;
-                let edp = energy_delay_factor(S0, SENSITIVITY, k, SW0, LEAK_SHARE, eps, DELTA)?;
-                Ok::<_, ExperimentError>((d, edp))
-            })
-            .collect()
-    })?;
+    let points: Vec<Vec<(Option<f64>, Option<f64>)>> = epsilons
+        .iter()
+        .map(|&eps| {
+            FANINS
+                .iter()
+                .map(|&k| {
+                    let d = delay_factor(k, eps)?;
+                    let edp = energy_delay_factor(S0, SENSITIVITY, k, SW0, LEAK_SHARE, eps, DELTA)?;
+                    Ok::<_, ExperimentError>((d, edp))
+                })
+                .collect()
+        })
+        .collect::<Result<_, _>>()?;
     let mut table = Table::new(
         "Figure 5 — normalized delay and energy*delay lower bounds",
         std::iter::once("epsilon".to_owned())
@@ -88,10 +85,10 @@ pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
     })
 }
 
-/// [`generate`] on `pool` with no stores; `perfbench/probe` links it.
+/// [`generate`], ignoring `_pool`; `perfbench/probe` links it.
 #[doc(hidden)]
-pub fn generate_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
-    generate(&Exec::new(*pool))
+pub fn generate_with(_pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
+    generate()
 }
 
 #[cfg(test)]
@@ -103,7 +100,7 @@ mod tests {
     fn edp_dominates_delay() {
         // Fig 5: the energy*delay curve sits above the delay curve at
         // every plotted ε (energy factor ≥ 1 in this baseline).
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         let delay = &fig.charts[0].series()[1]; // k = 3
         let edp = &fig.charts[1].series()[1];
         for (d, e) in delay.points.iter().zip(&edp.points) {
@@ -118,16 +115,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_regeneration_is_identical() {
-        use crate::request::{
-            tests::assert_sweep_identical_across_pools_and_cache_state, FigureId,
-        };
-        assert_sweep_identical_across_pools_and_cache_state(FigureId::Fig5);
-    }
-
-    #[test]
     fn curves_stop_at_their_thresholds() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         for (i, &k) in FANINS.iter().enumerate() {
             let last = fig.charts[0].series()[i].points.last().unwrap().0;
             assert!(
@@ -139,7 +128,7 @@ mod tests {
 
     #[test]
     fn starts_at_unity() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         for series in fig.charts[0].series() {
             assert!((series.points[0].1 - 1.0).abs() < 1e-9);
         }
@@ -147,7 +136,7 @@ mod tests {
 
     #[test]
     fn table_marks_infeasible_points_missing() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         // ε = 0.26 > threshold for every k: delay columns all Missing.
         let last_row = fig.tables[0].rows().last().unwrap();
         assert_eq!(last_row[1], Cell::Missing);

@@ -8,34 +8,30 @@
 use nanobound_core::composite::average_power_factor;
 use nanobound_core::sweep::linspace;
 use nanobound_report::{Cell, Chart, Series, Table};
-use nanobound_runner::{try_grid_map_cached, Exec, ThreadPool};
+use nanobound_runner::ThreadPool;
 
 use crate::error::ExperimentError;
 use crate::fig3::{DELTA, FANINS, S0, SENSITIVITY};
 use crate::fig5::{LEAK_SHARE, SW0};
-use crate::figure::{sweep_fingerprint, FigureOutput};
+use crate::figure::FigureOutput;
 
-/// Regenerates Figure 6, sharding the ε grid across `exec.pool`
-/// with cells served from / written to `exec.cache` — byte-identical
-/// output for every worker count and any hit/miss mix.
+/// Regenerates Figure 6: one in-order pass over the ε grid.
 ///
 /// # Errors
 ///
 /// Propagates [`nanobound_core::BoundError`] — never triggered by the
 /// fixed parameters used here.
-pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
+pub fn generate() -> Result<FigureOutput, ExperimentError> {
     let epsilons = linspace(0.0, 0.26, 105);
-    let mut params = vec![S0, SENSITIVITY, SW0, LEAK_SHARE, DELTA];
-    params.extend_from_slice(&FANINS);
-    let fingerprint = sweep_fingerprint("fig6", &epsilons, &params);
-    let powers: Vec<Vec<Option<f64>>> =
-        try_grid_map_cached(exec, &epsilons, &fingerprint, |&eps| {
+    let powers: Vec<Vec<Option<f64>>> = epsilons
+        .iter()
+        .map(|&eps| {
             FANINS
                 .iter()
                 .map(|&k| average_power_factor(S0, SENSITIVITY, k, SW0, LEAK_SHARE, eps, DELTA))
-                .collect::<Result<_, _>>()
-                .map_err(ExperimentError::from)
-        })?;
+                .collect()
+        })
+        .collect::<Result<_, _>>()?;
     let mut table = Table::new(
         "Figure 6 — normalized average power lower bound",
         std::iter::once("epsilon".to_owned()).chain(FANINS.iter().map(|k| format!("k={k}"))),
@@ -63,10 +59,10 @@ pub fn generate(exec: &Exec<'_>) -> Result<FigureOutput, ExperimentError> {
     })
 }
 
-/// [`generate`] on `pool` with no stores; `perfbench/probe` links it.
+/// [`generate`], ignoring `_pool`; `perfbench/probe` links it.
 #[doc(hidden)]
-pub fn generate_with(pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
-    generate(&Exec::new(*pool))
+pub fn generate_with(_pool: &ThreadPool) -> Result<FigureOutput, ExperimentError> {
+    generate()
 }
 
 #[cfg(test)]
@@ -75,7 +71,7 @@ mod tests {
 
     #[test]
     fn power_exceeds_one_at_low_error() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         for series in fig.charts[0].series() {
             let early = &series.points[1]; // first non-zero ε
             assert!(
@@ -89,16 +85,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_regeneration_is_identical() {
-        use crate::request::{
-            tests::assert_sweep_identical_across_pools_and_cache_state, FigureId,
-        };
-        assert_sweep_identical_across_pools_and_cache_state(FigureId::Fig6);
-    }
-
-    #[test]
     fn power_falls_below_one_near_threshold() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         for series in fig.charts[0].series() {
             let last = series.points.last().unwrap();
             assert!(
@@ -115,7 +103,7 @@ mod tests {
     fn larger_fanin_has_smaller_low_error_overhead() {
         // The paper: "a larger fanin reduces the overhead in average
         // power" at low error rates.
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         let s = fig.charts[0].series();
         let at = |i: usize, j: usize| s[i].points[j].1;
         // Compare at the same small ε (index 4 ≈ 0.01).
@@ -124,7 +112,7 @@ mod tests {
 
     #[test]
     fn each_curve_crosses_unity_once() {
-        let fig = generate(&Exec::default()).unwrap();
+        let fig = generate().unwrap();
         for series in fig.charts[0].series() {
             // Skip the exact-unity ε = 0 starting point.
             let crossings = series.points[1..]

@@ -1,22 +1,6 @@
-//! Common output container for regenerated figures, plus the shared
-//! cache-fingerprint convention of the sweep figures.
+//! Common output container for regenerated figures.
 
-use nanobound_cache::{Fingerprint, FingerprintBuilder};
 use nanobound_report::{Chart, Table};
-
-/// Builds the cache fingerprint of one sweep figure: the figure domain,
-/// the full grid (values, not just endpoints) and every constant the
-/// point evaluator closes over.
-///
-/// Keying on the literal grid values means any edit to a sweep's range
-/// or resolution — and any change to the figure's pinned constants —
-/// addresses a fresh entry set instead of replaying stale cells.
-pub(crate) fn sweep_fingerprint(domain: &str, grid: &[f64], params: &[f64]) -> Fingerprint {
-    let mut builder = FingerprintBuilder::new(domain);
-    builder.push_f64s(grid);
-    builder.push_f64s(params);
-    builder.finish()
-}
 
 /// Everything a regenerated figure produces: one or more tables (the
 /// numbers) and optionally charts (the shape).

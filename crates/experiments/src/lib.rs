@@ -2,18 +2,20 @@
 //! "Energy Bounds for Fault-Tolerant Nanoscale Designs", DATE 2005*,
 //! plus Monte-Carlo validation experiments.
 //!
-//! One module per figure. The sweep figures (2–6) expose
-//! `generate(exec)` returning a [`FigureOutput`] (tables + ASCII
-//! charts). Figures 7-8 and the headline claims consume measured
-//! circuit profiles: run [`profiles::profile_suite`] once and pass the
-//! result to their `generate_from` functions.
+//! One module per figure. The sweep figures (2–6) are closed-form:
+//! `generate()` evaluates its fixed grid in order and returns a
+//! [`FigureOutput`] (tables + ASCII charts). Figures 7-8 and the
+//! headline claims consume measured circuit profiles: run
+//! [`profiles::profile_suite`] once and pass the result to their
+//! `generate_from` functions.
 //!
-//! Every entry point takes one [`nanobound_runner::Exec`]: the worker
-//! pool plus the optional shard cache, profile store and program cache.
-//! Sweep cells, Monte-Carlo chunk tallies and benchmark measurements
-//! are served from the stores that are present. Stored payloads
-//! round-trip bit-exactly, so output is byte-identical for every pool
-//! and every store state (the golden-CSV suite pins this end to end).
+//! Profiling and the Monte-Carlo validation take one
+//! [`nanobound_runner::Exec`]: the worker pool plus the optional shard
+//! cache, profile store and program cache. Monte-Carlo chunk tallies
+//! and benchmark measurements are served from the stores that are
+//! present. Stored payloads round-trip bit-exactly, so output is
+//! byte-identical for every pool and every store state (the golden-CSV
+//! suite pins this end to end).
 //!
 //! | Paper artifact | Module |
 //! |----------------|--------|
@@ -31,9 +33,7 @@
 //! # Examples
 //!
 //! ```
-//! use nanobound_runner::Exec;
-//!
-//! let fig2 = nanobound_experiments::fig2::generate(&Exec::default())?;
+//! let fig2 = nanobound_experiments::fig2::generate()?;
 //! println!("{}", fig2.render());
 //! # Ok::<(), nanobound_experiments::ExperimentError>(())
 //! ```

@@ -277,10 +277,41 @@ mod tests {
 
     #[test]
     fn parallel_validation_is_identical() {
-        crate::request::tests::assert_identical_across_pools_and_cache_state(
-            "validation",
-            generate,
-        );
+        // Serially without stores, on four workers over fresh stores, and
+        // on the same stores again warm: every CSV is byte-identical and
+        // the warm pass misses nothing.
+        use nanobound_cache::ProfileStore;
+
+        let csvs = |exec: &Exec<'_>| -> Vec<String> {
+            generate(exec)
+                .unwrap()
+                .iter()
+                .map(|fig| fig.tables.iter().map(Table::to_csv).collect())
+                .collect()
+        };
+
+        let dir = std::env::temp_dir().join("nanobound_determinism_validation");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ShardCache::open(&dir).unwrap();
+        let profiles = ProfileStore::open(&dir).unwrap();
+        let programs = ProgramCache::new();
+        let stocked = Exec {
+            pool: ThreadPool::new(4).unwrap(),
+            cache: Some(&cache),
+            profiles: Some(&profiles),
+            programs: Some(&programs),
+        };
+
+        let reference = csvs(&Exec::default());
+        assert!(!reference.is_empty(), "no tables");
+        assert_eq!(csvs(&stocked), reference, "cold, four workers");
+        let cold = cache.stats();
+        assert!(cold.writes > 0, "the cold pass stored nothing");
+        assert_eq!(csvs(&stocked), reference, "warm, four workers");
+        let warm = cache.stats();
+        assert_eq!(warm.misses, cold.misses, "the warm pass missed");
+        assert_eq!(warm.writes, cold.writes, "the warm pass recomputed");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

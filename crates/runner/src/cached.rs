@@ -1,12 +1,10 @@
-//! Cache addressing and the cache-aware sweep entry points.
+//! Cache addressing of Monte-Carlo shards.
 //!
 //! [`monte_carlo_fingerprint`] is the address under which
 //! [`monte_carlo`](crate::monte_carlo) and
 //! [`monte_carlo_shard_tallies`](crate::monte_carlo_shard_tallies)
-//! store chunk tallies; [`grid_map_cached`] and [`try_grid_map_cached`]
-//! are the sweep maps with per-cell results served from / written to
-//! [`Exec::cache`]. Shard results are encoded bit-exactly (integer
-//! tallies, `f64` bit patterns), so a warm-cache run is
+//! store chunk tallies in [`Exec::cache`](crate::Exec::cache). Tallies
+//! are integer counts encoded bit-exactly, so a warm-cache run is
 //! **byte-identical** to a cold run, to a run without a cache and to
 //! `--jobs 1`: the cache changes wall-clock time, never results.
 //!
@@ -22,11 +20,9 @@
 //!
 //! [`FORMAT_VERSION`]: nanobound_cache::FORMAT_VERSION
 
-use nanobound_cache::{CacheCodec, Fingerprint};
+use nanobound_cache::Fingerprint;
 use nanobound_logic::Netlist;
 use nanobound_sim::NoisyConfig;
-
-use crate::exec::Exec;
 
 // Re-exported from `nanobound-sim`, where the layered fingerprints
 // live so the compiled [`ProgramCache`] can address programs by the
@@ -56,79 +52,10 @@ pub fn monte_carlo_fingerprint(
     builder.finish()
 }
 
-/// [`grid_map`](crate::grid_map) over `exec.pool`, with per-cell
-/// results served from / written to `exec.cache` under `fingerprint`.
-///
-/// Cells are keyed by grid index, so `fingerprint` must capture the
-/// grid itself and every parameter of `f` — use
-/// [`nanobound_cache::FingerprintBuilder::push_f64s`] for the grid and push each
-/// constant explicitly. Encoded cells round-trip bit-exactly, so the
-/// result is identical to the uncached sweep for every hit/miss mix.
-pub fn grid_map_cached<X, T, F>(
-    exec: &Exec<'_>,
-    xs: &[X],
-    fingerprint: &Fingerprint,
-    f: F,
-) -> Vec<T>
-where
-    X: Sync,
-    T: CacheCodec + Send,
-    F: Fn(&X) -> T + Sync,
-{
-    let _in_flight = exec.cache.map(|cache| cache.pin(*fingerprint));
-    exec.pool.map_indexed(xs.len(), |i| {
-        let Some(cache) = exec.cache else {
-            return f(&xs[i]);
-        };
-        if let Some(value) = cache.load_value::<T>(fingerprint, i as u64) {
-            return value;
-        }
-        let value = f(&xs[i]);
-        cache.store_value(fingerprint, i as u64, &value);
-        value
-    })
-}
-
-/// [`try_grid_map`](crate::try_grid_map) with per-cell caching: only
-/// successful cells are cached; errors always recompute and keep the
-/// lowest-indexed-error contract.
-///
-/// # Errors
-///
-/// Returns the error produced at the first (by index) failing grid
-/// point, exactly like the uncached variant.
-pub fn try_grid_map_cached<X, T, E, F>(
-    exec: &Exec<'_>,
-    xs: &[X],
-    fingerprint: &Fingerprint,
-    f: F,
-) -> Result<Vec<T>, E>
-where
-    X: Sync,
-    T: CacheCodec + Send,
-    E: Send,
-    F: Fn(&X) -> Result<T, E> + Sync,
-{
-    let _in_flight = exec.cache.map(|cache| cache.pin(*fingerprint));
-    exec.pool
-        .map_indexed(xs.len(), |i| {
-            let Some(cache) = exec.cache else {
-                return f(&xs[i]);
-            };
-            if let Some(value) = cache.load_value::<T>(fingerprint, i as u64) {
-                return Ok(value);
-            }
-            let value = f(&xs[i])?;
-            cache.store_value(fingerprint, i as u64, &value);
-            Ok(value)
-        })
-        .into_iter()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Exec;
     use crate::montecarlo::monte_carlo;
     use crate::pool::ThreadPool;
     use crate::seed::shard_seed;
@@ -287,53 +214,5 @@ mod tests {
             builder.finish()
         };
         assert_eq!(fp(&a), fp(&b));
-    }
-
-    #[test]
-    fn cached_grid_map_roundtrips_and_matches_serial() {
-        let dir = scratch("grid");
-        let cache = ShardCache::open(&dir).unwrap();
-        let fp = FingerprintBuilder::new("grid-test").finish();
-        let xs: Vec<f64> = (0..57).map(|i| f64::from(i) * 0.25).collect();
-        let f = |x: &f64| vec![x.sin(), x.cos()];
-        let serial: Vec<Vec<f64>> = xs.iter().map(f).collect();
-        let exec = Exec {
-            cache: Some(&cache),
-            ..Exec::new(ThreadPool::new(4).unwrap())
-        };
-        let cold = grid_map_cached(&exec, &xs, &fp, f);
-        assert_eq!(cold, serial);
-        let warm = grid_map_cached(&exec, &xs, &fp, |_| -> Vec<f64> {
-            panic!("warm run must not recompute any cell")
-        });
-        assert_eq!(warm, serial);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn try_grid_map_cached_keeps_the_error_contract_and_skips_caching_errors() {
-        let dir = scratch("try_grid");
-        let cache = ShardCache::open(&dir).unwrap();
-        let fp = FingerprintBuilder::new("try-grid-test").finish();
-        let xs: Vec<u64> = (0..32).collect();
-        let exec = Exec {
-            cache: Some(&cache),
-            ..Exec::new(ThreadPool::new(4).unwrap())
-        };
-        let out: Result<Vec<u64>, u64> = try_grid_map_cached(&exec, &xs, &fp, |&x| {
-            if x % 10 == 3 {
-                Err(x)
-            } else {
-                Ok(x * 2)
-            }
-        });
-        assert_eq!(out.unwrap_err(), 3);
-        // Successes were cached; failures were not, and still fail warm.
-        let out2: Result<Vec<u64>, u64> = try_grid_map_cached(&exec, &xs, &fp, |&x| {
-            assert_eq!(x % 10, 3, "cached cell {x} recomputed");
-            Err(x)
-        });
-        assert_eq!(out2.unwrap_err(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -21,20 +21,34 @@ use crate::pool::ThreadPool;
 /// # Examples
 ///
 /// ```
-/// use nanobound_runner::{grid_map_cached, Exec, ThreadPool};
+/// use nanobound_cache::ShardCache;
+/// use nanobound_logic::{GateKind, Netlist};
+/// use nanobound_runner::{monte_carlo, Exec, ThreadPool};
+/// use nanobound_sim::NoisyConfig;
 ///
-/// let fp = nanobound_cache::FingerprintBuilder::new("doc").finish();
-/// let xs = [1.0, 2.0, 3.0];
-/// let serial = grid_map_cached(&Exec::default(), &xs, &fp, |x| x * x);
-/// let parallel = grid_map_cached(&Exec::new(ThreadPool::new(4)?), &xs, &fp, |x| x * x);
-/// assert_eq!(serial, parallel);
-/// # Ok::<(), nanobound_runner::RunnerError>(())
+/// let mut nl = Netlist::new("nand2");
+/// let (a, b) = (nl.add_input("a"), nl.add_input("b"));
+/// let y = nl.add_gate(GateKind::Nand, &[a, b])?;
+/// nl.add_output("y", y)?;
+/// let config = NoisyConfig::new(0.01, 7)?;
+/// let run = |exec: &Exec<'_>| monte_carlo(exec, &nl, &config, 4096, 3, 512);
+///
+/// let dir = std::env::temp_dir().join("nanobound-exec-doc");
+/// # std::fs::remove_dir_all(&dir).ok();
+/// let cache = ShardCache::open(&dir)?;
+/// let stocked = Exec { cache: Some(&cache), ..Exec::new(ThreadPool::new(4)?) };
+/// let reference = run(&Exec::default())?;
+/// assert_eq!(run(&stocked)?, reference); // cold: computes and stores 8 shards
+/// assert_eq!(run(&stocked)?, reference); // warm: replays them
+/// assert_eq!(cache.stats().hits, 8);
+/// # std::fs::remove_dir_all(&dir).ok();
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct Exec<'a> {
-    /// The workers shards, grid cells and benchmarks are spread across.
+    /// The workers shards and benchmarks are spread across.
     pub pool: ThreadPool,
-    /// Monte-Carlo chunk tallies and sweep cells.
+    /// Monte-Carlo chunk tallies.
     pub cache: Option<&'a ShardCache>,
     /// ε-independent activity and sensitivity measurements.
     pub profiles: Option<&'a ProfileStore>,

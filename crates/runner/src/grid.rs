@@ -1,48 +1,24 @@
-//! Parallel parameter-grid evaluation.
+//! Parallel evaluation of a fallible function over a point list.
 //!
-//! The parallel counterparts of [`nanobound_core::sweep::grid_map`]
-//! (re-implemented here without the `core` dependency): grid points are
-//! sharded across the pool's workers and the results returned in grid
-//! order, so the output is byte-identical to a serial left-to-right
-//! evaluation for any worker count.
+//! Points are spread across the pool's workers and the results
+//! returned in list order, so the output is byte-identical to a serial
+//! left-to-right evaluation for any worker count.
 
 use crate::pool::ThreadPool;
 
-/// Evaluates `f` over every grid point, in parallel, preserving order.
+/// Evaluates `f` over every point, in parallel, preserving order:
+/// returns the values in list order, or the error of the
+/// *lowest-indexed* failing point.
 ///
-/// Deterministic: element `i` of the result is always `f(&xs[i])`,
-/// regardless of the pool's worker count or the steal schedule — the
-/// parallel equivalent of `xs.iter().map(f).collect()`.
-///
-/// # Examples
-///
-/// ```
-/// use nanobound_runner::{grid_map, ThreadPool};
-///
-/// let xs = [1.0, 2.0, 3.0];
-/// let squares = grid_map(&ThreadPool::serial(), &xs, |x| x * x);
-/// assert_eq!(squares, vec![1.0, 4.0, 9.0]);
-/// ```
-pub fn grid_map<X, T, F>(pool: &ThreadPool, xs: &[X], f: F) -> Vec<T>
-where
-    X: Sync,
-    T: Send,
-    F: Fn(&X) -> T + Sync,
-{
-    pool.map_indexed(xs.len(), |i| f(&xs[i]))
-}
-
-/// Like [`grid_map`] for fallible point evaluators: returns the values
-/// in grid order, or the error of the *lowest-indexed* failing point.
-///
-/// Every point is evaluated (workers do not abort each other), but the
-/// reported error is chosen by grid position, not completion order, so
-/// failures are as deterministic as successes.
+/// Element `i` of the result is always `f(&xs[i])`, regardless of the
+/// pool's worker count or the steal schedule. Every point is evaluated
+/// (workers do not abort each other), but the reported error is chosen
+/// by position, not completion order, so failures are as deterministic
+/// as successes.
 ///
 /// # Errors
 ///
-/// Returns the error produced at the first (by index) failing grid
-/// point.
+/// Returns the error produced at the first (by index) failing point.
 pub fn try_grid_map<X, T, E, F>(pool: &ThreadPool, xs: &[X], f: F) -> Result<Vec<T>, E>
 where
     X: Sync,
@@ -58,17 +34,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_matches_serial_map() {
-        let xs: Vec<f64> = (0..257).map(|i| f64::from(i) * 0.125).collect();
-        let f = |x: &f64| (x.sin() * 1e6).round();
-        let serial: Vec<f64> = xs.iter().map(f).collect();
-        for jobs in [1, 2, 4, 8] {
-            let pool = ThreadPool::new(jobs).unwrap();
-            assert_eq!(grid_map(&pool, &xs, f), serial, "jobs={jobs}");
-        }
-    }
 
     #[test]
     fn try_grid_map_collects_successes() {
@@ -92,6 +57,7 @@ mod tests {
     fn empty_grid_yields_empty_vec() {
         let pool = ThreadPool::new(4).unwrap();
         let xs: [f64; 0] = [];
-        assert!(grid_map(&pool, &xs, |x| *x).is_empty());
+        let out: Result<Vec<f64>, ()> = try_grid_map(&pool, &xs, |x| Ok(*x));
+        assert!(out.unwrap().is_empty());
     }
 }

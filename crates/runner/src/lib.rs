@@ -1,9 +1,11 @@
 //! Deterministic parallel execution for the `nanobound` workspace.
 //!
-//! Every experiment in the paper — the noisy Monte-Carlo validation and
-//! the ε/δ/k sweep families behind Figures 2–8 — is embarrassingly
-//! parallel. This crate is the substrate that exploits that without
-//! giving up reproducibility:
+//! The measured experiments — the noisy Monte-Carlo validation and the
+//! benchmark profiles behind Figures 7–8 — are embarrassingly parallel.
+//! This crate is the substrate that exploits that without giving up
+//! reproducibility. (The closed-form sweeps of Figures 2–6 cost about a
+//! microsecond per point, so they run as plain in-order loops and never
+//! touch the pool.)
 //!
 //! - [`ThreadPool`] — a std-only work-stealing executor over
 //!   index-addressed task sets ([`ThreadPool::map_indexed`]);
@@ -16,11 +18,9 @@
 //! - [`monte_carlo`] — chunked trial batching for `nanobound_sim`'s
 //!   noisy Monte-Carlo, merging integer [`nanobound_sim::NoisyTally`]
 //!   counts;
-//! - [`grid_map`] / [`try_grid_map`] — parallel sweep evaluation that
-//!   shards grid points across workers and returns them in grid order,
-//!   and [`grid_map_cached`] / [`try_grid_map_cached`], the same sweeps
-//!   with cells served from `nanobound-cache`'s content-addressed shard
-//!   store, so a warm cache run stays byte-identical to a cold one;
+//! - [`try_grid_map`] — parallel evaluation of a fallible function over
+//!   a point list (benchmarks, ε grids), returned in list order with the
+//!   lowest-indexed error;
 //! - [`ShardPlan`] / [`monte_carlo_shard_tallies`] — the relocatable
 //!   shard abstraction behind `nanobound cluster` and [`monte_carlo`]:
 //!   any contiguous [`ShardRange`] of an experiment can be computed by
@@ -37,14 +37,20 @@
 //! # Examples
 //!
 //! ```
-//! use nanobound_runner::{grid_map, ThreadPool};
+//! use nanobound_logic::{GateKind, Netlist};
+//! use nanobound_runner::{monte_carlo, Exec, ThreadPool};
+//! use nanobound_sim::NoisyConfig;
 //!
-//! let pool = ThreadPool::auto();
-//! let xs = nanobound_core::sweep::linspace(0.0, 0.5, 101);
-//! let ys = grid_map(&pool, &xs, |&eps| 2.0 * eps * (1.0 - eps));
-//! assert_eq!(ys.len(), 101);
-//! // Identical to the serial sweep, element for element:
-//! assert_eq!(ys, nanobound_core::sweep::grid_map(&xs, |&eps| 2.0 * eps * (1.0 - eps)));
+//! let mut nl = Netlist::new("xor2");
+//! let (a, b) = (nl.add_input("a"), nl.add_input("b"));
+//! let y = nl.add_gate(GateKind::Xor, &[a, b])?;
+//! nl.add_output("y", y)?;
+//! let config = NoisyConfig::new(0.05, 1)?;
+//! let serial = monte_carlo(&Exec::default(), &nl, &config, 10_000, 2, 512)?;
+//! let parallel = monte_carlo(&Exec::new(ThreadPool::auto()), &nl, &config, 10_000, 2, 512)?;
+//! // Identical to the serial run, bit for bit:
+//! assert_eq!(serial, parallel);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,13 +63,10 @@ mod pool;
 mod seed;
 mod shards;
 
-pub use cached::{
-    experiment_builder, grid_map_cached, monte_carlo_fingerprint, netlist_fingerprint,
-    try_grid_map_cached,
-};
+pub use cached::{experiment_builder, monte_carlo_fingerprint, netlist_fingerprint};
 pub use error::RunnerError;
 pub use exec::Exec;
-pub use grid::{grid_map, try_grid_map};
+pub use grid::try_grid_map;
 pub use montecarlo::{monte_carlo, DEFAULT_CHUNK};
 pub use pool::{Dispatcher, ThreadPool, MAX_JOBS};
 pub use seed::shard_seed;

@@ -1,7 +1,7 @@
 //! A std-only work-stealing thread pool for index-addressed task sets.
 //!
 //! The executor runs a *known, finite* set of tasks `0..n` — Monte-Carlo
-//! chunks, sweep grid points, benchmark profiles. That closed-world
+//! chunks, benchmark profiles, per-ε bound reports. That closed-world
 //! assumption keeps the scheduler small: tasks are dealt into one deque
 //! per worker up front, each worker drains its own deque from the front
 //! and steals from the back of its neighbours' when it runs dry, and the

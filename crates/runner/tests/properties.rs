@@ -4,10 +4,8 @@
 
 use proptest::prelude::*;
 
-use nanobound_core::size::redundancy_lower_bound;
-use nanobound_core::sweep;
 use nanobound_gen::random::{random_dag, RandomDagConfig};
-use nanobound_runner::{grid_map, monte_carlo, try_grid_map, Exec, ThreadPool};
+use nanobound_runner::{monte_carlo, try_grid_map, Exec, ThreadPool};
 use nanobound_sim::NoisyConfig;
 
 /// The thread counts the issue contract names explicitly.
@@ -52,28 +50,6 @@ proptest! {
             prop_assert_eq!(
                 &out, &reference,
                 "jobs={} patterns={} chunk={}", jobs, patterns, chunk
-            );
-        }
-    }
-
-    #[test]
-    fn grid_map_is_jobs_invariant(
-        lo in 0.005f64..0.2,
-        span in 0.01f64..0.29,
-        points in 2usize..200,
-    ) {
-        // A real bound evaluation, not a toy closure: transcendental
-        // enough that any accidental reordering of the arithmetic would
-        // show up in the low bits.
-        let eps_grid = sweep::linspace(lo, lo + span, points);
-        let f = |&eps: &f64| redundancy_lower_bound(10.0, 3.0, eps, 0.01).expect("in range");
-        let reference = sweep::grid_map(&eps_grid, f);
-        for jobs in JOBS {
-            let pool = ThreadPool::new(jobs).expect("supported worker count");
-            prop_assert_eq!(
-                grid_map(&pool, &eps_grid, f),
-                reference.clone(),
-                "jobs={} points={}", jobs, points
             );
         }
     }

@@ -51,10 +51,10 @@ USAGE:
 COMMON OPTIONS:
     --jobs <N>       worker threads (1..=512)  [default: all hardware threads]
                      results are byte-identical for every N
-    --cache-dir <D>  reuse shard results (Monte-Carlo chunks, sweep cells,
-                     benchmark measurements) across runs via a
-                     content-addressed cache at D; warm output is
-                     byte-identical to cold   [default: caching off]
+    --cache-dir <D>  reuse shard results (Monte-Carlo chunks, benchmark
+                     measurements) across runs via a content-addressed
+                     cache at D; warm output is byte-identical to cold
+                     [default: caching off]
     --no-cache       run without a cache (conflicts with --cache-dir)
 
 PROFILE OPTIONS:

@@ -526,13 +526,13 @@ pub fn run_cluster(
         cvar: Condvar::new(),
     };
 
+    let store = cache.map(|c| (c, fingerprint));
     std::thread::scope(|scope| {
         for (index, addr) in options.workers.iter().enumerate() {
             let board = &board;
             let chaos = options
                 .chaos_seed
                 .map(|seed| ChaosSchedule::new(seed, index as u64));
-            let store = cache.map(|c| (c, fingerprint));
             scope.spawn(move || worker_loop(board, job, options, store, index, addr, chaos));
         }
 
@@ -558,6 +558,9 @@ pub fn run_cluster(
                 }
             };
             let Some(batch) = batch else { break };
+            // The pre-scan already looked these shards up and counted
+            // the misses, so compute without the cache and write the
+            // tallies through like a worker's.
             match monte_carlo_shard_tallies(
                 pool,
                 job.netlist,
@@ -565,10 +568,11 @@ pub fn run_cluster(
                 &plan,
                 job.pattern_seed,
                 batch,
-                cache,
+                None,
                 programs,
             ) {
                 Ok(tallies) => {
+                    write_through(store, batch, &tallies);
                     board.merge(&tallies, batch.len());
                     let mut s = board.shared.lock().expect("cluster board lock");
                     s.stats.local_shards += batch.len() as u64;
@@ -599,6 +603,21 @@ pub fn run_cluster(
         tally,
         stats: shared.stats,
     })
+}
+
+/// Stores a computed batch's tallies in the local cache under the run's
+/// experiment fingerprint, so a rerun on this coordinator is all cache
+/// hits.
+fn write_through(
+    store: Option<(&ShardCache, Fingerprint)>,
+    batch: ShardRange,
+    tallies: &[NoisyTally],
+) {
+    if let Some((cache, fingerprint)) = store {
+        for (offset, tally) in tallies.iter().enumerate() {
+            cache.store_value(&fingerprint, (batch.first + offset) as u64, tally);
+        }
+    }
 }
 
 /// One worker's service loop: pull a batch, attempt it (optionally
@@ -640,13 +659,8 @@ fn worker_loop(
             .map_or(Fault::None, ChaosSchedule::next_fault);
         match attempt_batch(job, options, addr, batch, fault) {
             Ok(tallies) => {
-                // Admitted exactly like cache hits; write-through so a
-                // rerun on this coordinator is all cache hits.
-                if let Some((cache, fingerprint)) = store {
-                    for (offset, tally) in tallies.iter().enumerate() {
-                        cache.store_value(&fingerprint, (batch.first + offset) as u64, tally);
-                    }
-                }
+                // Admitted exactly like cache hits.
+                write_through(store, batch, &tallies);
                 board.merge(&tallies, batch.len());
                 let mut s = board.shared.lock().expect("cluster board lock");
                 s.stats.workers[index].shards += batch.len() as u64;
@@ -1067,5 +1081,35 @@ mod tests {
             merged.merge(tally);
         }
         assert_eq!(run.tally, merged);
+    }
+
+    #[test]
+    fn zero_worker_run_counts_each_cache_miss_once() {
+        let dir = std::env::temp_dir().join("nanobound_cluster_local_cache_traffic");
+        let _ = std::fs::remove_dir_all(&dir);
+        let design = bench::parse(NETLIST).unwrap();
+        let job = ClusterJob {
+            netlist: &design.netlist,
+            netlist_text: NETLIST,
+            blif: false,
+            config: NoisyConfig::new(0.05, 11).unwrap(),
+            pattern_seed: 3,
+            plan: ShardPlan::new(512, 128).unwrap(),
+            batch: 2,
+        };
+        // One cache handle per run, as one process per CLI invocation.
+        let traffic = || {
+            let cache = ShardCache::open(&dir).unwrap();
+            let pool = ThreadPool::serial();
+            let run = run_cluster(&pool, Some(&cache), None, &job, &ClusterOptions::default());
+            let s = cache.stats();
+            (run.unwrap().tally, (s.hits, s.misses, s.writes))
+        };
+        let (cold, cold_traffic) = traffic();
+        assert_eq!(cold_traffic, (0, 4, 4), "cold: (hits, misses, writes)");
+        let (warm, warm_traffic) = traffic();
+        assert_eq!(warm_traffic, (4, 0, 0), "warm: (hits, misses, writes)");
+        assert_eq!(warm, cold);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -443,7 +443,9 @@ impl Engine {
         self.figure_with(id, &self.pool)
     }
 
-    /// [`Engine::figure`] under a caller-supplied worker budget.
+    /// [`Engine::figure`] under a caller-supplied worker budget, which
+    /// only the profile-backed figures use (to profile the suite); the
+    /// closed-form sweeps run inline.
     ///
     /// # Errors
     ///
@@ -456,7 +458,7 @@ impl Engine {
                 None
             };
             let profiles: &[ProfiledBenchmark] = suite.as_ref().map_or(&[], |s| s.as_slice());
-            generate_figure(id, &self.exec(pool), profiles).map_err(|e| e.to_string())
+            generate_figure(id, profiles).map_err(|e| e.to_string())
         })?;
         Ok((*figure).clone())
     }

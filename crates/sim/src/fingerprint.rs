@@ -16,10 +16,10 @@
 //! 2. **Experiment** — [`experiment_builder`]: a domain-tagged builder
 //!    pre-seeded with the netlist layer, onto which callers push the
 //!    parameters their result depends on (ε, seeds, pattern counts…).
-//!    Keys Monte-Carlo shard tallies, sweep cells and profile
-//!    measurements. Parameters a result provably does *not* depend on
-//!    stay out of its key — that is what lets an ε-grid `profile`
-//!    sweep reuse one ε-independent activity profile across the grid.
+//!    Keys Monte-Carlo shard tallies and profile measurements.
+//!    Parameters a result provably does *not* depend on stay out of its
+//!    key — that is what lets an ε-grid `profile` sweep reuse one
+//!    ε-independent activity profile across the grid.
 //!
 //! The per-output cone hash ([`nanobound_logic::cone_hash`]) is not a
 //! layer of this stack: no key folds it.

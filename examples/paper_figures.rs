@@ -34,16 +34,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = Path::new("results");
     fs::create_dir_all(dir)?;
 
+    // Closed-form figures.
+    save(dir, &fig2::generate()?)?;
+    save(dir, &fig3::generate()?)?;
+    save(dir, &fig4::generate()?)?;
+    save(dir, &fig5::generate()?)?;
+    save(dir, &fig6::generate()?)?;
+
     // Serial, no stores. `Exec::new(ThreadPool::auto())` spreads the
     // work over every hardware thread and writes the same bytes.
     let exec = Exec::default();
-
-    // Closed-form figures.
-    save(dir, &fig2::generate(&exec)?)?;
-    save(dir, &fig3::generate(&exec)?)?;
-    save(dir, &fig4::generate(&exec)?)?;
-    save(dir, &fig5::generate(&exec)?)?;
-    save(dir, &fig6::generate(&exec)?)?;
 
     // Benchmark-driven figures share one profiling pass.
     let profiles = profile_suite(&exec, &ProfileConfig::default())?;

@@ -24,8 +24,9 @@
 //!   multiplexing);
 //! - [`report`] — tables, CSV/Markdown emitters, ASCII charts;
 //! - [`runner`] — deterministic parallel execution (work-stealing pool,
-//!   the `Exec` context every entry point takes, sharded Monte-Carlo,
-//!   parallel grid sweeps; `--jobs N` is byte-identical to `--jobs 1`);
+//!   the `Exec` context every simulating entry point takes, sharded
+//!   Monte-Carlo, ordered parallel maps; `--jobs N` is byte-identical
+//!   to `--jobs 1`);
 //! - [`experiments`] — regeneration of every figure and headline claim of
 //!   the paper;
 //! - [`service`] — the long-running batch service: job engine over one

@@ -165,11 +165,18 @@ fn warm_cache_figures_are_byte_identical_to_cold_and_uncached() {
         "missing cache summary: {cold_out}"
     );
 
+    // The sweeps never touch the shard cache; what the warm run reuses
+    // is the suite's profile measurements behind fig7, fig8 and headline.
     let (ok, warm_out, err) = run(&["figures", "--out", &dir("warm"), "--cache-dir", &cache]);
     assert!(ok, "warm run failed: {err}");
+    let profiles = warm_out
+        .lines()
+        .find(|line| line.starts_with("cache profiles: "))
+        .unwrap_or_else(|| panic!("missing profile summary: {warm_out}"));
     assert!(
-        warm_out.contains("0 misses"),
-        "warm run missed entries: {warm_out}"
+        profiles.contains("activity reused (0 measured)")
+            && profiles.contains("sensitivity reused (0 measured)"),
+        "warm run re-measured profiles: {warm_out}"
     );
 
     let (ok, plain_out, err) = run(&["figures", "--out", &dir("plain"), "--no-cache"]);
@@ -183,6 +190,34 @@ fn warm_cache_figures_are_byte_identical_to_cold_and_uncached() {
     assert!(cold.len() >= 8, "figure set incomplete: {}", cold.len());
     assert_eq!(cold, read_csvs(&base.join("warm")), "warm != cold");
     assert_eq!(cold, read_csvs(&base.join("plain")), "--no-cache != cold");
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn sweep_figures_leave_the_shard_cache_untouched() {
+    let base = std::env::temp_dir().join("nanobound_cli_sweep_cache");
+    let _ = std::fs::remove_dir_all(&base);
+    let (out_dir, cache) = (base.join("out"), base.join("cache"));
+    let mut args = vec!["figures"];
+    for id in ["fig2", "fig3", "fig4", "fig5", "fig6"] {
+        args.extend(["--only", id]);
+    }
+    args.extend(["--out", out_dir.to_str().unwrap()]);
+    args.extend(["--cache-dir", cache.to_str().unwrap()]);
+    let (ok, out, err) = run(&args);
+    assert!(ok, "stderr: {err}");
+    assert!(
+        out.contains(&format!(
+            "cache {}: 0 hits, 0 misses, 0 entries written\n",
+            cache.display()
+        )),
+        "out: {out}"
+    );
+    let fingerprint_dirs = std::fs::read_dir(&cache)
+        .unwrap()
+        .filter(|entry| entry.as_ref().unwrap().file_type().unwrap().is_dir())
+        .count();
+    assert_eq!(fingerprint_dirs, 0, "sweep cells were cached");
     std::fs::remove_dir_all(&base).unwrap();
 }
 

@@ -4,41 +4,40 @@
 use nanobound::experiments::{fig2, fig3, fig4, fig5, fig6};
 use nanobound::gen::{adder, iscas};
 use nanobound::io::{bench, blif, Design};
-use nanobound::runner::Exec;
 use nanobound::sim::equivalence;
 
 #[test]
 fn closed_form_figures_are_deterministic() {
     // Closed-form figures carry no randomness at all: regenerating must
     // reproduce the exact CSV bytes.
-    let once = fig3::generate(&Exec::default()).unwrap().tables[0].to_csv();
-    let twice = fig3::generate(&Exec::default()).unwrap().tables[0].to_csv();
+    let once = fig3::generate().unwrap().tables[0].to_csv();
+    let twice = fig3::generate().unwrap().tables[0].to_csv();
     assert_eq!(once, twice);
 }
 
 #[test]
 fn figure_tables_have_expected_shapes() {
-    let f2 = fig2::generate(&Exec::default()).unwrap();
+    let f2 = fig2::generate().unwrap();
     assert_eq!(f2.tables[0].columns().len(), 7); // sw + 6 epsilons
-    let f3 = fig3::generate(&Exec::default()).unwrap();
+    let f3 = fig3::generate().unwrap();
     assert_eq!(f3.tables[0].columns().len(), 4); // eps + 3 fanins
-    let f4 = fig4::generate(&Exec::default()).unwrap();
+    let f4 = fig4::generate().unwrap();
     assert_eq!(f4.tables[0].columns().len(), 6); // eps + 5 activities
-    let f5 = fig5::generate(&Exec::default()).unwrap();
+    let f5 = fig5::generate().unwrap();
     assert_eq!(f5.tables[0].columns().len(), 7); // eps + 3 delay + 3 edp
     assert_eq!(f5.charts.len(), 2);
-    let f6 = fig6::generate(&Exec::default()).unwrap();
+    let f6 = fig6::generate().unwrap();
     assert_eq!(f6.tables[0].columns().len(), 4);
 }
 
 #[test]
 fn figures_render_without_panics() {
     for fig in [
-        fig2::generate(&Exec::default()).unwrap(),
-        fig3::generate(&Exec::default()).unwrap(),
-        fig4::generate(&Exec::default()).unwrap(),
-        fig5::generate(&Exec::default()).unwrap(),
-        fig6::generate(&Exec::default()).unwrap(),
+        fig2::generate().unwrap(),
+        fig3::generate().unwrap(),
+        fig4::generate().unwrap(),
+        fig5::generate().unwrap(),
+        fig6::generate().unwrap(),
     ] {
         let rendered = fig.render();
         assert!(rendered.contains(fig.id));

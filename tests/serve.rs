@@ -194,15 +194,18 @@ fn serve_responses_equal_one_shot_cli_output_byte_for_byte() {
 fn cold_warm_cache_and_worker_count_leave_the_stream_identical() {
     let (dir, netlist) = scratch_netlist("warm");
     let cache = dir.join("cache").to_str().unwrap().to_owned();
+    let profile = format!(
+        "{{\"id\":\"2\",\"workload\":\"profile\",\"args\":[{}]}}\n",
+        json_args(&[netlist.as_str(), "--eps", "0.01", "--patterns", "2000"]),
+    );
     // Mixed-order script touching every deterministic workload,
     // including a replay of an earlier request.
     let script = format!(
         "{{\"id\":\"1\",\"workload\":\"figure\",\"args\":[\"fig4\"]}}\n\
-         {{\"id\":\"2\",\"workload\":\"profile\",\"args\":[{}]}}\n\
+         {profile}\
          {{\"id\":\"3\",\"workload\":\"bound\",\"args\":[{}]}}\n\
          {{\"id\":\"4\",\"workload\":\"figure\",\"args\":[\"fig2\"]}}\n\
          {{\"id\":\"5\",\"workload\":\"figure\",\"args\":[\"fig4\"]}}\n",
-        json_args(&[netlist.as_str(), "--eps", "0.01", "--patterns", "2000"]),
         json_args(&BOUND_ARGS),
     );
     let (_, cold_stream) = serve_session(&["--cache-dir", &cache, "--jobs", "1"], &script);
@@ -218,15 +221,18 @@ fn cold_warm_cache_and_worker_count_leave_the_stream_identical() {
     );
 
     // The warm run above must actually have been served from the
-    // cache: a fresh session over the same store reports zero misses
-    // for a replayed figure.
-    let stats_script = "{\"id\":\"f\",\"workload\":\"figure\",\"args\":[\"fig4\"]}\n\
-                        {\"id\":\"s\",\"workload\":\"stats\"}\n";
-    let (responses, _) = serve_session(&["--cache-dir", &cache], stats_script);
+    // cache: a fresh session over the same store measures nothing for a
+    // replayed profile.
+    let stats_script = format!("{profile}{{\"id\":\"s\",\"workload\":\"stats\"}}\n");
+    let (responses, _) = serve_session(&["--cache-dir", &cache], &stats_script);
     let stats = String::from_utf8(responses[1].2.clone()).unwrap();
+    let profiles = stats
+        .lines()
+        .find(|line| line.starts_with("cache profiles: "))
+        .unwrap_or_else(|| panic!("no profile line in stats: {stats}"));
     assert!(
-        stats.contains(" 0 misses"),
-        "warm figure request missed the cache: {stats}"
+        profiles.ends_with("1 activity reused (0 measured), 1 sensitivity reused (0 measured)"),
+        "warm profile request re-measured: {stats}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
