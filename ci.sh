@@ -79,6 +79,11 @@
 #      fails; and a ~2.6 MB, 10^5-gate netlist must cross the wire to
 #      two workers inside a 5 s --io-timeout with no retry and no
 #      local shard, which an ingest path slower than linear cannot do
+#  15. the ingest gate: a generated 50,000-gate netlist whose every
+#      gate is its own output must `lint` and `profile --patterns 64`
+#      inside a 5 s timeout each — a complexity gate, not a timing
+#      assertion: any parse, optimize or lint step quadratic in the
+#      output count takes tens of seconds here
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -432,5 +437,20 @@ if [ -z "$CHAOS_RETRIES" ] || [ "$CHAOS_RETRIES" -lt 1 ]; then
   exit 1
 fi
 kill "$W1" "$W2" "$W3" 2>/dev/null || true
+
+echo "==> ingest gate: lint and profile a 50,000-output netlist, 5 s each"
+# Eight XOR/NAND chains over eight inputs, 50,000 gates, each gate its
+# own output. Linear ingest takes well under a second for each command;
+# before outputs were indexed by name, this file took 6 s to lint and
+# 46 s to profile on a 2-vCPU x86-64 host.
+awk 'BEGIN {
+  for (i = 0; i < 8; i++) printf "INPUT(x%d)\n", i
+  for (i = 0; i < 50000; i++) printf "OUTPUT(y%06d)\n", i
+  for (i = 0; i < 50000; i++)
+    printf "y%06d = %s(x%d, %s)\n", i, (i % 2 ? "NAND" : "XOR"), i % 8,
+      (i < 8 ? "x" ((i + 1) % 8) : sprintf("y%06d", i - 8))
+}' > "$detdir/wide.bench"
+timeout 5 target/release/nanobound lint "$detdir/wide.bench" >/dev/null
+timeout 5 target/release/nanobound profile "$detdir/wide.bench" --patterns 64 >/dev/null
 
 echo "CI green."

@@ -12,7 +12,7 @@
 //! id-ordered netlist.
 
 use nanobound_io::Design;
-use nanobound_logic::{topo, GateKind, LogicError, Netlist, NodeId};
+use nanobound_logic::{topo, GateKind, LogicError, Netlist, Node, NodeId};
 use nanobound_sim::SimProgram;
 
 use crate::diag::{Report, Severity, MAX_SPAN_NODES};
@@ -128,10 +128,17 @@ fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -
     }
 
     let fanouts = topo::fanout_counts(netlist);
-    let mut drives_output = vec![false; netlist.node_count()];
-    for out in netlist.outputs() {
-        drives_output[out.driver.index()] = true;
+    // The first output each node drives, so naming a signal costs O(1)
+    // (`Netlist::signal_name` scans every output).
+    let mut first_output: Vec<Option<usize>> = vec![None; netlist.node_count()];
+    for (i, out) in netlist.outputs().iter().enumerate().rev() {
+        first_output[out.driver.index()] = Some(i);
     }
+    let signal_name = |id: NodeId| match (netlist.node(id), first_output[id.index()]) {
+        (Node::Input { name }, _) => name.clone(),
+        (_, Some(i)) => netlist.outputs()[i].name.clone(),
+        (_, None) => format!("{id}"),
+    };
 
     // NB003
     if netlist.output_count() == 0 {
@@ -146,13 +153,13 @@ fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -
 
     // NB004 — one finding per dangling input keeps per-node lines.
     for &id in netlist.inputs() {
-        if fanouts[id.index()] == 0 && !drives_output[id.index()] {
+        if fanouts[id.index()] == 0 && first_output[id.index()].is_none() {
             report.push(
                 codes::UNUSED_INPUT,
                 Severity::Warning,
                 format!(
                     "primary input `{}` drives no gate and no output",
-                    netlist.signal_name(id)
+                    signal_name(id)
                 ),
                 vec![id.index()],
                 line_of(source_lines, id.index()),
@@ -201,8 +208,8 @@ fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -
                 format!(
                     "{} gate `{}` lists fanin `{}` more than once",
                     kind.name(),
-                    netlist.signal_name(id),
-                    netlist.signal_name(dup)
+                    signal_name(id),
+                    signal_name(dup)
                 ),
                 vec![id.index(), dup.index()],
                 line_of(source_lines, id.index()),
@@ -222,8 +229,8 @@ fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -
                     format!(
                         "{} gate `{}` has constant fanin `{}` and can be folded",
                         kind.name(),
-                        netlist.signal_name(id),
-                        netlist.signal_name(c)
+                        signal_name(id),
+                        signal_name(c)
                     ),
                     vec![id.index(), c.index()],
                     line_of(source_lines, id.index()),
@@ -232,17 +239,18 @@ fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -
         }
     }
 
-    // NB008 — outputs sharing a driver, reported once per driver.
-    for (i, out) in netlist.outputs().iter().enumerate() {
-        let shared: Vec<&str> = netlist.outputs()[i + 1..]
-            .iter()
-            .filter(|o| o.driver == out.driver)
-            .map(|o| o.name.as_str())
-            .collect();
-        let first_report = !netlist.outputs()[..i]
-            .iter()
-            .any(|o| o.driver == out.driver);
-        if !shared.is_empty() && first_report {
+    // NB008 — outputs sharing a driver, reported once per driver at its
+    // first output, naming the others in declaration order.
+    let outputs = netlist.outputs();
+    let mut shared: Vec<Vec<&str>> = vec![Vec::new(); outputs.len()];
+    for (i, out) in outputs.iter().enumerate() {
+        let first = first_output[out.driver.index()].expect("every driver has a first output");
+        if first != i {
+            shared[first].push(&out.name);
+        }
+    }
+    for (out, shared) in outputs.iter().zip(&shared) {
+        if !shared.is_empty() {
             report.push(
                 codes::SHARED_DRIVER,
                 Severity::Warning,
@@ -250,7 +258,7 @@ fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -
                     "outputs `{}` and `{}` share driver `{}`",
                     out.name,
                     shared.join("`, `"),
-                    netlist.signal_name(out.driver)
+                    signal_name(out.driver)
                 ),
                 vec![out.driver.index()],
                 line_of(source_lines, out.driver.index()),

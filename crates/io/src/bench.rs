@@ -16,6 +16,7 @@
 //! this workspace round-trip.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use nanobound_logic::{GateKind, Netlist, Node, NodeId};
 
@@ -26,8 +27,58 @@ use crate::{Design, Latch};
 /// One parsed `name = KIND(args)` statement.
 struct GateDef {
     kind: GateKind,
-    args: Vec<String>,
+    /// The argument symbols, as a range of [`Symbols::args`].
+    args: Range<usize>,
     line: usize,
+}
+
+/// Every distinct signal name of a file, interned once as an index; all
+/// later bookkeeping is indexed by it, so no name is hashed twice.
+struct Symbols<'t> {
+    index: HashMap<&'t str, usize>,
+    names: Vec<&'t str>,
+    state: Vec<Symbol>,
+    defs: Vec<GateDef>,
+    /// Argument symbols of every gate definition, back to back.
+    args: Vec<usize>,
+}
+
+/// What is known about one signal name.
+#[derive(Clone, Copy, Default)]
+struct Symbol {
+    /// Its gate definition in [`Symbols::defs`].
+    def: Option<usize>,
+    /// Its node, once materialized.
+    node: Option<NodeId>,
+    /// Expanded but not finished: on the current resolution path.
+    expanded: bool,
+}
+
+impl<'t> Symbols<'t> {
+    /// An empty table whose index has room for `names` names.
+    fn with_capacity(names: usize) -> Self {
+        Symbols {
+            index: HashMap::with_capacity(names),
+            names: Vec::new(),
+            state: Vec::new(),
+            defs: Vec::new(),
+            args: Vec::new(),
+        }
+    }
+
+    fn intern(&mut self, name: &'t str) -> usize {
+        let next = self.names.len();
+        let sym = *self.index.entry(name).or_insert(next);
+        if sym == next {
+            self.names.push(name);
+            self.state.push(Symbol::default());
+        }
+        sym
+    }
+
+    fn name(&self, sym: usize) -> String {
+        self.names[sym].to_owned()
+    }
 }
 
 /// Parses `.bench` text into a [`Design`].
@@ -50,10 +101,13 @@ struct GateDef {
 /// # Ok::<(), nanobound_io::ParseError>(())
 /// ```
 pub fn parse(text: &str) -> Result<Design, ParseError> {
-    let mut inputs: Vec<(String, usize)> = Vec::new();
-    let mut outputs: Vec<(String, usize)> = Vec::new();
-    let mut defs: HashMap<String, GateDef> = HashMap::new();
-    let mut latches: Vec<(Latch, usize)> = Vec::new();
+    // A netlist line is rarely shorter than 16 bytes and names about one
+    // new signal; sizing the index up front saves rehashing it as it grows.
+    let mut syms = Symbols::with_capacity(text.len() / 16);
+    let mut inputs: Vec<(usize, usize)> = Vec::new();
+    let mut outputs: Vec<(usize, usize)> = Vec::new();
+    // (data input, latch output, line) per DFF.
+    let mut latches: Vec<(usize, usize, usize)> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -61,20 +115,29 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
         if line.is_empty() {
             continue;
         }
+        let syntax = || ParseError::at(line_no, ParseErrorKind::Syntax(line.to_owned()));
         if let Some(name) = parse_decl(line, "INPUT") {
-            inputs.push((name.to_owned(), line_no));
+            inputs.push((syms.intern(name), line_no));
         } else if let Some(name) = parse_decl(line, "OUTPUT") {
-            outputs.push((name.to_owned(), line_no));
+            outputs.push((syms.intern(name), line_no));
         } else if let Some((lhs, rhs)) = line.split_once('=') {
             let lhs = lhs.trim();
             if lhs.is_empty() {
-                return Err(ParseError::at(
-                    line_no,
-                    ParseErrorKind::Syntax(line.to_owned()),
-                ));
+                return Err(syntax());
             }
-            let (kind_name, args) = parse_call(rhs.trim())
-                .ok_or_else(|| ParseError::at(line_no, ParseErrorKind::Syntax(line.to_owned())))?;
+            let (kind_name, inner) = parse_call(rhs.trim()).ok_or_else(syntax)?;
+            let start = syms.args.len();
+            if !inner.is_empty() {
+                for arg in inner.split(',') {
+                    let arg = arg.trim();
+                    if arg.is_empty() {
+                        return Err(syntax());
+                    }
+                    let sym = syms.intern(arg);
+                    syms.args.push(sym);
+                }
+            }
+            let args = start..syms.args.len();
             if kind_name.eq_ignore_ascii_case("DFF") {
                 if args.len() != 1 {
                     return Err(ParseError::at(
@@ -85,205 +148,207 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
                         )),
                     ));
                 }
-                latches.push((
-                    Latch {
-                        input: args[0].clone(),
-                        output: lhs.to_owned(),
-                    },
-                    line_no,
-                ));
+                latches.push((syms.args[start], syms.intern(lhs), line_no));
+                syms.args.truncate(start);
                 continue;
             }
-            let kind: GateKind = kind_name.parse().map_err(|_| {
-                ParseError::at(line_no, ParseErrorKind::UnknownGate(kind_name.clone()))
+            let kind = GateKind::from_name(kind_name).ok_or_else(|| {
+                ParseError::at(line_no, ParseErrorKind::UnknownGate(kind_name.to_owned()))
             })?;
-            let def = GateDef {
-                kind,
-                args,
-                line: line_no,
-            };
-            if defs.insert(lhs.to_owned(), def).is_some() {
+            let sym = syms.intern(lhs);
+            if syms.state[sym].def.is_some() {
                 return Err(ParseError::at(
                     line_no,
                     ParseErrorKind::DuplicateDefinition(lhs.to_owned()),
                 ));
             }
+            syms.state[sym].def = Some(syms.defs.len());
+            syms.defs.push(GateDef {
+                kind,
+                args,
+                line: line_no,
+            });
         } else {
-            return Err(ParseError::at(
-                line_no,
-                ParseErrorKind::Syntax(line.to_owned()),
-            ));
+            return Err(syntax());
         }
     }
 
-    let mut netlist = Netlist::new("bench");
-    // Per-node source lines, pushed in lockstep with node creation.
-    let mut lines: Vec<usize> = Vec::new();
-    let mut ids: HashMap<String, NodeId> = HashMap::new();
-    for (name, line) in &inputs {
-        if ids.contains_key(name) {
-            return Err(ParseError::at(
-                *line,
-                ParseErrorKind::DuplicateDefinition(name.clone()),
-            ));
-        }
-        if defs.contains_key(name) {
-            return Err(ParseError::at(
-                *line,
-                ParseErrorKind::DuplicateDefinition(name.clone()),
-            ));
-        }
-        ids.insert(name.clone(), netlist.add_input(name.clone()));
-        lines.push(*line);
+    let mut build = Build {
+        syms,
+        netlist: Netlist::new("bench"),
+        lines: Vec::new(),
+        stack: Vec::new(),
+        fanins: Vec::new(),
+    };
+    for &(sym, line) in &inputs {
+        build.declare_input(sym, line)?;
     }
-    for (latch, line) in &latches {
-        if ids.contains_key(&latch.output) || defs.contains_key(&latch.output) {
-            return Err(ParseError::at(
-                *line,
-                ParseErrorKind::DuplicateDefinition(latch.output.clone()),
-            ));
-        }
-        ids.insert(
-            latch.output.clone(),
-            netlist.add_input(latch.output.clone()),
-        );
-        lines.push(*line);
+    for &(_, output, line) in &latches {
+        build.declare_input(output, line)?;
     }
 
-    // Topological resolution with an explicit stack (bench files can be huge
-    // and arbitrarily ordered).
-    let mut resolving: Vec<&str> = Vec::new();
-    let mut in_progress: HashMap<&str, bool> = HashMap::new();
-    for (name, _) in &outputs {
-        resolve(
-            name,
-            &defs,
-            &mut ids,
-            &mut netlist,
-            &mut lines,
-            &mut resolving,
-            &mut in_progress,
-        )?;
+    for &(sym, _) in &outputs {
+        build.resolve(sym)?;
     }
-    for (latch, _) in &latches {
-        resolve(
-            &latch.input,
-            &defs,
-            &mut ids,
-            &mut netlist,
-            &mut lines,
-            &mut resolving,
-            &mut in_progress,
-        )?;
+    for &(input, _, _) in &latches {
+        build.resolve(input)?;
     }
-    // Also materialize defined-but-dead gates so statistics see the whole
-    // file; the optimizer can sweep them later if desired.
-    let mut def_names: Vec<&String> = defs.keys().collect();
-    def_names.sort();
-    for name in def_names {
-        resolve(
-            name,
-            &defs,
-            &mut ids,
-            &mut netlist,
-            &mut lines,
-            &mut resolving,
-            &mut in_progress,
-        )?;
+    // Also materialize defined-but-dead gates, in name order, so
+    // statistics see the whole file; the optimizer can sweep them later
+    // if desired.
+    let syms = &build.syms;
+    let mut dead: Vec<usize> = (0..syms.names.len())
+        .filter(|&sym| syms.state[sym].def.is_some() && syms.state[sym].node.is_none())
+        .collect();
+    dead.sort_unstable_by_key(|&sym| syms.names[sym]);
+    for sym in dead {
+        build.resolve(sym)?;
     }
 
-    for (name, line) in &outputs {
-        let id = *ids
-            .get(name)
-            .ok_or_else(|| ParseError::at(*line, ParseErrorKind::UnknownSignal(name.clone())))?;
+    let Build {
+        syms,
+        mut netlist,
+        lines,
+        ..
+    } = build;
+    for &(sym, line) in &outputs {
+        let id = syms.state[sym]
+            .node
+            .ok_or_else(|| ParseError::at(line, ParseErrorKind::UnknownSignal(syms.name(sym))))?;
         netlist
-            .add_output(name.clone(), id)
-            .map_err(|e| ParseError::at(*line, ParseErrorKind::Logic(e)))?;
+            .add_output(syms.name(sym), id)
+            .map_err(|e| ParseError::at(line, ParseErrorKind::Logic(e)))?;
     }
-    for (latch, line) in &latches {
-        let id = *ids.get(&latch.input).ok_or_else(|| {
-            ParseError::at(*line, ParseErrorKind::UnknownSignal(latch.input.clone()))
-        })?;
+    for &(input, output, line) in &latches {
+        let id = syms.state[input]
+            .node
+            .ok_or_else(|| ParseError::at(line, ParseErrorKind::UnknownSignal(syms.name(input))))?;
         netlist
-            .add_output(format!("{}$next", latch.output), id)
-            .map_err(|e| ParseError::at(*line, ParseErrorKind::Logic(e)))?;
+            .add_output(format!("{}$next", syms.names[output]), id)
+            .map_err(|e| ParseError::at(line, ParseErrorKind::Logic(e)))?;
     }
 
     Ok(Design {
         netlist,
-        latches: latches.into_iter().map(|(l, _)| l).collect(),
+        latches: latches
+            .iter()
+            .map(|&(input, output, _)| Latch {
+                input: syms.name(input),
+                output: syms.name(output),
+            })
+            .collect(),
         source_lines: lines,
     })
 }
 
-/// Resolves one signal name to a node id, recursively materializing its
-/// fanin cone (iteratively, via an explicit work list).
-fn resolve<'a>(
-    name: &'a str,
-    defs: &'a HashMap<String, GateDef>,
-    ids: &mut HashMap<String, NodeId>,
-    netlist: &mut Netlist,
-    lines: &mut Vec<usize>,
-    stack: &mut Vec<&'a str>,
-    in_progress: &mut HashMap<&'a str, bool>,
-) -> Result<NodeId, ParseError> {
-    if let Some(&id) = ids.get(name) {
-        return Ok(id);
-    }
-    stack.push(name);
-    while let Some(&current) = stack.last() {
-        if ids.contains_key(current) {
-            stack.pop();
-            continue;
-        }
-        let def = defs
-            .get(current)
-            .ok_or_else(|| ParseError::at(0, ParseErrorKind::UnknownSignal(current.to_owned())))?;
-        // `in_progress == true` marks nodes that have been *expanded* (their
-        // fanins pushed) but not yet finished — exactly the current DFS
-        // path. Meeting one of those as a fanin is a genuine cycle; a
-        // pending sibling that was merely pushed is still unmarked.
-        let expanded = in_progress.get(current).copied().unwrap_or(false);
-        if !expanded {
-            in_progress.insert(current, true);
-            let mut ready = true;
-            for arg in &def.args {
-                if !ids.contains_key(arg.as_str()) {
-                    if in_progress.get(arg.as_str()).copied().unwrap_or(false) {
-                        return Err(ParseError::at(
-                            def.line,
-                            ParseErrorKind::CombinationalCycle(arg.clone()),
-                        ));
-                    }
-                    if !defs.contains_key(arg) {
-                        return Err(ParseError::at(
-                            def.line,
-                            ParseErrorKind::UnknownSignal(arg.clone()),
-                        ));
-                    }
-                    stack.push(arg.as_str());
-                    ready = false;
-                }
-            }
-            if !ready {
-                continue;
-            }
-        } else if let Some(arg) = def.args.iter().find(|a| !ids.contains_key(a.as_str())) {
+/// The netlist under construction from interned statements.
+struct Build<'t> {
+    syms: Symbols<'t>,
+    netlist: Netlist,
+    /// Per-node source lines, pushed in lockstep with node creation.
+    lines: Vec<usize>,
+    /// The resolution work list.
+    stack: Vec<usize>,
+    /// Reused fanin buffer.
+    fanins: Vec<NodeId>,
+}
+
+impl Build<'_> {
+    /// Adds a primary (or latch pseudo-) input named by `sym`.
+    fn declare_input(&mut self, sym: usize, line: usize) -> Result<(), ParseError> {
+        let state = self.syms.state[sym];
+        if state.node.is_some() || state.def.is_some() {
             return Err(ParseError::at(
-                def.line,
-                ParseErrorKind::CombinationalCycle(arg.clone()),
+                line,
+                ParseErrorKind::DuplicateDefinition(self.syms.name(sym)),
             ));
         }
-        let fanins: Vec<NodeId> = def.args.iter().map(|a| ids[a.as_str()]).collect();
-        let id = netlist
-            .add_gate(def.kind, &fanins)
-            .map_err(|e| ParseError::at(def.line, ParseErrorKind::Logic(e)))?;
-        lines.push(def.line);
-        ids.insert(current.to_owned(), id);
-        in_progress.insert(current, false);
-        stack.pop();
+        self.syms.state[sym].node = Some(self.netlist.add_input(self.syms.name(sym)));
+        self.lines.push(line);
+        Ok(())
     }
-    Ok(ids[name])
+
+    /// Materializes signal `root` and its fanin cone (iteratively, via an
+    /// explicit work list: bench files can be huge and arbitrarily
+    /// ordered).
+    fn resolve(&mut self, root: usize) -> Result<(), ParseError> {
+        let Symbols {
+            names,
+            state,
+            defs,
+            args,
+            ..
+        } = &mut self.syms;
+        let name = |sym: usize| names[sym].to_owned();
+        if state[root].node.is_some() {
+            return Ok(());
+        }
+        self.stack.push(root);
+        while let Some(&current) = self.stack.last() {
+            if state[current].node.is_some() {
+                self.stack.pop();
+                continue;
+            }
+            let Some(def) = state[current].def.map(|def| &defs[def]) else {
+                return Err(ParseError::at(
+                    0,
+                    ParseErrorKind::UnknownSignal(name(current)),
+                ));
+            };
+            let args = &args[def.args.clone()];
+            // `expanded` marks nodes whose fanins have been pushed but that
+            // are not yet finished — exactly the current DFS path. Meeting
+            // one of those as a fanin is a genuine cycle; a pending sibling
+            // that was merely pushed is still unmarked.
+            if !state[current].expanded {
+                state[current].expanded = true;
+                let mut ready = true;
+                for &arg in args {
+                    if state[arg].node.is_none() {
+                        if state[arg].expanded {
+                            return Err(ParseError::at(
+                                def.line,
+                                ParseErrorKind::CombinationalCycle(name(arg)),
+                            ));
+                        }
+                        if state[arg].def.is_none() {
+                            return Err(ParseError::at(
+                                def.line,
+                                ParseErrorKind::UnknownSignal(name(arg)),
+                            ));
+                        }
+                        self.stack.push(arg);
+                        ready = false;
+                    }
+                }
+                if !ready {
+                    continue;
+                }
+            } else if let Some(&arg) = args.iter().find(|&&a| state[a].node.is_none()) {
+                return Err(ParseError::at(
+                    def.line,
+                    ParseErrorKind::CombinationalCycle(name(arg)),
+                ));
+            }
+            self.fanins.clear();
+            self.fanins.extend(
+                args.iter()
+                    .map(|&a| state[a].node.expect("fanins are ready")),
+            );
+            let id = self
+                .netlist
+                .add_gate(def.kind, &self.fanins)
+                .map_err(|e| ParseError::at(def.line, ParseErrorKind::Logic(e)))?;
+            self.lines.push(def.line);
+            state[current] = Symbol {
+                node: Some(id),
+                expanded: false,
+                ..state[current]
+            };
+            self.stack.pop();
+        }
+        Ok(())
+    }
 }
 
 /// Matches `KEYWORD(name)` declarations.
@@ -294,8 +359,9 @@ fn parse_decl<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
     (!name.is_empty() && !name.contains(['(', ')', ','])).then_some(name)
 }
 
-/// Matches `KIND(arg, arg, ...)` calls; returns the kind name and args.
-fn parse_call(text: &str) -> Option<(String, Vec<String>)> {
+/// Matches `KIND(args)` calls; returns the kind name and the trimmed
+/// argument list.
+fn parse_call(text: &str) -> Option<(&str, &str)> {
     let open = text.find('(')?;
     let close = text.rfind(')')?;
     if close < open || !text[close + 1..].trim().is_empty() {
@@ -305,17 +371,7 @@ fn parse_call(text: &str) -> Option<(String, Vec<String>)> {
     if kind.is_empty() || kind.contains(char::is_whitespace) {
         return None;
     }
-    let inner = text[open + 1..close].trim();
-    let args = if inner.is_empty() {
-        Vec::new()
-    } else {
-        let parts: Vec<String> = inner.split(',').map(|s| s.trim().to_owned()).collect();
-        if parts.iter().any(String::is_empty) {
-            return None;
-        }
-        parts
-    };
-    Some((kind.to_owned(), args))
+    Some((kind, text[open + 1..close].trim()))
 }
 
 /// Serializes a design to `.bench` text.

@@ -232,6 +232,46 @@ impl GateKind {
             GateKind::Maj => None,
         }
     }
+
+    /// Looks up a gate-kind name, ASCII-case-insensitively and without
+    /// allocating. `BUFF` is accepted as an alias for `BUF` (ISCAS `.bench`
+    /// spelling), as are `INV`, `GND`/`ZERO` and `VDD`/`ONE`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use nanobound_logic::GateKind;
+    ///
+    /// assert_eq!(GateKind::from_name("buff"), Some(GateKind::Buf));
+    /// assert_eq!(GateKind::from_name(" AND"), None);
+    /// ```
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<GateKind> {
+        // Every accepted name is ASCII and at most six bytes long.
+        let mut upper = [0u8; 6];
+        let bytes = name.as_bytes();
+        if bytes.len() > upper.len() {
+            return None;
+        }
+        for (u, b) in upper.iter_mut().zip(bytes) {
+            *u = b.to_ascii_uppercase();
+        }
+        let kind = match &upper[..bytes.len()] {
+            b"CONST0" | b"GND" | b"ZERO" => GateKind::Const0,
+            b"CONST1" | b"VDD" | b"ONE" => GateKind::Const1,
+            b"BUF" | b"BUFF" => GateKind::Buf,
+            b"NOT" | b"INV" => GateKind::Not,
+            b"AND" => GateKind::And,
+            b"NAND" => GateKind::Nand,
+            b"OR" => GateKind::Or,
+            b"NOR" => GateKind::Nor,
+            b"XOR" => GateKind::Xor,
+            b"XNOR" => GateKind::Xnor,
+            b"MAJ" => GateKind::Maj,
+            _ => return None,
+        };
+        Some(kind)
+    }
 }
 
 impl fmt::Display for GateKind {
@@ -258,29 +298,12 @@ impl std::error::Error for ParseGateKindError {}
 impl FromStr for GateKind {
     type Err = ParseGateKindError;
 
-    /// Parses a gate-kind name case-insensitively. `BUFF` is accepted as an
-    /// alias for `BUF` (ISCAS `.bench` spelling).
+    /// Parses a gate-kind name case-insensitively, ignoring surrounding
+    /// whitespace; see [`GateKind::from_name`].
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let up = s.trim().to_ascii_uppercase();
-        let kind = match up.as_str() {
-            "CONST0" | "GND" | "ZERO" => GateKind::Const0,
-            "CONST1" | "VDD" | "ONE" => GateKind::Const1,
-            "BUF" | "BUFF" => GateKind::Buf,
-            "NOT" | "INV" => GateKind::Not,
-            "AND" => GateKind::And,
-            "NAND" => GateKind::Nand,
-            "OR" => GateKind::Or,
-            "NOR" => GateKind::Nor,
-            "XOR" => GateKind::Xor,
-            "XNOR" => GateKind::Xnor,
-            "MAJ" => GateKind::Maj,
-            _ => {
-                return Err(ParseGateKindError {
-                    input: s.to_owned(),
-                })
-            }
-        };
-        Ok(kind)
+        GateKind::from_name(s.trim()).ok_or_else(|| ParseGateKindError {
+            input: s.to_owned(),
+        })
     }
 }
 

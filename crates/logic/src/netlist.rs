@@ -1,6 +1,8 @@
 //! The combinational netlist data structure.
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 use crate::error::LogicError;
 use crate::gate::GateKind;
@@ -123,12 +125,92 @@ pub struct Output {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct Netlist {
     name: String,
     nodes: Vec<Node>,
     inputs: Vec<NodeId>,
     outputs: Vec<Output>,
+    /// Finds an output by name in O(1), so declaring `m` outputs costs
+    /// O(m), not O(m²). Derived from `outputs`, so equality and `Debug`
+    /// ignore it.
+    output_names: OutputNames,
+}
+
+impl PartialEq for Netlist {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.nodes == other.nodes
+            && self.inputs == other.inputs
+            && self.outputs == other.outputs
+    }
+}
+
+impl Eq for Netlist {}
+
+impl fmt::Debug for Netlist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Netlist")
+            .field("name", &self.name)
+            .field("nodes", &self.nodes)
+            .field("inputs", &self.inputs)
+            .field("outputs", &self.outputs)
+            .finish()
+    }
+}
+
+/// An open-addressing table of output positions keyed by output name.
+///
+/// Slots hold `position + 1` (0 is empty) and borrow the names from the
+/// netlist's `outputs`, so no name is stored twice. The hasher is
+/// randomly keyed, so crafted names cannot force collisions.
+#[derive(Clone, Default)]
+struct OutputNames {
+    hasher: RandomState,
+    /// Empty, or a power of two at least twice the number of outputs.
+    slots: Vec<u32>,
+}
+
+impl OutputNames {
+    fn slot_of(&self, name: &str) -> usize {
+        // Truncating the hash is fine: only its low bits pick a slot.
+        self.hasher.hash_one(name) as usize & (self.slots.len() - 1)
+    }
+
+    /// The position of the output called `name`, if any.
+    fn find(&self, outputs: &[Output], name: &str) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut at = self.slot_of(name);
+        loop {
+            match self.slots[at] {
+                0 => return None,
+                slot if outputs[slot as usize - 1].name == name => return Some(slot as usize - 1),
+                _ => at = (at + 1) & (self.slots.len() - 1),
+            }
+        }
+    }
+
+    /// Indexes `outputs.last()`, whose name the caller has checked is new.
+    fn push(&mut self, outputs: &[Output]) {
+        if 2 * outputs.len() > self.slots.len() {
+            self.slots = vec![0; (4 * outputs.len()).next_power_of_two()];
+            for position in 0..outputs.len() {
+                self.place(outputs, position);
+            }
+        } else {
+            self.place(outputs, outputs.len() - 1);
+        }
+    }
+
+    fn place(&mut self, outputs: &[Output], position: usize) {
+        let mut at = self.slot_of(&outputs[position].name);
+        while self.slots[at] != 0 {
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+        self.slots[at] = u32::try_from(position + 1).expect("fewer than u32::MAX outputs");
+    }
 }
 
 impl Netlist {
@@ -140,6 +222,7 @@ impl Netlist {
             nodes: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
+            output_names: OutputNames::default(),
         }
     }
 
@@ -190,25 +273,17 @@ impl Netlist {
         if inputs != declared {
             return Err(LogicError::InputListMismatch);
         }
-        for (i, out) in outputs.iter().enumerate() {
-            if out.driver.index() >= len {
-                return Err(LogicError::UnknownNode {
-                    id: out.driver.index(),
-                    len,
-                });
-            }
-            if outputs[..i].iter().any(|o| o.name == out.name) {
-                return Err(LogicError::DuplicateOutput {
-                    name: out.name.clone(),
-                });
-            }
-        }
-        Ok(Netlist {
+        let mut netlist = Netlist {
             name: name.into(),
             nodes,
             inputs,
-            outputs,
-        })
+            outputs: Vec::with_capacity(outputs.len()),
+            output_names: OutputNames::default(),
+        };
+        for out in outputs {
+            netlist.add_output(out.name, out.driver)?;
+        }
+        Ok(netlist)
     }
 
     /// The design name.
@@ -292,10 +367,11 @@ impl Netlist {
                 len: self.nodes.len(),
             });
         }
-        if self.outputs.iter().any(|o| o.name == name) {
+        if self.output_names.find(&self.outputs, &name).is_some() {
             return Err(LogicError::DuplicateOutput { name });
         }
         self.outputs.push(Output { name, driver });
+        self.output_names.push(&self.outputs);
         Ok(())
     }
 

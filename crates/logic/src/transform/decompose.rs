@@ -1,8 +1,9 @@
 //! Balanced decomposition of wide gates into fanin-bounded trees.
 
+use super::flat::Flat;
 use crate::error::LogicError;
 use crate::gate::GateKind;
-use crate::netlist::{Netlist, Node, NodeId};
+use crate::netlist::{Netlist, NodeId};
 
 /// Rewrites the netlist so that no gate has more than `max_fanin` fanins.
 ///
@@ -37,76 +38,93 @@ use crate::netlist::{Netlist, Node, NodeId};
 /// # }
 /// ```
 pub fn decompose_to_max_fanin(netlist: &Netlist, max_fanin: usize) -> Result<Netlist, LogicError> {
+    Ok(decompose(&Flat::of(netlist), max_fanin)?.into_netlist(netlist))
+}
+
+/// One decomposition walk over a flat structure.
+pub(crate) fn decompose(src: &Flat, max_fanin: usize) -> Result<Flat, LogicError> {
     if max_fanin < 2 {
         return Err(LogicError::FaninBudgetTooSmall {
             requested: max_fanin,
         });
     }
-    let mut out = Netlist::new(netlist.name());
-    let mut map: Vec<NodeId> = Vec::with_capacity(netlist.node_count());
-
-    for node in netlist.nodes() {
-        let new_id = match node {
-            Node::Input { name } => out.add_input(name.clone()),
-            Node::Gate { kind, fanins } => {
-                let mapped: Vec<NodeId> = fanins.iter().map(|f| map[f.index()]).collect();
-                emit_gate(&mut out, *kind, &mapped, max_fanin)?
+    let mut out = Flat::with_capacity(src.len(), src.fanin_slots());
+    let mut map: Vec<NodeId> = Vec::with_capacity(src.len());
+    let mut mapped: Vec<NodeId> = Vec::new();
+    let mut tree = Tree::default();
+    for i in 0..src.len() {
+        let id = NodeId::from_index(i);
+        let new_id = match src.kind(id) {
+            None => out.push_input(),
+            Some(kind) => {
+                mapped.clear();
+                mapped.extend(src.fanins(id).iter().map(|f| map[f.index()]));
+                tree.emit(&mut out, kind, &mapped, max_fanin)
             }
         };
         map.push(new_id);
     }
-    for o in netlist.outputs() {
-        out.add_output(o.name.clone(), map[o.driver.index()])?;
-    }
+    out.outputs = src.outputs.iter().map(|d| map[d.index()]).collect();
     Ok(out)
 }
 
-/// Emits one (possibly decomposed) gate into `out` and returns the id of
-/// the node computing its function.
-fn emit_gate(
-    out: &mut Netlist,
-    kind: GateKind,
-    fanins: &[NodeId],
-    max_fanin: usize,
-) -> Result<NodeId, LogicError> {
-    if kind == GateKind::Maj && max_fanin < 3 {
-        return emit_maj_sop(out, fanins);
-    }
-    if fanins.len() <= max_fanin {
-        return out.add_gate(kind, fanins);
-    }
-    let (core, complemented) = kind
-        .decomposition_core()
-        .expect("only the AND/OR/XOR families can exceed their arity minimum");
-    let mut frontier: Vec<NodeId> = fanins.to_vec();
-    while frontier.len() > max_fanin {
-        let mut next = Vec::with_capacity(frontier.len().div_ceil(max_fanin));
-        for chunk in frontier.chunks(max_fanin) {
-            if chunk.len() == 1 {
-                next.push(chunk[0]);
-            } else {
-                next.push(out.add_gate(core, chunk)?);
-            }
+/// Reused level buffers of one balanced tree.
+#[derive(Default)]
+struct Tree {
+    frontier: Vec<NodeId>,
+    next: Vec<NodeId>,
+}
+
+impl Tree {
+    /// Emits one (possibly decomposed) gate into `out` and returns the id
+    /// of the node computing its function.
+    fn emit(
+        &mut self,
+        out: &mut Flat,
+        kind: GateKind,
+        fanins: &[NodeId],
+        max_fanin: usize,
+    ) -> NodeId {
+        if kind == GateKind::Maj && max_fanin < 3 {
+            return emit_maj_sop(out, fanins);
         }
-        frontier = next;
+        if fanins.len() <= max_fanin {
+            return out.push_gate(kind, fanins);
+        }
+        let (core, complemented) = kind
+            .decomposition_core()
+            .expect("only the AND/OR/XOR families can exceed their arity minimum");
+        self.frontier.clear();
+        self.frontier.extend_from_slice(fanins);
+        while self.frontier.len() > max_fanin {
+            self.next.clear();
+            for chunk in self.frontier.chunks(max_fanin) {
+                if chunk.len() == 1 {
+                    self.next.push(chunk[0]);
+                } else {
+                    self.next.push(out.push_gate(core, chunk));
+                }
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
+        }
+        let root_kind = if complemented {
+            core.complement().expect("core kinds have complements")
+        } else {
+            core
+        };
+        out.push_gate(root_kind, &self.frontier)
     }
-    let root_kind = if complemented {
-        core.complement().expect("core kinds have complements")
-    } else {
-        core
-    };
-    out.add_gate(root_kind, &frontier)
 }
 
 /// `MAJ(a, b, c)` as `OR(OR(AND(a,b), AND(a,c)), AND(b,c))` — used when the
 /// fanin budget excludes 3-input gates.
-fn emit_maj_sop(out: &mut Netlist, fanins: &[NodeId]) -> Result<NodeId, LogicError> {
+fn emit_maj_sop(out: &mut Flat, fanins: &[NodeId]) -> NodeId {
     let (a, b, c) = (fanins[0], fanins[1], fanins[2]);
-    let ab = out.add_gate(GateKind::And, &[a, b])?;
-    let ac = out.add_gate(GateKind::And, &[a, c])?;
-    let bc = out.add_gate(GateKind::And, &[b, c])?;
-    let o1 = out.add_gate(GateKind::Or, &[ab, ac])?;
-    out.add_gate(GateKind::Or, &[o1, bc])
+    let ab = out.push_gate(GateKind::And, &[a, b]);
+    let ac = out.push_gate(GateKind::And, &[a, c]);
+    let bc = out.push_gate(GateKind::And, &[b, c]);
+    let o1 = out.push_gate(GateKind::Or, &[ab, ac]);
+    out.push_gate(GateKind::Or, &[o1, bc])
 }
 
 #[cfg(test)]

@@ -14,11 +14,14 @@
 //!
 //! All transforms are pure: they build a fresh [`Netlist`] and never mutate
 //! their input. All of them preserve the circuit's Boolean function, which
-//! the test-suite checks exhaustively for small circuits.
+//! the test-suite checks exhaustively for small circuits. Internally every
+//! pass walks a name-free flat structure, so [`prepare`]'s dozen passes
+//! build one [`Netlist`], at the end.
 //!
 //! [`Netlist`]: crate::Netlist
 
 mod decompose;
+mod flat;
 mod optimize;
 
 pub use decompose::decompose_to_max_fanin;
@@ -26,6 +29,7 @@ pub use optimize::{dedupe, fold_constants, optimize, sweep};
 
 use crate::error::LogicError;
 use crate::netlist::Netlist;
+use flat::Flat;
 
 /// Runs the full preparation flow: optimize, map to fanin `max_fanin`,
 /// optimize again.
@@ -52,9 +56,9 @@ use crate::netlist::Netlist;
 /// # }
 /// ```
 pub fn prepare(netlist: &Netlist, max_fanin: usize) -> Result<Netlist, LogicError> {
-    let optimized = optimize(netlist);
-    let mapped = decompose_to_max_fanin(&optimized, max_fanin)?;
-    Ok(optimize(&mapped))
+    let optimized = optimize::optimize_flat(Flat::of(netlist));
+    let mapped = decompose::decompose(&optimized, max_fanin)?;
+    Ok(optimize::optimize_flat(mapped).into_netlist(netlist))
 }
 
 #[cfg(test)]

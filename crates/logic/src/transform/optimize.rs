@@ -1,76 +1,372 @@
 //! Function-preserving cleanup passes: constant folding, buffer collapsing,
 //! structural hashing and dead-gate sweeping.
+//!
+//! Each pass is one walk over a [`Flat`] structure; [`optimize`] iterates
+//! them without materializing a [`Netlist`] in between.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
+use super::flat::Flat;
 use crate::gate::GateKind;
-use crate::netlist::{Netlist, Node, NodeId};
-use crate::topo;
+use crate::netlist::{Netlist, NodeId};
 
-/// What an original node simplifies to in the rebuilt netlist.
+/// What a source node simplifies to in the folded structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Repr {
     /// A known constant value.
     Const(bool),
-    /// An existing node of the new netlist.
+    /// An existing node of the folded structure.
     Node(NodeId),
 }
 
-/// Bookkeeping for building a simplified copy of a netlist.
-struct Builder {
-    out: Netlist,
-    const_cache: [Option<NodeId>; 2],
+/// Bookkeeping for folding one structure.
+struct Folder {
+    out: Flat,
+    const_nodes: [Option<NodeId>; 2],
+    /// Reused fanin buffer.
+    nodes: Vec<NodeId>,
+    /// `seen[x] == stamp` marks `x` as already among `nodes`.
+    seen: Vec<u32>,
+    stamp: u32,
 }
 
-impl Builder {
-    fn new(name: &str) -> Self {
-        Builder {
-            out: Netlist::new(name),
-            const_cache: [None, None],
-        }
-    }
-
+impl Folder {
     /// Returns a node id materializing `repr`, creating a constant node on
     /// demand.
     fn materialize(&mut self, repr: Repr) -> NodeId {
         match repr {
             Repr::Node(id) => id,
-            Repr::Const(v) => {
-                let slot = usize::from(v);
-                if let Some(id) = self.const_cache[slot] {
-                    id
+            Repr::Const(v) => *self.const_nodes[usize::from(v)].get_or_insert_with(|| {
+                let kind = if v {
+                    GateKind::Const1
                 } else {
-                    let id = self.out.add_const(v);
-                    self.const_cache[slot] = Some(id);
-                    id
-                }
-            }
+                    GateKind::Const0
+                };
+                self.out.push_gate(kind, &[])
+            }),
         }
     }
 
-    fn gate(&mut self, kind: GateKind, fanins: &[NodeId]) -> Repr {
-        Repr::Node(
-            self.out
-                .add_gate(kind, fanins)
-                .expect("rebuilt gate is valid"),
-        )
-    }
-
     /// Emits `x` or `NOT x`, collapsing double negation against the nodes
-    /// already present in the output netlist.
+    /// already present in the output.
     fn maybe_invert(&mut self, x: NodeId, invert: bool) -> Repr {
         if !invert {
             return Repr::Node(x);
         }
-        if let Node::Gate {
-            kind: GateKind::Not,
-            fanins,
-        } = self.out.node(x)
-        {
-            return Repr::Node(fanins[0]);
-        }
-        self.gate(GateKind::Not, &[x])
+        Repr::Node(match self.out.inverted(x) {
+            Some(inner) => inner,
+            None => self.out.push_gate(GateKind::Not, &[x]),
+        })
     }
+
+    /// Simplifies one gate given the representations of its fanins.
+    fn simplify(&mut self, kind: GateKind, fanins: &[Repr]) -> Repr {
+        match kind {
+            GateKind::Const0 => Repr::Const(false),
+            GateKind::Const1 => Repr::Const(true),
+            GateKind::Buf => fanins[0],
+            GateKind::Not => match fanins[0] {
+                Repr::Const(v) => Repr::Const(!v),
+                Repr::Node(x) => self.maybe_invert(x, true),
+            },
+            GateKind::And | GateKind::Nand => {
+                self.and_or(fanins, /* or: */ false, kind == GateKind::Nand)
+            }
+            GateKind::Or | GateKind::Nor => {
+                self.and_or(fanins, /* or: */ true, kind == GateKind::Nor)
+            }
+            GateKind::Xor | GateKind::Xnor => self.xor(fanins, kind == GateKind::Xnor),
+            GateKind::Maj => self.maj(fanins),
+        }
+    }
+
+    /// Shared AND/OR simplifier; `or` selects the disjunctive dual and
+    /// `complement` the NAND/NOR variants.
+    fn and_or(&mut self, fanins: &[Repr], or: bool, complement: bool) -> Repr {
+        // For AND: 0 dominates, 1 is neutral. For OR, dual.
+        let dominating = or;
+        self.stamp += 1;
+        let stamp = self.stamp;
+        self.nodes.clear();
+        for &f in fanins {
+            match f {
+                Repr::Const(v) if v == dominating => {
+                    return Repr::Const(dominating ^ complement);
+                }
+                Repr::Const(_) => {} // neutral, drop
+                Repr::Node(x) => {
+                    // Distinct fanins, in first-occurrence order.
+                    if self.seen[x.index()] != stamp {
+                        self.seen[x.index()] = stamp;
+                        self.nodes.push(x);
+                    }
+                }
+            }
+        }
+        // x AND NOT(x) is contradictory; x OR NOT(x) is tautological.
+        let out = &self.out;
+        let seen = &self.seen;
+        if self.nodes.iter().any(|&x| {
+            out.inverted(x)
+                .is_some_and(|inner| seen[inner.index()] == stamp)
+        }) {
+            return Repr::Const(dominating ^ complement);
+        }
+        let base_kind = if or { GateKind::Or } else { GateKind::And };
+        match self.nodes.len() {
+            0 => Repr::Const(!dominating ^ complement),
+            1 => self.maybe_invert(self.nodes[0], complement),
+            _ => {
+                let kind = if complement {
+                    base_kind.complement().expect("AND/OR have complements")
+                } else {
+                    base_kind
+                };
+                Repr::Node(self.out.push_gate(kind, &self.nodes))
+            }
+        }
+    }
+
+    /// XOR/XNOR simplifier: constants fold into the parity flag, identical
+    /// fanin pairs cancel.
+    fn xor(&mut self, fanins: &[Repr], complement: bool) -> Repr {
+        let mut parity = complement;
+        let nodes = &mut self.nodes;
+        nodes.clear();
+        for &f in fanins {
+            match f {
+                Repr::Const(v) => parity ^= v,
+                Repr::Node(x) => nodes.push(x),
+            }
+        }
+        // Keep the nodes that occur an odd number of times, ascending.
+        nodes.sort_unstable();
+        let mut kept = 0;
+        let mut run = 0;
+        while run < nodes.len() {
+            let x = nodes[run];
+            let end = run + nodes[run..].iter().take_while(|&&y| y == x).count();
+            if (end - run) % 2 == 1 {
+                nodes[kept] = x;
+                kept += 1;
+            }
+            run = end;
+        }
+        nodes.truncate(kept);
+        // x XOR NOT(x) == 1: cancel complementary pairs into the parity
+        // flag, always the first inverter (ascending) whose fanin is
+        // present. A fanin precedes its gate, so it sits further left,
+        // and a cancellation never makes an earlier inverter cancellable.
+        let mut i = 0;
+        while i < nodes.len() {
+            let partner = self
+                .out
+                .inverted(nodes[i])
+                .and_then(|x| nodes[..i].binary_search(&x).ok());
+            match partner {
+                Some(j) => {
+                    nodes.remove(i);
+                    nodes.remove(j);
+                    parity = !parity;
+                    i -= 1;
+                }
+                None => i += 1,
+            }
+        }
+        match self.nodes.len() {
+            0 => Repr::Const(parity),
+            1 => self.maybe_invert(self.nodes[0], parity),
+            _ => {
+                let kind = if parity {
+                    GateKind::Xnor
+                } else {
+                    GateKind::Xor
+                };
+                Repr::Node(self.out.push_gate(kind, &self.nodes))
+            }
+        }
+    }
+
+    /// MAJ3 simplifier: constant and duplicate absorption.
+    fn maj(&mut self, fanins: &[Repr]) -> Repr {
+        let mut consts = [false; 3];
+        let mut nodes = [NodeId::from_index(0); 3];
+        let (mut c, mut n) = (0, 0);
+        for &f in fanins {
+            match f {
+                Repr::Const(v) => {
+                    consts[c] = v;
+                    c += 1;
+                }
+                Repr::Node(x) => {
+                    nodes[n] = x;
+                    n += 1;
+                }
+            }
+        }
+        match (c, n) {
+            (0, 3) => {
+                // MAJ(a, a, b) == a.
+                if nodes[0] == nodes[1] || nodes[0] == nodes[2] {
+                    Repr::Node(nodes[0])
+                } else if nodes[1] == nodes[2] {
+                    Repr::Node(nodes[1])
+                } else {
+                    Repr::Node(self.out.push_gate(GateKind::Maj, &nodes))
+                }
+            }
+            (1, 2) => {
+                if nodes[0] == nodes[1] {
+                    return Repr::Node(nodes[0]);
+                }
+                // MAJ(a, b, 1) == OR(a, b); MAJ(a, b, 0) == AND(a, b).
+                let kind = if consts[0] {
+                    GateKind::Or
+                } else {
+                    GateKind::And
+                };
+                Repr::Node(self.out.push_gate(kind, &nodes[..2]))
+            }
+            (2, 1) => {
+                // MAJ(a, 1, 1) == 1; MAJ(a, 0, 0) == 0; MAJ(a, 0, 1) == a.
+                match (consts[0], consts[1]) {
+                    (true, true) => Repr::Const(true),
+                    (false, false) => Repr::Const(false),
+                    _ => Repr::Node(nodes[0]),
+                }
+            }
+            (3, 0) => Repr::Const(consts.iter().filter(|&&v| v).count() >= 2),
+            _ => unreachable!("MAJ arity is 3"),
+        }
+    }
+}
+
+/// One folding walk; see [`fold_constants`].
+fn fold(src: &Flat) -> Flat {
+    let mut f = Folder {
+        // Each source node adds at most one node, plus two constants.
+        out: Flat::with_capacity(src.len() + 2, src.fanin_slots()),
+        const_nodes: [None, None],
+        nodes: Vec::new(),
+        seen: vec![0; src.len() + 2],
+        stamp: 0,
+    };
+    let mut reprs: Vec<Repr> = Vec::with_capacity(src.len());
+    let mut fanins: Vec<Repr> = Vec::new();
+    for i in 0..src.len() {
+        let id = NodeId::from_index(i);
+        let repr = match src.kind(id) {
+            None => Repr::Node(f.out.push_input()),
+            Some(kind) => {
+                fanins.clear();
+                fanins.extend(src.fanins(id).iter().map(|x| reprs[x.index()]));
+                f.simplify(kind, &fanins)
+            }
+        };
+        reprs.push(repr);
+    }
+    for &driver in &src.outputs {
+        let id = f.materialize(reprs[driver.index()]);
+        f.out.outputs.push(id);
+    }
+    f.out
+}
+
+/// One structural-hashing walk; see [`dedupe`].
+fn hash_cons(src: &Flat) -> Flat {
+    let mut out = Flat::with_capacity(src.len(), src.fanin_slots());
+    let mut map: Vec<NodeId> = Vec::with_capacity(src.len());
+    // Open addressing over node ids + 1 (0 is empty), at most half full.
+    let mut slots = vec![0u32; (2 * src.len()).next_power_of_two().max(16)];
+    let mask = slots.len() - 1;
+    let hasher = RandomState::new();
+    let mut key: Vec<NodeId> = Vec::new();
+    for i in 0..src.len() {
+        let id = NodeId::from_index(i);
+        let Some(kind) = src.kind(id) else {
+            map.push(out.push_input());
+            continue;
+        };
+        key.clear();
+        key.extend(src.fanins(id).iter().map(|f| map[f.index()]));
+        if kind.is_commutative() {
+            key.sort_unstable();
+        }
+        // Truncating the hash is fine: only its low bits pick a slot.
+        let mut at = hasher.hash_one((kind, &key[..])) as usize & mask;
+        let node = loop {
+            match slots[at] {
+                0 => {
+                    let node = out.push_gate(kind, &key);
+                    slots[at] = u32::try_from(node.index() + 1).expect("node ids fit in u32");
+                    break node;
+                }
+                slot => {
+                    let existing = NodeId::from_index(slot as usize - 1);
+                    if out.kind(existing) == Some(kind) && out.fanins(existing) == &key[..] {
+                        break existing;
+                    }
+                    at = (at + 1) & mask;
+                }
+            }
+        };
+        map.push(node);
+    }
+    out.outputs = src.outputs.iter().map(|d| map[d.index()]).collect();
+    out
+}
+
+/// One dead-gate walk; see [`sweep`].
+fn sweep_dead(src: &Flat) -> Flat {
+    let mut live = vec![false; src.len()];
+    for driver in &src.outputs {
+        live[driver.index()] = true;
+    }
+    // Reverse topological sweep: a node's liveness propagates to fanins.
+    for i in (0..src.len()).rev() {
+        if live[i] {
+            for f in src.fanins(NodeId::from_index(i)) {
+                live[f.index()] = true;
+            }
+        }
+    }
+    let mut out = Flat::with_capacity(src.len(), src.fanin_slots());
+    let mut map: Vec<NodeId> = vec![NodeId::from_index(0); src.len()];
+    let mut fanins: Vec<NodeId> = Vec::new();
+    for i in 0..src.len() {
+        let id = NodeId::from_index(i);
+        match src.kind(id) {
+            None => map[i] = out.push_input(),
+            Some(kind) if live[i] => {
+                fanins.clear();
+                fanins.extend(src.fanins(id).iter().map(|f| map[f.index()]));
+                map[i] = out.push_gate(kind, &fanins);
+            }
+            Some(_) => {}
+        }
+    }
+    out.outputs = src.outputs.iter().map(|d| map[d.index()]).collect();
+    out
+}
+
+/// Iterates fold → hash → sweep rounds to a fixed point, at most 8.
+pub(crate) fn optimize_flat(mut current: Flat) -> Flat {
+    for round in 0..8 {
+        let folded = fold(&current);
+        // After the first round `current` is hashed and swept, which
+        // both passes leave unchanged; so if folding changes nothing,
+        // neither would the rest of the round.
+        if round > 0 && folded == current {
+            break;
+        }
+        let next = sweep_dead(&hash_cons(&folded));
+        if next == current {
+            break;
+        }
+        current = next;
+    }
+    current
 }
 
 /// Folds constants, drops neutral fanins, cancels XOR pairs, collapses
@@ -97,201 +393,7 @@ impl Builder {
 /// ```
 #[must_use]
 pub fn fold_constants(netlist: &Netlist) -> Netlist {
-    let mut b = Builder::new(netlist.name());
-    let mut reprs: Vec<Repr> = Vec::with_capacity(netlist.node_count());
-
-    for node in netlist.nodes() {
-        let repr = match node {
-            Node::Input { name } => Repr::Node(b.out.add_input(name.clone())),
-            Node::Gate { kind, fanins } => {
-                let fr: Vec<Repr> = fanins.iter().map(|f| reprs[f.index()]).collect();
-                simplify_gate(&mut b, *kind, &fr)
-            }
-        };
-        reprs.push(repr);
-    }
-
-    for out in netlist.outputs() {
-        let repr = reprs[out.driver.index()];
-        let id = b.materialize(repr);
-        b.out
-            .add_output(out.name.clone(), id)
-            .expect("output names unique in source");
-    }
-    b.out
-}
-
-/// Simplifies one gate given the representations of its fanins.
-fn simplify_gate(b: &mut Builder, kind: GateKind, fanins: &[Repr]) -> Repr {
-    match kind {
-        GateKind::Const0 => Repr::Const(false),
-        GateKind::Const1 => Repr::Const(true),
-        GateKind::Buf => fanins[0],
-        GateKind::Not => match fanins[0] {
-            Repr::Const(v) => Repr::Const(!v),
-            Repr::Node(x) => b.maybe_invert(x, true),
-        },
-        GateKind::And | GateKind::Nand => {
-            simplify_and_or(b, fanins, /* or: */ false, kind == GateKind::Nand)
-        }
-        GateKind::Or | GateKind::Nor => {
-            simplify_and_or(b, fanins, /* or: */ true, kind == GateKind::Nor)
-        }
-        GateKind::Xor | GateKind::Xnor => simplify_xor(b, fanins, kind == GateKind::Xnor),
-        GateKind::Maj => simplify_maj(b, fanins),
-    }
-}
-
-/// Shared AND/OR simplifier; `or` selects the disjunctive dual and
-/// `complement` the NAND/NOR variants.
-fn simplify_and_or(b: &mut Builder, fanins: &[Repr], or: bool, complement: bool) -> Repr {
-    // For AND: 0 dominates, 1 is neutral. For OR, dual.
-    let dominating = or;
-    let mut nodes: Vec<NodeId> = Vec::with_capacity(fanins.len());
-    for &f in fanins {
-        match f {
-            Repr::Const(v) if v == dominating => {
-                return Repr::Const(dominating ^ complement);
-            }
-            Repr::Const(_) => {} // neutral, drop
-            Repr::Node(x) => {
-                if !nodes.contains(&x) {
-                    nodes.push(x);
-                }
-            }
-        }
-    }
-    // x AND NOT(x) is contradictory; x OR NOT(x) is tautological.
-    for &x in &nodes {
-        if let Node::Gate {
-            kind: GateKind::Not,
-            fanins,
-        } = b.out.node(x)
-        {
-            if nodes.contains(&fanins[0]) {
-                return Repr::Const(dominating ^ complement);
-            }
-        }
-    }
-    let base_kind = if or { GateKind::Or } else { GateKind::And };
-    match nodes.len() {
-        0 => Repr::Const(!dominating ^ complement),
-        1 => b.maybe_invert(nodes[0], complement),
-        _ => {
-            if complement {
-                let kind = base_kind.complement().expect("AND/OR have complements");
-                b.gate(kind, &nodes)
-            } else {
-                b.gate(base_kind, &nodes)
-            }
-        }
-    }
-}
-
-/// XOR/XNOR simplifier: constants fold into the parity flag, identical
-/// fanin pairs cancel.
-fn simplify_xor(b: &mut Builder, fanins: &[Repr], complement: bool) -> Repr {
-    let mut parity = complement;
-    let mut counts: HashMap<NodeId, usize> = HashMap::new();
-    for &f in fanins {
-        match f {
-            Repr::Const(v) => parity ^= v,
-            Repr::Node(x) => *counts.entry(x).or_insert(0) += 1,
-        }
-    }
-    let mut nodes: Vec<NodeId> = counts
-        .into_iter()
-        .filter_map(|(x, c)| (c % 2 == 1).then_some(x))
-        .collect();
-    nodes.sort_unstable();
-    // x XOR NOT(x) == 1: cancel complementary pairs into the parity flag.
-    loop {
-        let mut cancelled = None;
-        'scan: for (i, &y) in nodes.iter().enumerate() {
-            if let Node::Gate {
-                kind: GateKind::Not,
-                fanins,
-            } = b.out.node(y)
-            {
-                if let Some(j) = nodes.iter().position(|&x| x == fanins[0]) {
-                    cancelled = Some((i.max(j), i.min(j)));
-                    break 'scan;
-                }
-            }
-        }
-        match cancelled {
-            Some((hi, lo)) => {
-                nodes.remove(hi);
-                nodes.remove(lo);
-                parity = !parity;
-            }
-            None => break,
-        }
-    }
-    match nodes.len() {
-        0 => Repr::Const(parity),
-        1 => b.maybe_invert(nodes[0], parity),
-        _ => {
-            let kind = if parity {
-                GateKind::Xnor
-            } else {
-                GateKind::Xor
-            };
-            b.gate(kind, &nodes)
-        }
-    }
-}
-
-/// MAJ3 simplifier: constant and duplicate absorption.
-fn simplify_maj(b: &mut Builder, fanins: &[Repr]) -> Repr {
-    let consts: Vec<bool> = fanins
-        .iter()
-        .filter_map(|f| match f {
-            Repr::Const(v) => Some(*v),
-            Repr::Node(_) => None,
-        })
-        .collect();
-    let nodes: Vec<NodeId> = fanins
-        .iter()
-        .filter_map(|f| match f {
-            Repr::Const(_) => None,
-            Repr::Node(x) => Some(*x),
-        })
-        .collect();
-    match (consts.len(), nodes.len()) {
-        (0, 3) => {
-            // MAJ(a, a, b) == a.
-            if nodes[0] == nodes[1] || nodes[0] == nodes[2] {
-                Repr::Node(nodes[0])
-            } else if nodes[1] == nodes[2] {
-                Repr::Node(nodes[1])
-            } else {
-                b.gate(GateKind::Maj, &nodes)
-            }
-        }
-        (1, 2) => {
-            if nodes[0] == nodes[1] {
-                return Repr::Node(nodes[0]);
-            }
-            // MAJ(a, b, 1) == OR(a, b); MAJ(a, b, 0) == AND(a, b).
-            let kind = if consts[0] {
-                GateKind::Or
-            } else {
-                GateKind::And
-            };
-            b.gate(kind, &nodes)
-        }
-        (2, 1) => {
-            // MAJ(a, 1, 1) == 1; MAJ(a, 0, 0) == 0; MAJ(a, 0, 1) == a.
-            match (consts[0], consts[1]) {
-                (true, true) => Repr::Const(true),
-                (false, false) => Repr::Const(false),
-                _ => Repr::Node(nodes[0]),
-            }
-        }
-        (3, 0) => Repr::Const(consts.iter().filter(|&&v| v).count() >= 2),
-        _ => unreachable!("MAJ arity is 3"),
-    }
+    fold(&Flat::of(netlist)).into_netlist(netlist)
 }
 
 /// Structural hashing: replaces gates with identical (kind, fanins) by a
@@ -299,81 +401,21 @@ fn simplify_maj(b: &mut Builder, fanins: &[Repr]) -> Repr {
 /// library is commutative.
 #[must_use]
 pub fn dedupe(netlist: &Netlist) -> Netlist {
-    let mut out = Netlist::new(netlist.name());
-    let mut map: Vec<NodeId> = Vec::with_capacity(netlist.node_count());
-    let mut seen: HashMap<(GateKind, Vec<NodeId>), NodeId> = HashMap::new();
-
-    for node in netlist.nodes() {
-        let new_id = match node {
-            Node::Input { name } => out.add_input(name.clone()),
-            Node::Gate { kind, fanins } => {
-                let mut mapped: Vec<NodeId> = fanins.iter().map(|f| map[f.index()]).collect();
-                if kind.is_commutative() {
-                    mapped.sort_unstable();
-                }
-                let key = (*kind, mapped.clone());
-                if let Some(&existing) = seen.get(&key) {
-                    existing
-                } else {
-                    let id = out.add_gate(*kind, &mapped).expect("rebuilt gate is valid");
-                    seen.insert(key, id);
-                    id
-                }
-            }
-        };
-        map.push(new_id);
-    }
-    for o in netlist.outputs() {
-        out.add_output(o.name.clone(), map[o.driver.index()])
-            .expect("unique names");
-    }
-    out
+    hash_cons(&Flat::of(netlist)).into_netlist(netlist)
 }
 
 /// Dead-gate elimination: removes nodes not reachable from any primary
 /// output. Primary inputs are always kept so the interface is stable.
 #[must_use]
 pub fn sweep(netlist: &Netlist) -> Netlist {
-    let reachable = topo::reachable_from_outputs(netlist);
-    let mut out = Netlist::new(netlist.name());
-    let mut map: Vec<Option<NodeId>> = vec![None; netlist.node_count()];
-
-    for (i, node) in netlist.nodes().iter().enumerate() {
-        match node {
-            Node::Input { name } => {
-                map[i] = Some(out.add_input(name.clone()));
-            }
-            Node::Gate { kind, fanins } => {
-                if reachable[i] {
-                    let mapped: Vec<NodeId> = fanins
-                        .iter()
-                        .map(|f| map[f.index()].expect("fanin of reachable node is reachable"))
-                        .collect();
-                    map[i] = Some(out.add_gate(*kind, &mapped).expect("rebuilt gate is valid"));
-                }
-            }
-        }
-    }
-    for o in netlist.outputs() {
-        let id = map[o.driver.index()].expect("output driver is reachable");
-        out.add_output(o.name.clone(), id).expect("unique names");
-    }
-    out
+    sweep_dead(&Flat::of(netlist)).into_netlist(netlist)
 }
 
 /// Iterates folding, hashing and sweeping to a fixed point (bounded at 8
 /// rounds, which is far more than any practical netlist needs).
 #[must_use]
 pub fn optimize(netlist: &Netlist) -> Netlist {
-    let mut current = netlist.clone();
-    for _ in 0..8 {
-        let next = sweep(&dedupe(&fold_constants(&current)));
-        if next == current {
-            break;
-        }
-        current = next;
-    }
-    current
+    optimize_flat(Flat::of(netlist)).into_netlist(netlist)
 }
 
 #[cfg(test)]

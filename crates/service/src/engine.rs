@@ -366,6 +366,7 @@ impl Engine {
         let design = self.load_design(&request.path)?;
 
         let mut out = String::new();
+        let unrolled;
         let netlist = if design.is_sequential() {
             let _ = writeln!(
                 out,
@@ -373,9 +374,10 @@ impl Engine {
                 design.latches.len(),
                 request.frames,
             );
-            unroll::unroll_free(&design, request.frames).map_err(|e| e.to_string())?
+            unrolled = unroll::unroll_free(&design, request.frames).map_err(|e| e.to_string())?;
+            &unrolled
         } else {
-            design.netlist.clone()
+            &design.netlist
         };
 
         let config = ProfileConfig {
@@ -384,7 +386,7 @@ impl Engine {
             ..Default::default()
         };
         let mut profile_key = FingerprintBuilder::new("service-profile");
-        netlist_fingerprint(&mut profile_key, &netlist);
+        netlist_fingerprint(&mut profile_key, netlist);
         profile_key.push_usize(config.max_fanin);
         profile_key.push_usize(config.patterns);
         profile_key.push_usize(config.sensitivity_samples);
@@ -392,7 +394,7 @@ impl Engine {
         profile_key.push_f64(config.leak_share);
         let profile_key = profile_key.finish();
         let profiled = self.profiled.get_or_try_insert(profile_key, || {
-            profile_netlist(&self.exec(pool), &netlist, None, &config).map_err(|e| e.to_string())
+            profile_netlist(&self.exec(pool), netlist, None, &config).map_err(|e| e.to_string())
         })?;
 
         let _ = writeln!(out, "profile: {}", profiled.profile);
