@@ -177,16 +177,16 @@ impl OutputNames {
         self.hasher.hash_one(name) as usize & (self.slots.len() - 1)
     }
 
-    /// The position of the output called `name`, if any.
-    fn find(&self, outputs: &[Output], name: &str) -> Option<usize> {
+    /// Whether an output is called `name`.
+    fn contains(&self, outputs: &[Output], name: &str) -> bool {
         if self.slots.is_empty() {
-            return None;
+            return false;
         }
         let mut at = self.slot_of(name);
         loop {
             match self.slots[at] {
-                0 => return None,
-                slot if outputs[slot as usize - 1].name == name => return Some(slot as usize - 1),
+                0 => return false,
+                slot if outputs[slot as usize - 1].name == name => return true,
                 _ => at = (at + 1) & (self.slots.len() - 1),
             }
         }
@@ -367,7 +367,7 @@ impl Netlist {
                 len: self.nodes.len(),
             });
         }
-        if self.output_names.find(&self.outputs, &name).is_some() {
+        if self.output_names.contains(&self.outputs, &name) {
             return Err(LogicError::DuplicateOutput { name });
         }
         self.outputs.push(Output { name, driver });

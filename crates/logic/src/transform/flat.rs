@@ -11,12 +11,12 @@ use crate::netlist::{Netlist, Node, NodeId, Output};
 /// are therefore attached once, by [`Flat::into_netlist`], and a pass
 /// costs one walk over flat arrays with no per-gate allocation.
 /// Equality is structural equality of the netlists the two would build.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Flat {
     /// Per node: its gate kind, or `None` for a primary input.
     kinds: Vec<Option<GateKind>>,
-    /// Node `i`'s fanins end at `fanins[ends[i]]` and start where node
-    /// `i - 1`'s end.
+    /// Node `i`'s fanins are `fanins[ends[i - 1]..ends[i]]`, starting
+    /// at 0 for node 0.
     ends: Vec<u32>,
     fanins: Vec<NodeId>,
     /// The driver of each primary output, in declaration order.
