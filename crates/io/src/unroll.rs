@@ -11,6 +11,7 @@
 //! latches into (pseudo-input `q`, pseudo-output `q$next`) pairs — this
 //! module stitches those pairs back together across frames.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -165,23 +166,25 @@ fn unroll_impl(
     }
     let netlist = &design.netlist;
 
-    // Classify the template's inputs: latch pseudo-inputs vs real ones.
+    // Classify the template's inputs: latch pseudo-inputs (the first
+    // latch of that name) vs real ones.
+    let mut latch_of: HashMap<&str, usize> = HashMap::with_capacity(design.latches.len());
+    for (i, latch) in design.latches.iter().enumerate() {
+        latch_of.entry(latch.output.as_str()).or_insert(i);
+    }
     let mut input_roles: Vec<Option<usize>> = Vec::with_capacity(netlist.input_count());
     for &id in netlist.inputs() {
         let name = match netlist.node(id) {
             Node::Input { name } => name.as_str(),
             _ => unreachable!("input list holds inputs"),
         };
-        input_roles.push(design.latches.iter().position(|l| l.output == name));
+        input_roles.push(latch_of.get(name).copied());
     }
     // Locate each latch's `$next` output index.
     let mut next_indices = Vec::with_capacity(design.latches.len());
     for latch in &design.latches {
-        let wanted = format!("{}$next", latch.output);
         let idx = netlist
-            .outputs()
-            .iter()
-            .position(|o| o.name == wanted)
+            .output_position(&format!("{}$next", latch.output))
             .ok_or_else(|| UnrollError::MissingLatchSignal {
                 name: latch.output.clone(),
             })?;

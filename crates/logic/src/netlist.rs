@@ -177,16 +177,16 @@ impl OutputNames {
         self.hasher.hash_one(name) as usize & (self.slots.len() - 1)
     }
 
-    /// Whether an output is called `name`.
-    fn contains(&self, outputs: &[Output], name: &str) -> bool {
+    /// The position of the output called `name`, if any.
+    fn position(&self, outputs: &[Output], name: &str) -> Option<usize> {
         if self.slots.is_empty() {
-            return false;
+            return None;
         }
         let mut at = self.slot_of(name);
         loop {
             match self.slots[at] {
-                0 => return false,
-                slot if outputs[slot as usize - 1].name == name => return true,
+                0 => return None,
+                slot if outputs[slot as usize - 1].name == name => return Some(slot as usize - 1),
                 _ => at = (at + 1) & (self.slots.len() - 1),
             }
         }
@@ -367,7 +367,7 @@ impl Netlist {
                 len: self.nodes.len(),
             });
         }
-        if self.output_names.contains(&self.outputs, &name) {
+        if self.output_position(&name).is_some() {
             return Err(LogicError::DuplicateOutput { name });
         }
         self.outputs.push(Output { name, driver });
@@ -419,6 +419,13 @@ impl Netlist {
     #[must_use]
     pub fn outputs(&self) -> &[Output] {
         &self.outputs
+    }
+
+    /// The position in [`Netlist::outputs`] of the output named `name`,
+    /// found in constant expected time.
+    #[must_use]
+    pub fn output_position(&self, name: &str) -> Option<usize> {
+        self.output_names.position(&self.outputs, name)
     }
 
     /// Number of primary inputs.
