@@ -15,71 +15,12 @@
 //! `CONST1()` and `MAJ(a, b, c)` are accepted, which lets every netlist in
 //! this workspace round-trip.
 
-use std::collections::HashMap;
-use std::ops::Range;
-
-use nanobound_logic::{GateKind, Netlist, Node, NodeId};
+use nanobound_logic::{GateKind, Node};
 
 use crate::error::{ParseError, ParseErrorKind};
 use crate::names;
-use crate::{Design, Latch};
-
-/// One parsed `name = KIND(args)` statement.
-struct GateDef {
-    kind: GateKind,
-    /// The argument symbols, as a range of [`Symbols::args`].
-    args: Range<usize>,
-    line: usize,
-}
-
-/// Every distinct signal name of a file, interned once as an index; all
-/// later bookkeeping is indexed by it, so no name is hashed twice.
-struct Symbols<'t> {
-    index: HashMap<&'t str, usize>,
-    names: Vec<&'t str>,
-    state: Vec<Symbol>,
-    defs: Vec<GateDef>,
-    /// Argument symbols of every gate definition, back to back.
-    args: Vec<usize>,
-}
-
-/// What is known about one signal name.
-#[derive(Clone, Copy, Default)]
-struct Symbol {
-    /// Its gate definition in [`Symbols::defs`].
-    def: Option<usize>,
-    /// Its node, once materialized.
-    node: Option<NodeId>,
-    /// Expanded but not finished: on the current resolution path.
-    expanded: bool,
-}
-
-impl<'t> Symbols<'t> {
-    /// An empty table whose index has room for `names` names.
-    fn with_capacity(names: usize) -> Self {
-        Symbols {
-            index: HashMap::with_capacity(names),
-            names: Vec::new(),
-            state: Vec::new(),
-            defs: Vec::new(),
-            args: Vec::new(),
-        }
-    }
-
-    fn intern(&mut self, name: &'t str) -> usize {
-        let next = self.names.len();
-        let sym = *self.index.entry(name).or_insert(next);
-        if sym == next {
-            self.names.push(name);
-            self.state.push(Symbol::default());
-        }
-        sym
-    }
-
-    fn name(&self, sym: usize) -> String {
-        self.names[sym].to_owned()
-    }
-}
+use crate::resolve::Symbols;
+use crate::Design;
 
 /// Parses `.bench` text into a [`Design`].
 ///
@@ -156,199 +97,25 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
                 ParseError::at(line_no, ParseErrorKind::UnknownGate(kind_name.to_owned()))
             })?;
             let sym = syms.intern(lhs);
-            if syms.state[sym].def.is_some() {
-                return Err(ParseError::at(
-                    line_no,
-                    ParseErrorKind::DuplicateDefinition(lhs.to_owned()),
-                ));
-            }
-            syms.state[sym].def = Some(syms.defs.len());
-            syms.defs.push(GateDef {
-                kind,
-                args,
-                line: line_no,
-            });
+            syms.define(sym, kind, args, line_no)?;
         } else {
             return Err(syntax());
         }
     }
 
-    let mut build = Build {
-        syms,
-        netlist: Netlist::new("bench"),
-        lines: Vec::new(),
-        stack: Vec::new(),
-        fanins: Vec::new(),
-    };
+    // Gates are defined while scanning, so an INPUT or DFF that reuses
+    // a gate's name is reported at its own line.
     for &(sym, line) in &inputs {
-        build.declare_input(sym, line)?;
+        syms.declare_input(sym, line)?;
     }
     for &(_, output, line) in &latches {
-        build.declare_input(output, line)?;
+        syms.declare_input(output, line)?;
     }
-
-    for &(sym, _) in &outputs {
-        build.resolve(sym)?;
-    }
-    for &(input, _, _) in &latches {
-        build.resolve(input)?;
-    }
-    // Also materialize defined-but-dead gates, in name order, so
-    // statistics see the whole file; the optimizer can sweep them later
-    // if desired.
-    let syms = &build.syms;
-    let mut dead: Vec<usize> = (0..syms.names.len())
-        .filter(|&sym| syms.state[sym].def.is_some() && syms.state[sym].node.is_none())
-        .collect();
-    dead.sort_unstable_by_key(|&sym| syms.names[sym]);
-    for sym in dead {
-        build.resolve(sym)?;
-    }
-
-    let Build {
-        syms,
-        mut netlist,
-        lines,
-        ..
-    } = build;
-    for &(sym, line) in &outputs {
-        let id = syms.state[sym]
-            .node
-            .ok_or_else(|| ParseError::at(line, ParseErrorKind::UnknownSignal(syms.name(sym))))?;
+    syms.finish("bench", &outputs, &latches, |netlist, &kind, fanins| {
         netlist
-            .add_output(syms.name(sym), id)
-            .map_err(|e| ParseError::at(line, ParseErrorKind::Logic(e)))?;
-    }
-    for &(input, output, line) in &latches {
-        let id = syms.state[input]
-            .node
-            .ok_or_else(|| ParseError::at(line, ParseErrorKind::UnknownSignal(syms.name(input))))?;
-        netlist
-            .add_output(format!("{}$next", syms.names[output]), id)
-            .map_err(|e| ParseError::at(line, ParseErrorKind::Logic(e)))?;
-    }
-
-    Ok(Design {
-        netlist,
-        latches: latches
-            .iter()
-            .map(|&(input, output, _)| Latch {
-                input: syms.name(input),
-                output: syms.name(output),
-            })
-            .collect(),
-        source_lines: lines,
+            .add_gate(kind, fanins)
+            .map_err(ParseErrorKind::Logic)
     })
-}
-
-/// The netlist under construction from interned statements.
-struct Build<'t> {
-    syms: Symbols<'t>,
-    netlist: Netlist,
-    /// Per-node source lines, pushed in lockstep with node creation.
-    lines: Vec<usize>,
-    /// The resolution work list.
-    stack: Vec<usize>,
-    /// Reused fanin buffer.
-    fanins: Vec<NodeId>,
-}
-
-impl Build<'_> {
-    /// Adds a primary (or latch pseudo-) input named by `sym`.
-    fn declare_input(&mut self, sym: usize, line: usize) -> Result<(), ParseError> {
-        let state = self.syms.state[sym];
-        if state.node.is_some() || state.def.is_some() {
-            return Err(ParseError::at(
-                line,
-                ParseErrorKind::DuplicateDefinition(self.syms.name(sym)),
-            ));
-        }
-        self.syms.state[sym].node = Some(self.netlist.add_input(self.syms.name(sym)));
-        self.lines.push(line);
-        Ok(())
-    }
-
-    /// Materializes signal `root` and its fanin cone (iteratively, via an
-    /// explicit work list: bench files can be huge and arbitrarily
-    /// ordered).
-    fn resolve(&mut self, root: usize) -> Result<(), ParseError> {
-        let Symbols {
-            names,
-            state,
-            defs,
-            args,
-            ..
-        } = &mut self.syms;
-        let name = |sym: usize| names[sym].to_owned();
-        if state[root].node.is_some() {
-            return Ok(());
-        }
-        self.stack.push(root);
-        while let Some(&current) = self.stack.last() {
-            if state[current].node.is_some() {
-                self.stack.pop();
-                continue;
-            }
-            let Some(def) = state[current].def.map(|def| &defs[def]) else {
-                return Err(ParseError::at(
-                    0,
-                    ParseErrorKind::UnknownSignal(name(current)),
-                ));
-            };
-            let args = &args[def.args.clone()];
-            // `expanded` marks nodes whose fanins have been pushed but that
-            // are not yet finished — exactly the current DFS path. Meeting
-            // one of those as a fanin is a genuine cycle; a pending sibling
-            // that was merely pushed is still unmarked.
-            if !state[current].expanded {
-                state[current].expanded = true;
-                let mut ready = true;
-                for &arg in args {
-                    if state[arg].node.is_none() {
-                        if state[arg].expanded {
-                            return Err(ParseError::at(
-                                def.line,
-                                ParseErrorKind::CombinationalCycle(name(arg)),
-                            ));
-                        }
-                        if state[arg].def.is_none() {
-                            return Err(ParseError::at(
-                                def.line,
-                                ParseErrorKind::UnknownSignal(name(arg)),
-                            ));
-                        }
-                        self.stack.push(arg);
-                        ready = false;
-                    }
-                }
-                if !ready {
-                    continue;
-                }
-            } else if let Some(&arg) = args.iter().find(|&&a| state[a].node.is_none()) {
-                return Err(ParseError::at(
-                    def.line,
-                    ParseErrorKind::CombinationalCycle(name(arg)),
-                ));
-            }
-            self.fanins.clear();
-            self.fanins.extend(
-                args.iter()
-                    .map(|&a| state[a].node.expect("fanins are ready")),
-            );
-            let id = self
-                .netlist
-                .add_gate(def.kind, &self.fanins)
-                .map_err(|e| ParseError::at(def.line, ParseErrorKind::Logic(e)))?;
-            self.lines.push(def.line);
-            state[current] = Symbol {
-                node: Some(id),
-                expanded: false,
-                ..state[current]
-            };
-            self.stack.pop();
-        }
-        Ok(())
-    }
 }
 
 /// Matches `KEYWORD(name)` declarations.
@@ -476,6 +243,7 @@ OUTPUT(23)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nanobound_logic::Netlist;
 
     #[test]
     fn parse_c17() {

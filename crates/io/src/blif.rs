@@ -7,22 +7,23 @@
 //! AND of literals, rows are ORed, an off-set cover is complemented) and
 //! gates are converted back to covers on write.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::ops::Range;
 
 use nanobound_logic::{GateKind, Netlist, Node, NodeId};
 
 use crate::error::{ParseError, ParseErrorKind, WriteError};
 use crate::names;
-use crate::{Design, Latch};
+use crate::resolve::Symbols;
+use crate::Design;
 
-/// A `.names` statement: signals and the rows of its cover.
+/// A `.names` statement: its output, its fanins (the other names of the
+/// statement, a range of [`Symbols::args`]) and its rows.
 struct Cover {
-    /// Fanin signal names; the last entry of the `.names` line (the output)
-    /// is stored separately.
-    inputs: Vec<String>,
-    output: String,
-    /// Rows as (input pattern, output char).
-    rows: Vec<(String, char)>,
+    output: usize,
+    inputs: Range<usize>,
+    /// The rows, as a range of the row list `(input pattern, output char)`.
+    rows: Range<usize>,
     line: usize,
 }
 
@@ -48,35 +49,17 @@ struct Cover {
 /// # Ok::<(), nanobound_io::ParseError>(())
 /// ```
 pub fn parse(text: &str) -> Result<Design, ParseError> {
-    let mut model: Option<String> = None;
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
+    let lines = logical_lines(text);
+    let mut syms = Symbols::with_capacity(text.len() / 16);
+    let mut model: Option<&str> = None;
+    let mut inputs: Vec<usize> = Vec::new();
+    // `.outputs` and `.latch` names carry no line: they are reported at 0.
+    let mut outputs: Vec<(usize, usize)> = Vec::new();
+    let mut latches: Vec<(usize, usize, usize)> = Vec::new();
     let mut covers: Vec<Cover> = Vec::new();
-    let mut latches: Vec<Latch> = Vec::new();
+    let mut rows: Vec<(&str, char)> = Vec::new();
 
-    // Join continuation lines first, remembering original line numbers.
-    let mut logical_lines: Vec<(usize, String)> = Vec::new();
-    let mut pending: Option<(usize, String)> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let without_comment = raw.split('#').next().unwrap_or("");
-        let (target_no, mut buf) = pending.take().unwrap_or((line_no, String::new()));
-        if !buf.is_empty() {
-            buf.push(' ');
-        }
-        if let Some(stripped) = without_comment.trim_end().strip_suffix('\\') {
-            buf.push_str(stripped.trim());
-            pending = Some((target_no, buf));
-        } else {
-            buf.push_str(without_comment.trim());
-            logical_lines.push((target_no, buf));
-        }
-    }
-    if let Some((line_no, buf)) = pending {
-        logical_lines.push((line_no, buf));
-    }
-
-    for (line_no, line) in &logical_lines {
+    for (line_no, line) in &lines {
         let line_no = *line_no;
         let line = line.trim();
         if line.is_empty() {
@@ -86,37 +69,35 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
         let head = tokens.next().expect("nonempty line has a token");
         match head {
             ".model" => {
-                model = Some(tokens.next().unwrap_or("unnamed").to_owned());
+                model = Some(tokens.next().unwrap_or("unnamed"));
             }
-            ".inputs" => inputs.extend(tokens.map(str::to_owned)),
-            ".outputs" => outputs.extend(tokens.map(str::to_owned)),
+            ".inputs" => inputs.extend(tokens.map(|name| syms.intern(name))),
+            ".outputs" => outputs.extend(tokens.map(|name| (syms.intern(name), 0))),
             ".latch" => {
-                let args: Vec<&str> = tokens.collect();
-                if args.len() < 2 {
+                let (Some(input), Some(output)) = (tokens.next(), tokens.next()) else {
                     return Err(ParseError::at(
                         line_no,
                         ParseErrorKind::Syntax(".latch needs input and output".into()),
                     ));
-                }
-                latches.push(Latch {
-                    input: args[0].to_owned(),
-                    output: args[1].to_owned(),
-                });
+                };
+                latches.push((syms.intern(input), syms.intern(output), 0));
             }
             ".names" => {
-                let signals: Vec<String> = tokens.map(str::to_owned).collect();
-                if signals.is_empty() {
+                let Some(output) = tokens.next_back() else {
                     return Err(ParseError::at(
                         line_no,
                         ParseErrorKind::Syntax(".names needs at least an output".into()),
                     ));
+                };
+                let start = syms.args.len();
+                for name in tokens {
+                    let sym = syms.intern(name);
+                    syms.args.push(sym);
                 }
-                let output = signals.last().expect("nonempty").clone();
-                let ins = signals[..signals.len() - 1].to_vec();
                 covers.push(Cover {
-                    inputs: ins,
-                    output,
-                    rows: Vec::new(),
+                    output: syms.intern(output),
+                    inputs: start..syms.args.len(),
+                    rows: rows.len()..rows.len(),
                     line: line_no,
                 });
             }
@@ -135,10 +116,11 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
                 let cover = covers.last_mut().ok_or_else(|| {
                     ParseError::at(line_no, ParseErrorKind::Syntax("row outside .names".into()))
                 })?;
-                let cols: Vec<&str> = line.split_whitespace().collect();
-                let (pattern, out_char) = match (cover.inputs.len(), cols.as_slice()) {
-                    (0, [out]) => (String::new(), *out),
-                    (_, [pat, out]) => ((*pat).to_owned(), *out),
+                let fanins = cover.inputs.len();
+                let mut cols = line.split_whitespace();
+                let (pattern, out_char) = match (cols.next(), cols.next(), cols.next()) {
+                    (Some(out), None, None) if fanins == 0 => ("", out),
+                    (Some(pat), Some(out), None) => (pat, out),
                     _ => {
                         return Err(ParseError::at(
                             line_no,
@@ -146,24 +128,21 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
                         ));
                     }
                 };
-                // Validate literals before the width check, and count
-                // width in characters: `pattern.len()` counts *bytes*,
-                // so a row containing a multi-byte character used to be
-                // reported as a misleading width mismatch instead of as
-                // the bad literal it is.
+                // Validate literals before the width check: a multi-byte
+                // character is a bad literal, not a width mismatch, and
+                // once every literal is ASCII the byte length is the width.
                 if !pattern.chars().all(|c| matches!(c, '0' | '1' | '-')) {
                     return Err(ParseError::at(
                         line_no,
                         ParseErrorKind::BadCover(format!("bad literal in `{pattern}`")),
                     ));
                 }
-                let width = pattern.chars().count();
-                if width != cover.inputs.len() {
+                if pattern.len() != fanins {
                     return Err(ParseError::at(
                         line_no,
                         ParseErrorKind::BadCover(format!(
-                            "pattern width {width} does not match {} inputs",
-                            cover.inputs.len()
+                            "pattern width {} does not match {fanins} inputs",
+                            pattern.len()
                         )),
                     ));
                 }
@@ -174,186 +153,107 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
                         ParseErrorKind::BadCover(format!("bad output value `{out_char}`")),
                     ));
                 }
-                cover.rows.push((pattern, out));
+                rows.push((pattern, out));
+                cover.rows.end = rows.len();
             }
         }
     }
 
     let model = model.ok_or(ParseError::at(0, ParseErrorKind::MissingModel))?;
-    build_design(&model, &inputs, &outputs, covers, latches)
+    // Inputs and latch outputs are declared before any cover is defined,
+    // so a cover that reuses their name is reported at its own line.
+    for &sym in &inputs {
+        syms.declare_input(sym, 0)?;
+    }
+    for &(_, output, _) in &latches {
+        syms.declare_input(output, 0)?;
+    }
+    for cover in covers {
+        syms.define(cover.output, cover.rows, cover.inputs, cover.line)?;
+    }
+    syms.finish(model, &outputs, &latches, |netlist, cover, fanins| {
+        materialize_cover(netlist, &rows[cover.clone()], fanins)
+    })
 }
 
-/// Second parse phase: order covers topologically and materialize gates.
-fn build_design(
-    model: &str,
-    inputs: &[String],
-    outputs: &[String],
-    covers: Vec<Cover>,
-    latches: Vec<Latch>,
-) -> Result<Design, ParseError> {
-    let mut netlist = Netlist::new(model);
-    // Per-node source lines: pseudo/real inputs have no single statement
-    // (`.inputs` lists many names), so they stay unknown; every gate a
-    // cover materializes is attributed to its `.names` line.
-    let mut lines: Vec<usize> = Vec::new();
-    let mut ids: HashMap<String, NodeId> = HashMap::new();
-    for name in inputs {
-        if ids.contains_key(name) {
-            return Err(ParseError::at(
-                0,
-                ParseErrorKind::DuplicateDefinition(name.clone()),
-            ));
-        }
-        ids.insert(name.clone(), netlist.add_input(name.clone()));
-        lines.push(0);
-    }
-    for latch in &latches {
-        if ids.contains_key(&latch.output) {
-            return Err(ParseError::at(
-                0,
-                ParseErrorKind::DuplicateDefinition(latch.output.clone()),
-            ));
-        }
-        ids.insert(
-            latch.output.clone(),
-            netlist.add_input(latch.output.clone()),
-        );
-        lines.push(0);
-    }
-
-    let mut by_output: HashMap<&str, &Cover> = HashMap::new();
-    for cover in &covers {
-        if ids.contains_key(&cover.output) || by_output.insert(&cover.output, cover).is_some() {
-            return Err(ParseError::at(
-                cover.line,
-                ParseErrorKind::DuplicateDefinition(cover.output.clone()),
-            ));
-        }
-    }
-
-    // Iterative topological materialization, mirroring the .bench reader.
-    let mut in_progress: HashMap<&str, bool> = HashMap::new();
-    let mut stack: Vec<&str> = Vec::new();
-    let mut roots: Vec<&str> = outputs.iter().map(String::as_str).collect();
-    roots.extend(latches.iter().map(|l| l.input.as_str()));
-    let mut cover_outputs: Vec<&str> = by_output.keys().copied().collect();
-    cover_outputs.sort_unstable();
-    roots.extend(cover_outputs);
-
-    for root in roots {
-        if ids.contains_key(root) {
+/// Joins `\` continuations into logical lines, each numbered by its
+/// first physical line, with comments stripped; a line that continues
+/// nothing borrows from `text`.
+fn logical_lines(text: &str) -> Vec<(usize, Cow<'_, str>)> {
+    let mut lines = Vec::new();
+    let mut pending: Option<(usize, String)> = None;
+    for (idx, raw) in text.lines().enumerate() {
+        let without_comment = raw.split('#').next().unwrap_or("");
+        let continued = without_comment.trim_end().strip_suffix('\\');
+        if pending.is_none() && continued.is_none() {
+            lines.push((idx + 1, Cow::Borrowed(without_comment.trim())));
             continue;
         }
-        stack.push(root);
-        while let Some(&current) = stack.last() {
-            if ids.contains_key(current) {
-                stack.pop();
-                continue;
-            }
-            let cover = *by_output.get(current).ok_or_else(|| {
-                ParseError::at(0, ParseErrorKind::UnknownSignal(current.to_owned()))
-            })?;
-            let expanded = in_progress.get(current).copied().unwrap_or(false);
-            if !expanded {
-                in_progress.insert(current, true);
-                let mut ready = true;
-                for arg in &cover.inputs {
-                    if !ids.contains_key(arg.as_str()) {
-                        if in_progress.get(arg.as_str()).copied().unwrap_or(false) {
-                            return Err(ParseError::at(
-                                cover.line,
-                                ParseErrorKind::CombinationalCycle(arg.clone()),
-                            ));
-                        }
-                        if !by_output.contains_key(arg.as_str()) {
-                            return Err(ParseError::at(
-                                cover.line,
-                                ParseErrorKind::UnknownSignal(arg.clone()),
-                            ));
-                        }
-                        stack.push(arg.as_str());
-                        ready = false;
-                    }
-                }
-                if !ready {
-                    continue;
-                }
-            } else if let Some(arg) = cover.inputs.iter().find(|a| !ids.contains_key(a.as_str())) {
-                return Err(ParseError::at(
-                    cover.line,
-                    ParseErrorKind::CombinationalCycle(arg.clone()),
-                ));
-            }
-            let fanins: Vec<NodeId> = cover.inputs.iter().map(|a| ids[a.as_str()]).collect();
-            let id = materialize_cover(&mut netlist, cover, &fanins)?;
-            lines.resize(netlist.node_count(), cover.line);
-            ids.insert(current.to_owned(), id);
-            in_progress.insert(current, false);
-            stack.pop();
+        let (line_no, mut buf) = pending.take().unwrap_or((idx + 1, String::new()));
+        if !buf.is_empty() {
+            buf.push(' ');
+        }
+        buf.push_str(continued.unwrap_or(without_comment).trim());
+        if continued.is_some() {
+            pending = Some((line_no, buf));
+        } else {
+            lines.push((line_no, Cow::Owned(buf)));
         }
     }
-
-    for name in outputs {
-        let id = *ids
-            .get(name)
-            .ok_or_else(|| ParseError::at(0, ParseErrorKind::UnknownSignal(name.clone())))?;
-        netlist.add_output(name.clone(), id)?;
-    }
-    for latch in &latches {
-        let id = *ids
-            .get(&latch.input)
-            .ok_or_else(|| ParseError::at(0, ParseErrorKind::UnknownSignal(latch.input.clone())))?;
-        netlist.add_output(format!("{}$next", latch.output), id)?;
-    }
-    Ok(Design {
-        netlist,
-        latches,
-        source_lines: lines,
-    })
+    lines.extend(pending.map(|(line_no, buf)| (line_no, Cow::Owned(buf))));
+    lines
 }
 
 /// Converts a sum-of-products cover to gates and returns the driving node.
 fn materialize_cover(
     netlist: &mut Netlist,
-    cover: &Cover,
+    rows: &[(&str, char)],
     fanins: &[NodeId],
-) -> Result<NodeId, ParseError> {
-    if cover.rows.is_empty() {
+) -> Result<NodeId, ParseErrorKind> {
+    let Some(&(_, polarity)) = rows.first() else {
         // Empty cover: constant 0 (standard BLIF semantics).
         return Ok(netlist.add_const(false));
-    }
-    let polarity = cover.rows[0].1;
-    if cover.rows.iter().any(|(_, v)| *v != polarity) {
-        return Err(ParseError::at(
-            cover.line,
-            ParseErrorKind::BadCover("mixed on-set and off-set rows".into()),
+    };
+    if rows.iter().any(|&(_, v)| v != polarity) {
+        return Err(ParseErrorKind::BadCover(
+            "mixed on-set and off-set rows".into(),
         ));
     }
-    let mut row_nodes: Vec<NodeId> = Vec::with_capacity(cover.rows.len());
-    for (pattern, _) in &cover.rows {
+    let mut row_nodes: Vec<NodeId> = Vec::with_capacity(rows.len());
+    for (pattern, _) in rows {
         let mut literals: Vec<NodeId> = Vec::new();
-        for (i, c) in pattern.chars().enumerate() {
+        for (&fanin, c) in fanins.iter().zip(pattern.bytes()) {
             match c {
-                '1' => literals.push(fanins[i]),
-                '0' => literals.push(netlist.add_gate(GateKind::Not, &[fanins[i]])?),
+                b'1' => literals.push(fanin),
+                b'0' => literals.push(
+                    netlist
+                        .add_gate(GateKind::Not, &[fanin])
+                        .map_err(ParseErrorKind::Logic)?,
+                ),
                 _ => {}
             }
         }
         let node = match literals.len() {
             0 => netlist.add_const(true),
             1 => literals[0],
-            _ => netlist.add_gate(GateKind::And, &literals)?,
+            _ => netlist
+                .add_gate(GateKind::And, &literals)
+                .map_err(ParseErrorKind::Logic)?,
         };
         row_nodes.push(node);
     }
     let or_node = match row_nodes.len() {
         1 => row_nodes[0],
-        _ => netlist.add_gate(GateKind::Or, &row_nodes)?,
+        _ => netlist
+            .add_gate(GateKind::Or, &row_nodes)
+            .map_err(ParseErrorKind::Logic)?,
     };
     if polarity == '1' {
         Ok(or_node)
     } else {
-        Ok(netlist.add_gate(GateKind::Not, &[or_node])?)
+        netlist
+            .add_gate(GateKind::Not, &[or_node])
+            .map_err(ParseErrorKind::Logic)
     }
 }
 

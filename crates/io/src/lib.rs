@@ -40,6 +40,7 @@ pub mod bench;
 pub mod blif;
 mod error;
 mod names;
+mod resolve;
 pub mod unroll;
 
 pub use error::{ParseError, ParseErrorKind, WriteError};
