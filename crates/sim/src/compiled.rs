@@ -546,12 +546,29 @@ impl SimProgram {
                 .copy_from_slice(patterns.input_words(i));
         }
         self.fill_consts(scratch, words);
+        self.eval_clean(scratch);
+        Ok(())
+    }
+
+    /// Re-evaluates every op error-free over the input and constant
+    /// streams already in `scratch`.
+    pub(crate) fn eval_clean(&self, scratch: &mut SimScratch) {
+        let words = scratch.words;
         for op in &self.ops {
             let (lo, clean_dst, _) = scratch.op_dsts(op.dst, words);
             let operands = &self.operands[op.operands.0 as usize..op.operands.1 as usize];
             eval_op(op.kind, lo, words, operands, Lane::Clean, clean_dst);
         }
-        Ok(())
+    }
+
+    /// Inverts every word of input `i`'s stream in `scratch` — the input
+    /// fill of [`PatternSet::with_input_flipped`] without copying the
+    /// other inputs. Inverting twice restores the stream.
+    pub(crate) fn invert_input(&self, scratch: &mut SimScratch, i: usize) {
+        let words = scratch.words;
+        for w in scratch.slot_mut(self.input_slots[i], words) {
+            *w = !*w;
+        }
     }
 
     /// The clean stream of node `id` after a [`SimProgram::run_clean`].
@@ -573,23 +590,6 @@ impl SimProgram {
     #[must_use]
     pub fn output_stream<'s>(&self, scratch: &'s SimScratch, index: usize) -> &'s [u64] {
         scratch.slot(self.output_slots[index].0, scratch.words)
-    }
-
-    /// Derives the activity profile of one clean run — bit-identical to
-    /// [`activity_of_values`](crate::activity::activity_of_values) over
-    /// [`evaluate_packed`](crate::evaluate_packed) on the same
-    /// patterns.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SimProgram::run_clean`].
-    pub fn activity(
-        &self,
-        scratch: &mut SimScratch,
-        patterns: &PatternSet,
-    ) -> Result<ActivityProfile, SimError> {
-        self.run_clean(scratch, patterns)?;
-        Ok(self.profile_clean(scratch))
     }
 
     /// Simulates `patterns` random vectors (seeded) and profiles the
@@ -623,33 +623,17 @@ impl SimProgram {
             }
         }
         self.fill_consts(scratch, words);
-        for op in &self.ops {
-            let (lo, clean_dst, _) = scratch.op_dsts(op.dst, words);
-            let operands = &self.operands[op.operands.0 as usize..op.operands.1 as usize];
-            eval_op(op.kind, lo, words, operands, Lane::Clean, clean_dst);
-        }
-        Ok(self.profile_clean(scratch))
-    }
+        self.eval_clean(scratch);
 
-    /// Derives the activity profile from the clean streams currently in
-    /// `scratch` — the shared tail of [`SimProgram::activity`] and
-    /// [`SimProgram::estimate_activity`].
-    fn profile_clean(&self, scratch: &SimScratch) -> ActivityProfile {
-        let count = scratch.count;
-        let transitions = count.saturating_sub(1).max(1);
+        let transitions = patterns - 1;
         let mut signal_probability = Vec::with_capacity(self.node_slots.len());
         let mut switching_activity = Vec::with_capacity(self.node_slots.len());
         let mut gate_sw_sum = 0.0;
         let mut gate_p_sum = 0.0;
         let mut gates = 0usize;
         for (&(clean, _), &is_gate) in self.node_slots.iter().zip(&self.is_gate) {
-            let stream = scratch.slot(clean, scratch.words);
-            let (ones, toggles) = popcount_toggle(stream, count);
-            let p = if count == 0 {
-                0.0
-            } else {
-                ones as f64 / count as f64
-            };
+            let (ones, toggles) = popcount_toggle(scratch.slot(clean, words), patterns);
+            let p = ones as f64 / patterns as f64;
             let sw = toggles as f64 / transitions as f64;
             if is_gate {
                 gate_sw_sum += sw;
@@ -664,13 +648,13 @@ impl SimProgram {
         } else {
             (gate_sw_sum / gates as f64, gate_p_sum / gates as f64)
         };
-        ActivityProfile {
+        Ok(ActivityProfile {
             signal_probability,
             switching_activity,
             avg_gate_activity,
             avg_gate_probability,
-            patterns: count,
-        }
+            patterns,
+        })
     }
 
     /// Writes the constant slots for the current word width.

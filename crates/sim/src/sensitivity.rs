@@ -271,9 +271,12 @@ pub fn sampled_with(
 
     let mut counts = vec![0u16; count];
     let mut any_diff = vec![0u64; words];
+    // Flip input i in place and re-run the tape: the same streams as
+    // running `base.with_input_flipped(i)`, without copying the other
+    // n − 1 inputs into a fresh pattern set and back into the arena.
     for i in 0..n {
-        let flipped = base.with_input_flipped(i);
-        program.run_clean(scratch, &flipped)?;
+        program.invert_input(scratch, i);
+        program.eval_clean(scratch);
         any_diff.fill(0);
         for (o, a) in base_streams.iter().enumerate() {
             let b = program.output_stream(scratch, o);
@@ -282,6 +285,7 @@ pub fn sampled_with(
             }
         }
         add_sensitive_bits(&any_diff, tail, &mut counts);
+        program.invert_input(scratch, i);
     }
     Ok(u32::from(counts.iter().copied().max().unwrap_or(0)))
 }
