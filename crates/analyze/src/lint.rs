@@ -192,15 +192,17 @@ fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -
     }
 
     // NB006 / NB007 — per-gate structure checks, in id order.
+    // `seen[f] == g + 1` marks fanin `f` as already listed by gate `g`,
+    // so the first repeated fanin costs one pass over the fanin list.
+    let mut seen = vec![0usize; netlist.node_count()];
     for id in netlist.node_ids() {
         let node = netlist.node(id);
         let Some(kind) = node.kind() else { continue };
+        let stamp = id.index() + 1;
         if let Some(&dup) = node
             .fanins()
             .iter()
-            .enumerate()
-            .find(|(i, f)| node.fanins()[..*i].contains(f))
-            .map(|(_, f)| f)
+            .find(|f| std::mem::replace(&mut seen[f.index()], stamp) == stamp)
         {
             report.push(
                 codes::DUPLICATE_FANIN,

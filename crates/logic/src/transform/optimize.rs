@@ -155,25 +155,27 @@ impl Folder {
         }
         nodes.truncate(kept);
         // x XOR NOT(x) == 1: cancel complementary pairs into the parity
-        // flag, always the first inverter (ascending) whose fanin is
-        // present. A fanin precedes its gate, so it sits further left,
-        // and a cancellation never makes an earlier inverter cancellable.
-        let mut i = 0;
-        while i < nodes.len() {
-            let partner = self
-                .out
-                .inverted(nodes[i])
-                .and_then(|x| nodes[..i].binary_search(&x).ok());
-            match partner {
-                Some(j) => {
-                    nodes.remove(i);
-                    nodes.remove(j);
+        // flag, in one ascending pass in which an inverter cancels with
+        // its fanin while that fanin is still kept. A fanin precedes its
+        // gate, so it sits further left, and a cancellation never makes
+        // an earlier inverter cancellable. `seen[x] == stamp` marks `x`
+        // as kept.
+        self.stamp += 1;
+        let stamp = self.stamp;
+        for &x in nodes.iter() {
+            self.seen[x.index()] = stamp;
+        }
+        for &x in nodes.iter() {
+            if let Some(inner) = self.out.inverted(x) {
+                if self.seen[inner.index()] == stamp {
+                    self.seen[inner.index()] = 0;
+                    self.seen[x.index()] = 0;
                     parity = !parity;
-                    i -= 1;
                 }
-                None => i += 1,
             }
         }
+        let seen = &self.seen;
+        nodes.retain(|x| seen[x.index()] == stamp);
         match self.nodes.len() {
             0 => Repr::Const(parity),
             1 => self.maybe_invert(self.nodes[0], parity),
