@@ -122,8 +122,9 @@ SERVE PROTOCOL (one request per line; full grammar in the README):
        (workloads: profile, bound, figure, validate, lint, gc, stats,
        ping, shutdown, and the cluster shard workload mc_shards; id
        \"?\" is reserved for malformed-line answers; computing
-       workloads accept --request-jobs <N> for a per-request worker
-       budget)
+       workloads accept --request-jobs <N>, a per-request worker
+       budget for figure, validate and mc_shards; profile and bound
+       have no parallel work and only validate it)
 ";
 
 /// Top-level dispatch for the `nanobound` binary.

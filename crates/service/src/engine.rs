@@ -54,8 +54,7 @@ use nanobound_experiments::{generate_figure, validation, FigureId, FigureOutput}
 use nanobound_io::{bench, blif, unroll, Design};
 use nanobound_report::Table;
 use nanobound_runner::{
-    monte_carlo_shard_tallies, netlist_fingerprint, try_grid_map, Exec, ShardPlan, ShardRange,
-    ThreadPool,
+    monte_carlo_shard_tallies, netlist_fingerprint, Exec, ShardPlan, ShardRange, ThreadPool,
 };
 use nanobound_sim::{NoisyConfig, ProgramCache};
 
@@ -341,28 +340,14 @@ impl Engine {
     }
 
     /// Executes a `profile` workload; returns the one-shot CLI's exact
-    /// stdout text.
+    /// stdout text. It has no parallel work: the measurement runs on one
+    /// thread and the bound reports are microseconds each.
     ///
     /// # Errors
     ///
     /// Unreadable/unparseable netlist files, unroll failures and
     /// simulation errors, with the CLI's exact messages.
     pub fn profile(&self, request: &ProfileRequest) -> Result<String, String> {
-        self.profile_with(request, &self.pool)
-    }
-
-    /// [`Engine::profile`] under a caller-supplied worker budget — the
-    /// serve `--request-jobs` override. The text is identical for every
-    /// pool (runner contract).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::profile`].
-    pub fn profile_with(
-        &self,
-        request: &ProfileRequest,
-        pool: &ThreadPool,
-    ) -> Result<String, String> {
         let design = self.load_design(&request.path)?;
 
         let mut out = String::new();
@@ -394,12 +379,12 @@ impl Engine {
         profile_key.push_f64(config.leak_share);
         let profile_key = profile_key.finish();
         let profiled = self.profiled.get_or_try_insert(profile_key, || {
-            profile_netlist(&self.exec(pool), netlist, None, &config).map_err(|e| e.to_string())
+            profile_netlist(&self.exec(&self.pool), netlist, None, &config)
+                .map_err(|e| e.to_string())
         })?;
 
         let _ = writeln!(out, "profile: {}", profiled.profile);
         out.push_str(&render_reports(
-            pool,
             &profiled.profile,
             &request.eps,
             request.delta,
@@ -408,26 +393,16 @@ impl Engine {
     }
 
     /// Executes a `bound` workload; returns the one-shot CLI's exact
-    /// stdout text.
+    /// stdout text. Like `profile`, it has no parallel work.
     ///
     /// # Errors
     ///
     /// Bound-evaluation failures for out-of-range parameters, with the
     /// CLI's exact messages.
     pub fn bound(&self, request: &BoundRequest) -> Result<String, String> {
-        self.bound_with(request, &self.pool)
-    }
-
-    /// [`Engine::bound`] under a caller-supplied worker budget.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::bound`].
-    pub fn bound_with(&self, request: &BoundRequest, pool: &ThreadPool) -> Result<String, String> {
         let mut out = String::new();
         let _ = writeln!(out, "profile: {}", request.profile);
         out.push_str(&render_reports(
-            pool,
             &request.profile,
             &request.eps,
             request.delta,
@@ -696,18 +671,17 @@ pub fn csv_of(figure: &FigureOutput) -> String {
     figure.tables.iter().map(Table::to_csv).collect()
 }
 
-/// Renders one bound report per ε across the pool — the exact text the
-/// CLI prints below the profile line. Grid order is preserved, so the
-/// output never depends on the worker count.
+/// Renders one bound report per ε, in grid order — the exact text the
+/// CLI prints below the profile line. The first failing ε is the error.
 fn render_reports(
-    pool: &ThreadPool,
     profile: &CircuitProfile,
     epsilons: &[f64],
     delta: f64,
 ) -> Result<String, String> {
-    let reports = try_grid_map(pool, epsilons, |&eps| {
-        BoundReport::evaluate(profile, eps, delta).map_err(|e| e.to_string())
-    })?;
+    let reports = epsilons
+        .iter()
+        .map(|&eps| BoundReport::evaluate(profile, eps, delta).map_err(|e| e.to_string()))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut out = String::new();
     for (&eps, r) in epsilons.iter().zip(&reports) {
         let _ = writeln!(out, "\nbounds at eps = {eps}, delta = {delta}:");

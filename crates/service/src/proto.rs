@@ -17,8 +17,8 @@
 //! the one-shot binary would take, *minus* transport-level flags
 //! (`--jobs`, `--cache-dir`, `--no-cache`), which belong to the
 //! server. The serve-only `--request-jobs N` token is accepted on the
-//! computing workloads to run one request under its own worker
-//! budget.
+//! computing workloads to run one request under its own worker budget
+//! (`profile` and `bound` have no parallel work and only validate it).
 //!
 //! The id `"?"` ([`RESERVED_ID`]) is reserved: responses to lines the
 //! server could not parse carry it, so no request may claim it —

@@ -22,9 +22,10 @@
 //! one-shot CLI's stdout.
 //!
 //! A request may carry `--request-jobs N` (on `profile`, `bound`,
-//! `figure`, `validate`) to run its computation under its own worker
-//! budget instead of the server pool; results are byte-identical for
-//! every N (runner contract).
+//! `figure`, `validate`, `mc_shards`) to run its computation under its
+//! own worker budget instead of the server pool; results are
+//! byte-identical for every N (runner contract). `profile` and `bound`
+//! have no parallel work, so for them the flag is only validated.
 //!
 //! The `gc` workload sweeps the shard cache mid-flight; fingerprints
 //! pinned by in-flight requests are protected, so a sweep can run
@@ -534,17 +535,19 @@ fn dispatch(engine: &Engine, request: &Request) -> (bool, Vec<u8>) {
         };
     }
     let result = match request.workload.as_str() {
-        "profile" => with_request_pool(engine, &request.args, |args, pool| {
+        // `profile` and `bound` have no parallel work: `--request-jobs`
+        // is validated and then has nothing to steer.
+        "profile" => with_request_pool(engine, &request.args, |args, _| {
             parse_flags(args, &ProfileRequest::FLAGS)
                 .and_then(|(positional, flags)| ProfileRequest::from_parts(&positional, &flags))
-                .and_then(|req| engine.profile_with(&req, pool))
+                .and_then(|req| engine.profile(&req))
         }),
         // `bound` per the protocol; `bounds` accepted as the CLI
         // subcommand spelling.
-        "bound" | "bounds" => with_request_pool(engine, &request.args, |args, pool| {
+        "bound" | "bounds" => with_request_pool(engine, &request.args, |args, _| {
             parse_flags(args, &BoundRequest::FLAGS)
                 .and_then(|(positional, flags)| BoundRequest::from_parts(&positional, &flags))
-                .and_then(|req| engine.bound_with(&req, pool))
+                .and_then(|req| engine.bound(&req))
         }),
         "figure" => with_request_pool(engine, &request.args, |args, pool| {
             parse_flags(args, &[])
