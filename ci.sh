@@ -79,11 +79,15 @@
 #      fails; and a ~2.6 MB, 10^5-gate netlist must cross the wire to
 #      two workers inside a 5 s --io-timeout with no retry and no
 #      local shard, which an ingest path slower than linear cannot do
-#  15. the ingest gate: a generated 50,000-gate netlist whose every
-#      gate is its own output must `lint` and `profile --patterns 64`
-#      inside a 5 s timeout each — a complexity gate, not a timing
-#      assertion: any parse, optimize or lint step quadratic in the
-#      output count takes tens of seconds here
+#  15. the ingest gate: three generated netlists must each `lint` and
+#      `profile --patterns 64` inside a 5 s timeout per command — a
+#      complexity gate, not a timing assertion. A 50,000-gate netlist
+#      whose every gate is its own output, as `.bench` and again as
+#      `.blif` (one shared resolver, two scanners): any parse, optimize
+#      or lint step quadratic in the output count takes tens of seconds
+#      here. And 80,000 inputs each XORed with its own inverse in one
+#      160,001-fanin gate: a per-gate scan quadratic in fanin, or a
+#      sensitivity estimate quadratic in the input count, does too
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -438,7 +442,7 @@ if [ -z "$CHAOS_RETRIES" ] || [ "$CHAOS_RETRIES" -lt 1 ]; then
 fi
 kill "$W1" "$W2" "$W3" 2>/dev/null || true
 
-echo "==> ingest gate: lint and profile a 50,000-output netlist, 5 s each"
+echo "==> ingest gate: lint and profile three wide netlists, 5 s each"
 # Eight XOR/NAND chains over eight inputs, 50,000 gates, each gate its
 # own output. Linear ingest takes well under a second for each command;
 # before outputs were indexed by name, this file took 6 s to lint and
@@ -450,7 +454,38 @@ awk 'BEGIN {
     printf "y%06d = %s(x%d, %s)\n", i, (i % 2 ? "NAND" : "XOR"), i % 8,
       (i < 8 ? "x" ((i + 1) % 8) : sprintf("y%06d", i - 8))
 }' > "$detdir/wide.bench"
-timeout 5 target/release/nanobound lint "$detdir/wide.bench" >/dev/null
-timeout 5 target/release/nanobound profile "$detdir/wide.bench" --patterns 64 >/dev/null
+# The same circuit as BLIF, one interface name per statement as SIS-era
+# converters write it: NAND as an off-set cover, XOR as two on-set rows.
+awk 'BEGIN {
+  print ".model wide"
+  for (i = 0; i < 8; i++) printf ".inputs x%d\n", i
+  for (i = 0; i < 50000; i++) printf ".outputs y%06d\n", i
+  for (i = 0; i < 50000; i++) {
+    printf ".names x%d %s y%06d\n", i % 8,
+      (i < 8 ? "x" ((i + 1) % 8) : sprintf("y%06d", i - 8)), i
+    print (i % 2 ? "11 0" : "10 1\n01 1")
+  }
+  print ".end"
+}' > "$detdir/wide.blif"
+# One XOR over z and 80,000 complementary pairs x_i, NOT(x_i), plus a
+# NAND so two outputs stay live. Before the duplicate-fanin lint and
+# the XOR pair cancellation were linear in fanin, and before sampled
+# sensitivity flipped inputs in place, this file took 7 s to lint and
+# over 10 s to profile on the same host.
+awk 'BEGIN {
+  print "INPUT(z)"
+  for (i = 0; i < 80000; i++) printf "INPUT(x%d)\n", i
+  print "OUTPUT(y)"
+  print "OUTPUT(w)"
+  for (i = 0; i < 80000; i++) printf "n%d = NOT(x%d)\n", i, i
+  printf "y = XOR(z"
+  for (i = 0; i < 80000; i++) printf ", x%d, n%d", i, i
+  print ")"
+  print "w = NAND(z, x0)"
+}' > "$detdir/pairs.bench"
+for netlist in wide.bench wide.blif pairs.bench; do
+  timeout 5 target/release/nanobound lint "$detdir/$netlist" >/dev/null
+  timeout 5 target/release/nanobound profile "$detdir/$netlist" --patterns 64 >/dev/null
+done
 
 echo "CI green."
