@@ -309,7 +309,6 @@ impl SimProgram {
             arena: Vec::new(),
             any_diff: Vec::new(),
             words: 0,
-            count: 0,
             offsets: Vec::new(),
             batch_clean: Vec::new(),
             batch_noisy: Vec::new(),
@@ -428,13 +427,11 @@ impl SimProgram {
         let mut offsets = std::mem::take(&mut scratch.offsets);
         offsets.clear();
         let mut total_words = 0usize;
-        let mut total_patterns = 0usize;
         for spec in shards {
             offsets.push(total_words);
             total_words += spec.patterns.div_ceil(64);
-            total_patterns += spec.patterns;
         }
-        scratch.prepare(self.num_slots, total_words, total_patterns);
+        scratch.prepare(self.num_slots, total_words);
 
         // Input fill: shard-outer / input-inner, one pattern RNG per
         // shard — exactly the words `PatternSet::random` would draw for
@@ -539,7 +536,7 @@ impl SimProgram {
             });
         }
         let words = patterns.words_per_signal();
-        scratch.prepare(self.num_slots, words, patterns.count());
+        scratch.prepare(self.num_slots, words);
         for (i, &slot) in self.input_slots.iter().enumerate() {
             scratch
                 .slot_mut(slot, words)
@@ -615,7 +612,7 @@ impl SimProgram {
             return Err(SimError::bad("patterns", patterns, "must be at least 2"));
         }
         let words = patterns.div_ceil(64);
-        scratch.prepare(self.num_slots, words, patterns);
+        scratch.prepare(self.num_slots, words);
         let mut rng = StdRng::seed_from_u64(seed);
         for &slot in &self.input_slots {
             for w in scratch.slot_mut(slot, words) {
@@ -904,8 +901,6 @@ pub struct SimScratch {
     any_diff: Vec<u64>,
     /// Word width of the most recent run.
     words: usize,
-    /// Pattern count of the most recent run.
-    count: usize,
     /// Per-shard word offsets of the most recent batch run.
     offsets: Vec<usize>,
     /// Per-shard clean-toggle accumulators of the batch run.
@@ -916,7 +911,7 @@ pub struct SimScratch {
 
 impl SimScratch {
     /// Sizes the buffers for a run (no-op when already large enough).
-    fn prepare(&mut self, num_slots: usize, words: usize, count: usize) {
+    fn prepare(&mut self, num_slots: usize, words: usize) {
         let need = num_slots * words;
         if self.arena.len() < need {
             self.arena.resize(need, 0);
@@ -925,13 +920,6 @@ impl SimScratch {
             self.any_diff.resize(words, 0);
         }
         self.words = words;
-        self.count = count;
-    }
-
-    /// Pattern count of the most recent run.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.count
     }
 
     fn slot(&self, slot: u32, words: usize) -> &[u64] {
