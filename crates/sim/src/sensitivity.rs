@@ -271,9 +271,9 @@ pub fn sampled_with(
 
     let mut counts = vec![0u16; count];
     let mut any_diff = vec![0u64; words];
-    // Flip input i in place and re-run the tape: the same streams as
-    // running `base.with_input_flipped(i)`, without copying the other
-    // n − 1 inputs into a fresh pattern set and back into the arena.
+    // Inverting input i's slot in place and re-running the tape yields
+    // exactly the streams of `base.with_input_flipped(i)`, the input the
+    // interpreted oracle runs, without copying the other inputs.
     for i in 0..n {
         program.invert_input(scratch, i);
         program.eval_clean(scratch);
