@@ -133,8 +133,8 @@ fn exact_from_streams(output_streams: &[&[u64]], n: usize, patterns: &PatternSet
     let count = patterns.count();
     let words = patterns.words_per_signal();
     let tail = patterns.tail_mask();
-    // counts[p] = number of inputs sensitive at assignment p (n ≤ 20).
-    let mut counts = vec![0u16; count];
+    // counts[p] = number of inputs sensitive at assignment p.
+    let mut counts = vec![0u32; count];
     let mut any_diff = vec![0u64; words];
     for i in 0..n {
         any_diff.fill(0);
@@ -143,13 +143,14 @@ fn exact_from_streams(output_streams: &[&[u64]], n: usize, patterns: &PatternSet
         }
         add_sensitive_bits(&any_diff, tail, &mut counts);
     }
-    u32::from(counts.iter().copied().max().unwrap_or(0))
+    counts.iter().copied().max().unwrap_or(0)
 }
 
 /// Increments `counts[p]` for every valid set bit of `any_diff`. Full
 /// words are scanned unmasked; only the final word is masked with the
-/// valid-pattern tail.
-fn add_sensitive_bits(any_diff: &[u64], tail: u64, counts: &mut [u16]) {
+/// valid-pattern tail. A count can reach the input count, so it is a
+/// `u32` like the sensitivity it becomes.
+fn add_sensitive_bits(any_diff: &[u64], tail: u64, counts: &mut [u32]) {
     let Some((&last, full)) = any_diff.split_last() else {
         return;
     };
@@ -222,7 +223,7 @@ pub fn sampled(netlist: &Netlist, samples: usize, seed: u64) -> Result<u32, SimE
     let words = base.words_per_signal();
     let tail = tail_mask(count);
 
-    let mut counts = vec![0u16; count];
+    let mut counts = vec![0u32; count];
     let mut any_diff = vec![0u64; words];
     for i in 0..n {
         let flipped = base.with_input_flipped(i);
@@ -237,7 +238,7 @@ pub fn sampled(netlist: &Netlist, samples: usize, seed: u64) -> Result<u32, SimE
         }
         add_sensitive_bits(&any_diff, tail, &mut counts);
     }
-    Ok(u32::from(counts.iter().copied().max().unwrap_or(0)))
+    Ok(counts.iter().copied().max().unwrap_or(0))
 }
 
 /// Sensitivity lower bound from random sampling on the compiled engine
@@ -269,7 +270,7 @@ pub fn sampled_with(
     let words = base.words_per_signal();
     let tail = tail_mask(count);
 
-    let mut counts = vec![0u16; count];
+    let mut counts = vec![0u32; count];
     let mut any_diff = vec![0u64; words];
     // Inverting input i's slot in place and re-running the tape yields
     // exactly the streams of `base.with_input_flipped(i)`, the input the
@@ -287,7 +288,7 @@ pub fn sampled_with(
         add_sensitive_bits(&any_diff, tail, &mut counts);
         program.invert_input(scratch, i);
     }
-    Ok(u32::from(counts.iter().copied().max().unwrap_or(0)))
+    Ok(counts.iter().copied().max().unwrap_or(0))
 }
 
 /// Dispatches to [`exact`] when feasible, otherwise [`sampled`].
@@ -429,6 +430,18 @@ mod tests {
         let est = estimate(&wide, 64, 0).unwrap();
         assert!(!est.is_exact());
         assert_eq!(est.value(), 26);
+    }
+
+    #[test]
+    fn sensitive_counts_pass_sixteen_bits() {
+        // One pattern sensitive to 70,000 inputs, as in a 70,000-input
+        // XOR: a 16-bit count would wrap to 4,464.
+        let mut counts = vec![0; 64];
+        for _ in 0..70_000 {
+            add_sensitive_bits(&[1 << 5], !0, &mut counts);
+        }
+        assert_eq!(u64::from(counts[5]), 70_000);
+        assert_eq!(counts.iter().map(|&c| u64::from(c)).sum::<u64>(), 70_000);
     }
 
     #[test]
