@@ -72,7 +72,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::activity::ActivityProfile;
 use crate::error::SimError;
-use crate::faultstream::{gate_state, MaskPlan};
+#[cfg(target_arch = "x86_64")]
+use crate::faultstream::avx512;
+use crate::faultstream::{gate_state, MaskBlock, MaskPlan};
 use crate::fingerprint::experiment_builder;
 use crate::noisy::{NoisyConfig, NoisyTally};
 use crate::patterns::{popcount_valid, tail_mask, PatternSet};
@@ -150,6 +152,12 @@ pub struct ShardSpec {
     /// Patterns the shard simulates (must be ≥ 1).
     pub patterns: usize,
 }
+
+/// The op loop of a batch run: [`SimProgram::tally_ops`] in production,
+/// and [`SimProgram::tally_ops_body`] where a test pins the scalar
+/// compilation.
+type OpLoop =
+    fn(&SimProgram, &mut SimScratch, &MaskPlan, &[ShardSpec], &[usize], &mut [u64], &mut [u64]);
 
 /// A netlist lowered to a flat, allocation-free instruction tape.
 ///
@@ -394,6 +402,19 @@ impl SimProgram {
         shards: &[ShardSpec],
         tallies: &mut [NoisyTally],
     ) -> Result<(), SimError> {
+        self.run_tally_batch_on(SimProgram::tally_ops, scratch, epsilon, shards, tallies)
+    }
+
+    /// [`SimProgram::run_tally_batch`] with its op loop passed in, so
+    /// a test can run the scalar body on hosts that have the twin.
+    fn run_tally_batch_on(
+        &self,
+        op_loop: OpLoop,
+        scratch: &mut SimScratch,
+        epsilon: f64,
+        shards: &[ShardSpec],
+        tallies: &mut [NoisyTally],
+    ) -> Result<(), SimError> {
         assert_eq!(shards.len(), tallies.len(), "need one tally per shard");
         for tally in tallies.iter() {
             assert_eq!(
@@ -448,32 +469,22 @@ impl SimProgram {
         }
         self.fill_consts(scratch, total_words);
 
-        // ε = 0 (exactly, or quantized) XORs nothing: skip the mask
-        // loop outright — the oracle's masks are identically zero too.
         let plan = MaskPlan::new(epsilon);
-        let draw_masks = !plan.is_zero();
         let mut clean_toggles = std::mem::take(&mut scratch.batch_clean);
         let mut noisy_toggles = std::mem::take(&mut scratch.batch_noisy);
         clean_toggles.clear();
         clean_toggles.resize(shards.len(), 0);
         noisy_toggles.clear();
         noisy_toggles.resize(shards.len(), 0);
-        for (op_index, op) in self.ops.iter().enumerate() {
-            let (lo, clean_dst, noisy_dst) = scratch.op_dsts(op.dst, total_words);
-            let operands = &self.operands[op.operands.0 as usize..op.operands.1 as usize];
-            eval_op_pair(op.kind, lo, total_words, operands, clean_dst, noisy_dst);
-            for (j, (&off, spec)) in offsets.iter().zip(shards).enumerate() {
-                let words = spec.patterns.div_ceil(64);
-                let noisy_seg = &mut noisy_dst[off..off + words];
-                if draw_masks {
-                    plan.xor_masks(gate_state(spec.fault_seed, op_index as u64), 0, noisy_seg);
-                }
-                let (clean, noisy) =
-                    toggle_count_pair(&clean_dst[off..off + words], noisy_seg, spec.patterns);
-                clean_toggles[j] += clean;
-                noisy_toggles[j] += noisy;
-            }
-        }
+        op_loop(
+            self,
+            scratch,
+            &plan,
+            shards,
+            &offsets,
+            &mut clean_toggles,
+            &mut noisy_toggles,
+        );
 
         // Per-shard output mismatches: full words first, then the tail
         // word masked by the shard's own pattern count.
@@ -511,6 +522,84 @@ impl SimProgram {
         scratch.batch_clean = clean_toggles;
         scratch.batch_noisy = noisy_toggles;
         Ok(())
+    }
+
+    /// The op loop of [`SimProgram::run_tally_batch`], a kernel entry:
+    /// one CPU-feature check, then [`SimProgram::tally_ops_body`] or its
+    /// AVX-512 twin.
+    #[allow(unsafe_code)]
+    fn tally_ops(
+        &self,
+        scratch: &mut SimScratch,
+        plan: &MaskPlan,
+        shards: &[ShardSpec],
+        offsets: &[usize],
+        clean_toggles: &mut [u64],
+        noisy_toggles: &mut [u64],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if avx512() {
+            // SAFETY: the twin's target features were just detected.
+            unsafe {
+                self.tally_ops_avx512(scratch, plan, shards, offsets, clean_toggles, noisy_toggles);
+            }
+            return;
+        }
+        self.tally_ops_body(scratch, plan, shards, offsets, clean_toggles, noisy_toggles);
+    }
+
+    /// [`SimProgram::tally_ops_body`] compiled for AVX-512.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vpopcntdq")]
+    fn tally_ops_avx512(
+        &self,
+        scratch: &mut SimScratch,
+        plan: &MaskPlan,
+        shards: &[ShardSpec],
+        offsets: &[usize],
+        clean_toggles: &mut [u64],
+        noisy_toggles: &mut [u64],
+    ) {
+        self.tally_ops_body(scratch, plan, shards, offsets, clean_toggles, noisy_toggles);
+    }
+
+    /// Evaluates every op's clean and noisy streams over the filled
+    /// arena, XORs each shard's fault masks into its noisy segment and
+    /// adds each shard's gate toggles. The fused kernels, the mask body
+    /// and the toggle counts are `#[inline(always)]`, so the whole loop
+    /// is compiled for the entry's target features.
+    #[inline(always)]
+    fn tally_ops_body(
+        &self,
+        scratch: &mut SimScratch,
+        plan: &MaskPlan,
+        shards: &[ShardSpec],
+        offsets: &[usize],
+        clean_toggles: &mut [u64],
+        noisy_toggles: &mut [u64],
+    ) {
+        let total_words = scratch.words;
+        // ε = 0 (exactly, or quantized) XORs nothing: skip the mask
+        // loop outright — the oracle's masks are identically zero too.
+        let draw_masks = !plan.is_zero();
+        let mut block = MaskBlock::new();
+        for (op_index, op) in self.ops.iter().enumerate() {
+            let (lo, clean_dst, noisy_dst) = scratch.op_dsts(op.dst, total_words);
+            let operands = &self.operands[op.operands.0 as usize..op.operands.1 as usize];
+            eval_op_pair(op.kind, lo, total_words, operands, clean_dst, noisy_dst);
+            for (j, (&off, spec)) in offsets.iter().zip(shards).enumerate() {
+                let words = spec.patterns.div_ceil(64);
+                let noisy_seg = &mut noisy_dst[off..off + words];
+                if draw_masks {
+                    let gate = gate_state(spec.fault_seed, op_index as u64);
+                    plan.xor_masks_with(&mut block, gate, 0, noisy_seg);
+                }
+                let (clean, noisy) =
+                    toggle_count_pair(&clean_dst[off..off + words], noisy_seg, spec.patterns);
+                clean_toggles[j] += clean;
+                noisy_toggles[j] += noisy;
+            }
+        }
     }
 
     /// Evaluates every node error-free under `patterns`, leaving the
@@ -621,7 +710,36 @@ impl SimProgram {
         }
         self.fill_consts(scratch, words);
         self.eval_clean(scratch);
+        Ok(self.count_activity(scratch, patterns))
+    }
 
+    /// The counting loop of [`SimProgram::estimate_activity`], a kernel
+    /// entry: one CPU-feature check, then
+    /// [`SimProgram::count_activity_body`] or its AVX-512 twin.
+    #[allow(unsafe_code)]
+    fn count_activity(&self, scratch: &SimScratch, patterns: usize) -> ActivityProfile {
+        #[cfg(target_arch = "x86_64")]
+        if avx512() {
+            // SAFETY: the twin's target features were just detected.
+            return unsafe { self.count_activity_avx512(scratch, patterns) };
+        }
+        self.count_activity_body(scratch, patterns)
+    }
+
+    /// [`SimProgram::count_activity_body`] compiled for AVX-512.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vpopcntdq")]
+    fn count_activity_avx512(&self, scratch: &SimScratch, patterns: usize) -> ActivityProfile {
+        self.count_activity_body(scratch, patterns)
+    }
+
+    /// Profiles every node's clean stream of `patterns` patterns in
+    /// `scratch`: one fused popcount + toggle pass per stream. Float
+    /// arithmetic is the same sequence of operations in both
+    /// compilations (Rust never contracts or reorders it).
+    #[inline(always)]
+    fn count_activity_body(&self, scratch: &SimScratch, patterns: usize) -> ActivityProfile {
+        let words = scratch.words;
         let transitions = patterns - 1;
         let mut signal_probability = Vec::with_capacity(self.node_slots.len());
         let mut switching_activity = Vec::with_capacity(self.node_slots.len());
@@ -645,13 +763,13 @@ impl SimProgram {
         } else {
             (gate_sw_sum / gates as f64, gate_p_sum / gates as f64)
         };
-        Ok(ActivityProfile {
+        ActivityProfile {
             signal_probability,
             switching_activity,
             avg_gate_activity,
             avg_gate_probability,
             patterns,
-        })
+        }
     }
 
     /// Writes the constant slots for the current word width.
@@ -665,27 +783,33 @@ impl SimProgram {
     }
 }
 
+/// Toggles of one full 64-transition block: the 63 in-word
+/// transitions of `x` and the boundary into `next`, as one popcount of
+/// `x` against its funnel shift `(x >> 1) | (next << 63)`. Branch- and
+/// mask-free, so the loops over full words vectorize (`vpopcntq` in
+/// the AVX-512 twins).
+#[inline(always)]
+fn block_toggles(x: u64, next: u64) -> u64 {
+    u64::from((x ^ ((x >> 1) | (next << 63))).count_ones())
+}
+
 /// [`toggle_count`] over a gate's clean and noisy streams in one fused
 /// loop — both streams are L1-hot right after evaluation, and the two
 /// independent popcount chains fill the pipeline the single-stream loop
 /// leaves half idle. Bit-identical to two `toggle_count` calls (pinned
 /// by a unit test below).
+#[inline(always)]
 fn toggle_count_pair(clean: &[u64], noisy: &[u64], count: usize) -> (u64, u64) {
     if count < 2 {
         return (0, 0);
     }
     let transitions = count - 1;
-    const WITHIN: u64 = (1u64 << 63) - 1;
     let full = transitions / 64;
     let mut c_toggles = 0u64;
     let mut n_toggles = 0u64;
     for w in 0..full {
-        let c = clean[w];
-        let n = noisy[w];
-        c_toggles += u64::from(((c ^ (c >> 1)) & WITHIN).count_ones());
-        n_toggles += u64::from(((n ^ (n >> 1)) & WITHIN).count_ones());
-        c_toggles += (c >> 63) ^ (clean[w + 1] & 1);
-        n_toggles += (n >> 63) ^ (noisy[w + 1] & 1);
+        c_toggles += block_toggles(clean[w], clean[w + 1]);
+        n_toggles += block_toggles(noisy[w], noisy[w + 1]);
     }
     let rest = transitions - 64 * full;
     if rest > 0 {
@@ -705,6 +829,7 @@ fn toggle_count_pair(clean: &[u64], noisy: &[u64], count: usize) -> (u64, u64) {
 /// words (`(count-1)/64 == count.div_ceil(64) - 1`), so the two
 /// original loops line up word for word. Bit-identical to the two
 /// separate calls (pinned by a unit test below).
+#[inline(always)]
 fn popcount_toggle(stream: &[u64], count: usize) -> (u64, u64) {
     if count < 2 {
         return (popcount_valid(stream, count), 0);
@@ -712,13 +837,11 @@ fn popcount_toggle(stream: &[u64], count: usize) -> (u64, u64) {
     let Some((&last, body)) = stream.split_last() else {
         return (0, 0);
     };
-    const WITHIN: u64 = (1u64 << 63) - 1;
     let mut ones = 0u64;
     let mut toggles = 0u64;
-    for (w, &x) in body.iter().enumerate() {
+    for (&x, &next) in body.iter().zip(&stream[1..]) {
         ones += u64::from(x.count_ones());
-        toggles += u64::from(((x ^ (x >> 1)) & WITHIN).count_ones());
-        toggles += (x >> 63) ^ (stream[w + 1] & 1);
+        toggles += block_toggles(x, next);
     }
     ones += u64::from((last & tail_mask(count)).count_ones());
     let rest = (count - 1) % 64;
@@ -746,6 +869,7 @@ enum Lane {
 /// `eval_op` per lane. Bit-identical to the two-call form by
 /// construction — each lane computes the same expression over the same
 /// operand slots (and a unit test below pins it).
+#[inline(always)]
 fn eval_op_pair(
     kind: GateKind,
     lo: &[u64],
@@ -1315,6 +1439,57 @@ mod tests {
             let (ones, toggles) = popcount_toggle(&stream, count);
             assert_eq!(ones, popcount_valid(&stream, count), "count={count}");
             assert_eq!(toggles, toggle_count(&stream, count), "count={count}");
+        }
+    }
+
+    /// Runs a ragged batch through `op_loop` and checks every shard's
+    /// tally against the interpreted oracle.
+    fn batch_matches_oracle(op_loop: OpLoop, what: &str) {
+        let nl = mixed_netlist();
+        let program = SimProgram::compile(&nl);
+        let mut scratch = program.scratch();
+        for eps in [0.0, 1e-3, 0.01, 0.025, 0.3, 0.5, 0.97, 1.0] {
+            let shards: Vec<ShardSpec> = [64usize, 65, 1, 333, 4096]
+                .iter()
+                .zip(0u64..)
+                .map(|(&patterns, i)| ShardSpec {
+                    fault_seed: 301 + i,
+                    pattern_seed: 401 + i,
+                    patterns,
+                })
+                .collect();
+            let mut tallies = vec![program.empty_tally(); shards.len()];
+            program
+                .run_tally_batch_on(op_loop, &mut scratch, eps, &shards, &mut tallies)
+                .unwrap();
+            for (spec, got) in shards.iter().zip(&tallies) {
+                let cfg = NoisyConfig::new(eps, spec.fault_seed).unwrap();
+                let oracle = monte_carlo_tally(&nl, &cfg, spec.patterns, spec.pattern_seed);
+                assert_eq!(*got, oracle.unwrap(), "{what} eps={eps} spec={spec:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn op_loop_scalar_body_and_entry_match_the_oracle() {
+        // The entry runs the AVX-512 twin where the CPU has it; the
+        // scalar body, the only path elsewhere, is pinned here too.
+        batch_matches_oracle(SimProgram::tally_ops_body, "scalar body");
+        batch_matches_oracle(SimProgram::tally_ops, "entry");
+    }
+
+    #[test]
+    fn activity_count_scalar_body_and_entry_match_the_oracle() {
+        let nl = mixed_netlist();
+        let program = SimProgram::compile(&nl);
+        let mut scratch = program.scratch();
+        for patterns in [2usize, 64, 65, 130, 2000] {
+            let oracle = estimate_activity(&nl, patterns, 11).unwrap();
+            let entry = program.estimate_activity(&mut scratch, patterns, 11);
+            assert_eq!(entry.unwrap(), oracle, "patterns={patterns}");
+            // The scratch still holds the streams just counted.
+            let scalar = program.count_activity_body(&scratch, patterns);
+            assert_eq!(scalar, oracle, "scalar patterns={patterns}");
         }
     }
 

@@ -50,6 +50,20 @@
 //! format change: it requires bumping `nanobound_cache::FORMAT_VERSION`
 //! (done for v2, version 2) so stale shard tallies are orphaned, never
 //! replayed.
+//!
+//! # The bulk path
+//!
+//! The oracle derives each word on its own ([`MaskPlan::mask_word`]);
+//! the compiled executor masks a gate's whole segment at once
+//! ([`MaskPlan::xor_masks`]) in blocks of 64 words. One flat pass
+//! computes every word's state and first draw. The sparse arm then
+//! takes further draws only for the live words (first draw below the
+//! ceiling) and finishes them breadth first: each round draws `k` for
+//! every open word in one flat pass, then decodes, sets bits and
+//! compacts the words that stay open. Words needing three or more
+//! draws — about half of them at ε = 2.5·10⁻² — never walk alone. The
+//! flat passes vectorize; on CPUs with AVX-512 the whole path runs as
+//! a `#[target_feature]` twin of the same body (see `avx512`).
 
 use rand::Rng;
 
@@ -266,62 +280,41 @@ fn sparse_lut_is_exact(lut: &[u8; 256]) -> bool {
     lut.windows(2).all(|w| w[1] - w[0] <= 2) && 64 - lut[255] <= 2
 }
 
-/// The two-draw assembly over the live words of one block: decode
-/// both precomputed draws, set the first bit and (conditionally, by
-/// masked shift) the second, and compact the words whose second bit
-/// landed inside the word — only those can hold a third. Branch-free
-/// in the loop body; generic over the gap decode so the `exact` fast
-/// path monomorphizes into a fully unrollable loop. Returns the
-/// multi-word count.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn sparse_assemble(
-    gap_of: impl Fn(u64) -> u32,
-    chunk: &mut [u64],
-    live: &[u32],
-    first: &[u64; BLOCK],
-    second: &[u64; BLOCK],
-    multi_i: &mut [u32; BLOCK],
-    multi_pos: &mut [u32; BLOCK],
-) -> usize {
-    let mut multi_count = 0usize;
-    for &i in live {
-        let i = i as usize;
-        let pos0 = gap_of(first[i]);
-        let pos1 = pos0 + 1 + gap_of(second[i]);
-        let cont = pos1 < 64;
-        chunk[i] ^= (1u64 << pos0) | (u64::from(cont) << (pos1 & 63));
-        multi_i[multi_count] = i as u32;
-        multi_pos[multi_count] = pos1;
-        multi_count += usize::from(cont);
-    }
-    multi_count
-}
-
-/// Finishes a word that still has bits beyond its second draw: the
-/// serial gap walk from `pos` (the position of the second set bit,
-/// already recorded) consuming draws `k = 2, 3, …`. Entered for a few
-/// percent of words even at the sparsest ε the plan ever picks, so
-/// its serial `mix` chain and data-dependent loop cost almost
-/// nothing amortized.
-#[inline]
-fn sparse_word_tail(thresholds: &[u64; 66], lut: &[u8; 256], word_state: u64, pos: u32) -> u64 {
-    let mut mask = 0u64;
-    let mut pos = pos + 1 + sparse_gap(thresholds, lut, draw(word_state, 2));
-    let mut k = 3u64;
-    while pos < 64 {
-        mask |= 1u64 << pos;
-        pos += 1 + sparse_gap(thresholds, lut, draw(word_state, k));
-        k += 1;
-    }
-    mask
-}
-
 /// Words per block of the bulk mask path: the per-word states of a
 /// block are computed in one flat dependency-free pass (this is the
 /// payoff of the counter stream — under the sequential v1 stream no
-/// such pass existed), then the per-word finishers run off them.
+/// such pass existed), then the sparse rounds or the dense fold layers
+/// run off them. One block's live words fit one `u64` bitmap.
 const BLOCK: usize = 64;
+
+/// The working arrays of the bulk mask path for one block of words.
+///
+/// [`MaskPlan::xor_masks_with`] only writes before it reads them, so a
+/// caller that masks many gates keeps one and initializes it once per
+/// run instead of once per gate.
+pub(crate) struct MaskBlock {
+    /// Per-word states of the block; the sparse arm compacts the open
+    /// words' states to the front.
+    states: [u64; BLOCK],
+    /// Every word's first draw, then the open words' current draws; the
+    /// dense arm folds its masks here.
+    draws: [u64; BLOCK],
+    /// Block index of each open sparse word.
+    open: [u32; BLOCK],
+    /// Bit position each open sparse word's next gap counts from.
+    pos: [u32; BLOCK],
+}
+
+impl MaskBlock {
+    pub(crate) fn new() -> Self {
+        MaskBlock {
+            states: [0; BLOCK],
+            draws: [0; BLOCK],
+            open: [0; BLOCK],
+            pos: [0; BLOCK],
+        }
+    }
+}
 
 /// The flat pass shared by both bulk arms: word states and first
 /// draws of words `base ..` — every lane independent, so the loop
@@ -335,28 +328,54 @@ fn state_pass(gate_state: u64, base: u64, states: &mut [u64], first: &mut [u64])
     }
 }
 
-/// The sparse arm's flat pass: word states plus the first *two* draws
-/// of every word. Live words nearly always consume exactly two draws,
-/// so producing both here keeps the per-word gap walk free of serial
-/// `mix` chains in the common case.
+/// The sparse arm over one block, breadth first, after
+/// [`state_pass`]: find the live words (first draw below the ceiling,
+/// so at least one set bit), set their first bit and compact them to
+/// the front; then, round by round, draw `k` for every open word in
+/// one flat pass and decode it in a branch-free pass that sets the bit
+/// and compacts the words that stay open. A word closes when its gap
+/// walk leaves the word, exactly where the definitional [`sparse_word`]
+/// returns, so every word consumes the same draws in the same roles —
+/// the rounds only regroup them across words. Generic over the gap
+/// decode so the `exact` fast path monomorphizes into loops free of
+/// inner loops.
 #[inline(always)]
-fn sparse_state_pass(
-    gate_state: u64,
-    base: u64,
-    states: &mut [u64],
-    first: &mut [u64],
-    second: &mut [u64],
-) {
-    for (i, ((ws, u0), u1)) in states
-        .iter_mut()
-        .zip(first.iter_mut())
-        .zip(second.iter_mut())
-        .enumerate()
-    {
-        let s = word_state(gate_state, base + i as u64);
-        *ws = s;
-        *u0 = draw(s, 0);
-        *u1 = draw(s, 1);
+fn sparse_rounds(gap_of: impl Fn(u64) -> u32, ceiling: u64, b: &mut MaskBlock, chunk: &mut [u64]) {
+    let mut live = 0u64;
+    for (i, &u0) in b.draws[..chunk.len()].iter().enumerate() {
+        live |= u64::from(u0 < ceiling) << i;
+    }
+    // Compacting in place is safe: slot `open` never passes word `i`.
+    let mut open = 0usize;
+    while live != 0 {
+        let i = live.trailing_zeros() as usize;
+        live &= live - 1;
+        let pos = gap_of(b.draws[i]);
+        chunk[i] ^= 1u64 << pos;
+        b.open[open] = i as u32;
+        b.states[open] = b.states[i];
+        b.pos[open] = pos + 1;
+        open += 1;
+    }
+    let mut k = 1u64;
+    while open > 0 {
+        for (u, &s) in b.draws[..open].iter_mut().zip(&b.states) {
+            *u = draw(s, k);
+        }
+        let mut still = 0usize;
+        for j in 0..open {
+            // May overshoot 64 (see `sparse_gap`); only `< 64` counts.
+            let pos = b.pos[j] + gap_of(b.draws[j]);
+            let cont = pos < 64;
+            let i = b.open[j];
+            chunk[i as usize] ^= u64::from(cont) << (pos & 63);
+            b.open[still] = i;
+            b.states[still] = b.states[j];
+            b.pos[still] = pos + 1;
+            still += usize::from(cont);
+        }
+        open = still;
+        k += 1;
     }
 }
 
@@ -377,81 +396,21 @@ fn dense_layers(plan: &BernoulliPlan, states: &[u64], masks: &mut [u64]) {
     }
 }
 
-// AVX-512 twins: same bodies, compiled with 512-bit 64-bit-multiply
-// lanes (`vpmullq`, AVX-512DQ) so the flat passes above vectorize
-// 8 words wide. The `unsafe` is demanded by `#[target_feature]`, not
-// by anything the bodies do — they are the safe functions above — and
-// the twins are entered only behind a runtime CPU-feature check.
+/// Whether this CPU runs the AVX-512 twins of the kernel entries
+/// ([`MaskPlan::xor_masks`] here, the Monte-Carlo op loop and the
+/// activity counting loop in `compiled`).
+///
+/// Each entry checks once per call and then runs one
+/// `#[inline(always)]` body, compiled a second time with 512-bit lanes:
+/// 64-bit multiplies (`vpmullq`, AVX-512DQ) for the counter hash and
+/// per-lane popcounts (`vpopcntq`, AVX512-VPOPCNTDQ) for the toggle
+/// counts. The twins are the same safe code; the `unsafe` at each call
+/// is demanded by `#[target_feature]` and discharged by this check.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn state_pass_avx512(gate_state: u64, base: u64, states: &mut [u64], first: &mut [u64]) {
-    state_pass(gate_state, base, states, first);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn sparse_state_pass_avx512(
-    gate_state: u64,
-    base: u64,
-    states: &mut [u64],
-    first: &mut [u64],
-    second: &mut [u64],
-) {
-    sparse_state_pass(gate_state, base, states, first, second);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn dense_layers_avx512(plan: &BernoulliPlan, states: &[u64], masks: &mut [u64]) {
-    dense_layers(plan, states, masks);
-}
-
-#[inline]
-#[allow(unsafe_code)]
-fn state_pass_dispatch(gate_state: u64, base: u64, states: &mut [u64], first: &mut [u64]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512dq")
-        && std::arch::is_x86_feature_detected!("avx512f")
-    {
-        // SAFETY: the required features were just detected.
-        return unsafe { state_pass_avx512(gate_state, base, states, first) };
-    }
-    state_pass(gate_state, base, states, first);
-}
-
-#[inline]
-#[allow(unsafe_code)]
-fn sparse_state_pass_dispatch(
-    gate_state: u64,
-    base: u64,
-    states: &mut [u64],
-    first: &mut [u64],
-    second: &mut [u64],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512dq")
-        && std::arch::is_x86_feature_detected!("avx512f")
-    {
-        // SAFETY: the required features were just detected.
-        return unsafe { sparse_state_pass_avx512(gate_state, base, states, first, second) };
-    }
-    sparse_state_pass(gate_state, base, states, first, second);
-}
-
-#[inline]
-#[allow(unsafe_code)]
-fn dense_layers_dispatch(plan: &BernoulliPlan, states: &[u64], masks: &mut [u64]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512dq")
-        && std::arch::is_x86_feature_detected!("avx512f")
-    {
-        // SAFETY: the required features were just detected.
-        return unsafe { dense_layers_avx512(plan, states, masks) };
-    }
-    dense_layers(plan, states, masks);
+pub(crate) fn avx512() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+        && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
 }
 
 impl MaskPlan {
@@ -586,7 +545,42 @@ impl MaskPlan {
     /// The interpreted oracle deliberately does *not* use this path —
     /// it spells out the per-word definition — so the differential
     /// tests exercise definition against optimization.
+    #[allow(unsafe_code)]
     pub fn xor_masks(&self, gate_state: u64, first_word: u64, out: &mut [u64]) {
+        let mut block = MaskBlock::new();
+        #[cfg(target_arch = "x86_64")]
+        if avx512() {
+            // SAFETY: the twin's target features were just detected.
+            unsafe { self.xor_masks_avx512(&mut block, gate_state, first_word, out) };
+            return;
+        }
+        self.xor_masks_with(&mut block, gate_state, first_word, out);
+    }
+
+    /// [`MaskPlan::xor_masks_with`] compiled for AVX-512 (see [`avx512`]).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vpopcntdq")]
+    fn xor_masks_avx512(
+        &self,
+        block: &mut MaskBlock,
+        gate_state: u64,
+        first_word: u64,
+        out: &mut [u64],
+    ) {
+        self.xor_masks_with(block, gate_state, first_word, out);
+    }
+
+    /// The body of [`MaskPlan::xor_masks`] over caller-kept working
+    /// arrays; inlined into each kernel entry that masks, so it is
+    /// compiled for that entry's target features.
+    #[inline(always)]
+    pub(crate) fn xor_masks_with(
+        &self,
+        b: &mut MaskBlock,
+        gate_state: u64,
+        first_word: u64,
+        out: &mut [u64],
+    ) {
         match &self.kind {
             MaskKind::Zero => {}
             MaskKind::One => {
@@ -603,60 +597,20 @@ impl MaskPlan {
                 // CDF(gap ≤ 63): a first draw at or above it means the
                 // whole word is empty — the common case at sparse ε.
                 let ceiling = thresholds[63];
-                let mut states = [0u64; BLOCK];
-                let mut first = [0u64; BLOCK];
-                let mut second = [0u64; BLOCK];
-                let mut live = [0u32; BLOCK];
-                let mut multi_i = [0u32; BLOCK];
-                let mut multi_pos = [0u32; BLOCK];
                 for (block, chunk) in out.chunks_mut(BLOCK).enumerate() {
                     let base = first_word + (block * BLOCK) as u64;
                     let n = chunk.len();
-                    sparse_state_pass_dispatch(
-                        gate_state,
-                        base,
-                        &mut states[..n],
-                        &mut first[..n],
-                        &mut second[..n],
-                    );
+                    state_pass(gate_state, base, &mut b.states[..n], &mut b.draws[..n]);
                     if *invert {
                         // Empty words contribute only the inversion.
                         for w in chunk.iter_mut() {
                             *w = !*w;
                         }
                     }
-                    // Compaction pass (branch-free): the words with any
-                    // set bit, as a list of indices.
-                    let mut live_count = 0usize;
-                    for (i, &u0) in first[..n].iter().enumerate() {
-                        live[live_count] = i as u32;
-                        live_count += usize::from(u0 < ceiling);
-                    }
-                    let multi_count = if *exact {
-                        sparse_assemble(
-                            |u| sparse_gap_fast(thresholds, lut, u),
-                            chunk,
-                            &live[..live_count],
-                            &first,
-                            &second,
-                            &mut multi_i,
-                            &mut multi_pos,
-                        )
+                    if *exact {
+                        sparse_rounds(|u| sparse_gap_fast(thresholds, lut, u), ceiling, b, chunk);
                     } else {
-                        sparse_assemble(
-                            |u| sparse_gap(thresholds, lut, u),
-                            chunk,
-                            &live[..live_count],
-                            &first,
-                            &second,
-                            &mut multi_i,
-                            &mut multi_pos,
-                        )
-                    };
-                    // Serial gap walk for the rare ≥3-draw words.
-                    for (&i, &pos1) in multi_i[..multi_count].iter().zip(&multi_pos) {
-                        let i = i as usize;
-                        chunk[i] ^= sparse_word_tail(thresholds, lut, states[i], pos1);
+                        sparse_rounds(|u| sparse_gap(thresholds, lut, u), ceiling, b, chunk);
                     }
                 }
             }
@@ -666,14 +620,12 @@ impl MaskPlan {
                 // each layer is one flat pass. The first live digit is
                 // the first draw itself (0 | r = r), which `state_pass`
                 // already produced.
-                let mut states = [0u64; BLOCK];
-                let mut masks = [0u64; BLOCK];
                 for (block, chunk) in out.chunks_mut(BLOCK).enumerate() {
                     let base = first_word + (block * BLOCK) as u64;
                     let n = chunk.len();
-                    state_pass_dispatch(gate_state, base, &mut states[..n], &mut masks[..n]);
-                    dense_layers_dispatch(plan, &states[..n], &mut masks[..n]);
-                    for (w, &m) in chunk.iter_mut().zip(&masks[..n]) {
+                    state_pass(gate_state, base, &mut b.states[..n], &mut b.draws[..n]);
+                    dense_layers(plan, &b.states[..n], &mut b.draws[..n]);
+                    for (w, &m) in chunk.iter_mut().zip(&b.draws[..n]) {
                         *w ^= m;
                     }
                 }
@@ -829,16 +781,55 @@ mod tests {
         assert!(chi2 < 16.3, "word×word χ² = {chi2}");
     }
 
+    /// Densities for the bulk-path tests: the extremes, dense plans
+    /// (½, ¼, 0.03 just past the crossover, 0.97's complement), and
+    /// sparse ones from mostly-empty words (10⁻³, whose byte buckets
+    /// hold up to four thresholds, so the gap decode needs its residual
+    /// loop) to 2.5·10⁻², where about half the words take three or
+    /// more draws.
+    const BULK_DENSITIES: [f64; 11] = [
+        0.0, 1.0, 0.5, 0.25, 1e-3, 4e-3, 1e-2, 2.5e-2, 0.03, 0.97, 0.999,
+    ];
+
+    #[test]
+    fn bulk_densities_cover_every_arm() {
+        let kind = |p: f64| match MaskPlan::new(p).kind {
+            MaskKind::Zero => "zero",
+            MaskKind::One => "one",
+            MaskKind::Sparse { exact: true, .. } => "sparse",
+            MaskKind::Sparse { exact: false, .. } => "sparse-loop",
+            MaskKind::Dense(_) => "dense",
+        };
+        assert_eq!(kind(1e-3), "sparse-loop");
+        assert_eq!(kind(1e-2), "sparse");
+        assert_eq!(kind(2.5e-2), "sparse");
+        assert_eq!(kind(0.03), "dense");
+        assert_eq!(kind(0.999), "sparse-loop");
+    }
+
     #[test]
     fn xor_masks_equals_per_word_mask_stream() {
-        for &p in &[0.0, 1.0, 0.5, 0.25, 0.01, 0.97] {
+        // One block reused across every plan and length: the bulk
+        // path must never read what an earlier call left behind.
+        let mut block = MaskBlock::new();
+        for &p in &BULK_DENSITIES {
             let plan = MaskPlan::new(p);
             let gs = gate_state(13, 5);
-            let mut bulk = vec![0xAAAA_5555_0F0F_F0F0u64; 37];
-            plan.xor_masks(gs, 3, &mut bulk);
-            for (i, &w) in bulk.iter().enumerate() {
-                let expect = 0xAAAA_5555_0F0F_F0F0u64 ^ plan.mask_word(gs, 3 + i as u64);
-                assert_eq!(w, expect, "p={p} word {i}");
+            for len in [1usize, 16, 37, 64, 65, 130] {
+                for first_word in [0u64, 3, 1 << 40] {
+                    let fill = 0xAAAA_5555_0F0F_F0F0u64;
+                    let expect: Vec<u64> = (0..len as u64)
+                        .map(|i| fill ^ plan.mask_word(gs, first_word + i))
+                        .collect();
+                    // The entry runs the AVX-512 twin where the CPU has
+                    // it; the scalar body is the only path elsewhere.
+                    let mut bulk = vec![fill; len];
+                    plan.xor_masks(gs, first_word, &mut bulk);
+                    assert_eq!(bulk, expect, "p={p} len={len} first={first_word}");
+                    let mut scalar = vec![fill; len];
+                    plan.xor_masks_with(&mut block, gs, first_word, &mut scalar);
+                    assert_eq!(scalar, expect, "scalar p={p} len={len} first={first_word}");
+                }
             }
         }
     }

@@ -39,9 +39,11 @@ fn small_dag() -> impl Strategy<Value = RandomDagConfig> {
         )
 }
 
-/// The ε grid the issue pins: noise-free, tiny, moderate, the coin-flip
+/// The ε grid: noise-free, tiny, the sparse mask regime (10⁻³, whose
+/// gap decode needs its residual loop; 10⁻²; 2.5·10⁻², where about half
+/// the words take three or more draws), moderate, the coin-flip
 /// boundary and the far end of the symmetric branch.
-const EPSILONS: [f64; 5] = [0.0, 1e-6, 0.3, 0.5, 1.0];
+const EPSILONS: [f64; 8] = [0.0, 1e-6, 1e-3, 1e-2, 2.5e-2, 0.3, 0.5, 1.0];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
