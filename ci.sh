@@ -44,7 +44,11 @@
 #      the v2 fault stream word by word) and diffed byte-for-byte
 #      against the default compiled engine's artifacts (the bulk v2
 #      paths) — a compiled executor that drifts from the oracle by one
-#      bit in any tally, activity or sensitivity fails the gate
+#      bit in any tally, activity or sensitivity fails the gate; then a
+#      Monte-Carlo diff on a generated ~2,000-gate reconvergent netlist
+#      with 20 outputs: `cluster --patterns 20000` (a partial last
+#      shard) at ε = 0.001, 0.01 and 0.025, where the sparse mask
+#      sampler's multi-draw words are common, under both engines
 #  11. the analyze gate: `lint --suite --deny warnings` must pass (the
 #      generated Section-6 suite stays lint-clean), its JSON report must
 #      match the committed golden byte-for-byte, an injected tape
@@ -221,6 +225,35 @@ diff -r "$detdir/j1" "$detdir/fig-interp"
 target/release/nanobound validate --out "$detdir/val-compiled" >/dev/null
 NANOBOUND_ENGINE=interp target/release/nanobound validate --out "$detdir/val-interp" >/dev/null
 diff -r "$detdir/val-compiled" "$detdir/val-interp"
+# Monte-Carlo at the sparse mask densities `validate` never reaches on
+# a circuit this size: 64 inputs, then 20 layers of 100 gates, each
+# reading a gate of the layer below and one of the layer below that,
+# and a third in a third of them another of the layer below
+# (reconvergent fanout everywhere, depth 20), XOR-heavy so signals keep
+# switching; the last layer's first 20 gates are the outputs. The Park-Miller generator's products stay
+# below 2^53, so every awk writes the same file.
+awk 'function sig(l, j) { return l == 0 ? "x" (j % 64) : "g" l "_" j }
+BEGIN {
+  split("AND OR NAND NOR XOR XNOR XOR XNOR", kind, " ")
+  s = 12345
+  for (i = 0; i < 64; i++) printf "INPUT(x%d)\n", i
+  for (j = 0; j < 20; j++) printf "OUTPUT(g20_%d)\n", j
+  for (l = 1; l <= 20; l++) for (j = 0; j < 100; j++) {
+    s = (s * 16807) % 2147483647; a = sig(l - 1, s % 100)
+    s = (s * 16807) % 2147483647; b = sig(l - 1, (j + 1 + s % 99) % 100)
+    s = (s * 16807) % 2147483647; c = sig(l < 2 ? 0 : l - 2, s % 100)
+    s = (s * 16807) % 2147483647; k = kind[1 + s % 8]
+    if (s % 3 == 0) printf "g%d_%d = %s(%s, %s, %s)\n", l, j, k, a, b, c
+    else printf "g%d_%d = %s(%s, %s)\n", l, j, k, a, c
+  }
+}' > "$detdir/mc.bench"
+for eps in 0.001 0.01 0.025; do
+  target/release/nanobound cluster "$detdir/mc.bench" --eps "$eps" --patterns 20000 \
+      --jobs 1 > "$detdir/mc-compiled.out"
+  NANOBOUND_ENGINE=interp target/release/nanobound cluster "$detdir/mc.bench" --eps "$eps" \
+      --patterns 20000 --jobs 1 > "$detdir/mc-interp.out"
+  diff "$detdir/mc-compiled.out" "$detdir/mc-interp.out"
+done
 # Unknown engine names are hard configuration errors, not silent
 # fallbacks (that would defeat this very gate).
 if NANOBOUND_ENGINE=turbo target/release/nanobound validate --stdout >/dev/null 2>&1; then
