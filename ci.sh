@@ -83,7 +83,7 @@
 #      fails; and a ~2.6 MB, 10^5-gate netlist must cross the wire to
 #      two workers inside a 5 s --io-timeout with no retry and no
 #      local shard, which an ingest path slower than linear cannot do
-#  15. the ingest gate: three generated netlists must each `lint` and
+#  15. the ingest gate: four generated netlists must each `lint` and
 #      `profile --patterns 64` inside a 5 s timeout per command — a
 #      complexity gate, not a timing assertion. A 50,000-gate netlist
 #      whose every gate is its own output, as `.bench` and again as
@@ -91,7 +91,11 @@
 #      or lint step quadratic in the output count takes tens of seconds
 #      here. And 80,000 inputs each XORed with its own inverse in one
 #      160,001-fanin gate: a per-gate scan quadratic in fanin, or a
-#      sensitivity estimate quadratic in the input count, does too
+#      sensitivity estimate quadratic in the input count, does too.
+#      Last, a clocked BLIF in the shape gateconvert's `to_blif` writes
+#      (1,000 state inputs declared by `.inputs` and again as `.latch`
+#      outputs, 64 data inputs, one `.clock`): a reader that rejects
+#      either shape fails
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -475,7 +479,7 @@ if [ -z "$CHAOS_RETRIES" ] || [ "$CHAOS_RETRIES" -lt 1 ]; then
 fi
 kill "$W1" "$W2" "$W3" 2>/dev/null || true
 
-echo "==> ingest gate: lint and profile three wide netlists, 5 s each"
+echo "==> ingest gate: lint and profile four generated netlists, 5 s each"
 # Eight XOR/NAND chains over eight inputs, 50,000 gates, each gate its
 # own output. Linear ingest takes well under a second for each command;
 # before outputs were indexed by name, this file took 6 s to lint and
@@ -516,7 +520,23 @@ awk 'BEGIN {
   print ")"
   print "w = NAND(z, x0)"
 }' > "$detdir/pairs.bench"
-for netlist in wide.bench wide.blif pairs.bench; do
+# A clocked design in the shape gateconvert's `to_blif` writes: 1,000
+# state inputs, each declared on its own `.inputs` line and again as the
+# output of a two-token `.latch`, 64 data inputs, one `.clock` and one
+# XOR cover per next state. Before BLIF read a state input as its
+# latch's output and `.clock` names as inputs, both commands failed.
+awk 'BEGIN {
+  print ".model clocked"
+  for (k = 0; k < 1000; k++) printf ".inputs i%d\n", k
+  for (j = 0; j < 64; j++) printf ".inputs d%d\n", j
+  for (k = 0; k < 1000; k++) printf ".outputs o%d\n", k
+  print ".clock clk"
+  for (k = 0; k < 1000; k++) printf ".latch o%d i%d\n", k, k
+  for (k = 0; k < 1000; k++)
+    printf ".names i%d d%d o%d\n10 1\n01 1\n", k, k % 64, k
+  print ".end"
+}' > "$detdir/clocked.blif"
+for netlist in wide.bench wide.blif pairs.bench clocked.blif; do
   timeout 5 target/release/nanobound lint "$detdir/$netlist" >/dev/null
   timeout 5 target/release/nanobound profile "$detdir/$netlist" --patterns 64 >/dev/null
 done

@@ -135,7 +135,7 @@ fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -
         first_output[out.driver.index()] = Some(i);
     }
     let signal_name = |id: NodeId| match (netlist.node(id), first_output[id.index()]) {
-        (Node::Input { name }, _) => name.clone(),
+        (Node::Input { name }, _) => name.to_owned(),
         (_, Some(i)) => netlist.outputs()[i].name.clone(),
         (_, None) => format!("{id}"),
     };
@@ -374,17 +374,16 @@ mod tests {
 
     #[test]
     fn cycle_short_circuits_with_witness() {
+        let (n1, n2) = ([NodeId::from_index(1)], [NodeId::from_index(2)]);
         let nodes = vec![
-            Node::Input {
-                name: "a".to_owned(),
-            },
+            Node::Input { name: "a" },
             Node::Gate {
                 kind: GateKind::Not,
-                fanins: vec![NodeId::from_index(2)],
+                fanins: &n2,
             },
             Node::Gate {
                 kind: GateKind::Buf,
-                fanins: vec![NodeId::from_index(1)],
+                fanins: &n1,
             },
         ];
         let nl = Netlist::from_parts(
@@ -408,14 +407,13 @@ mod tests {
 
     #[test]
     fn forward_reference_is_invalid_structure_not_cycle() {
+        let n1 = [NodeId::from_index(1)];
         let nodes = vec![
             Node::Gate {
                 kind: GateKind::Not,
-                fanins: vec![NodeId::from_index(1)],
+                fanins: &n1,
             },
-            Node::Input {
-                name: "a".to_owned(),
-            },
+            Node::Input { name: "a" },
         ];
         let nl = Netlist::from_parts(
             "fwd",

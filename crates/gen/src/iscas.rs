@@ -212,13 +212,13 @@ pub fn expand_xor_to_nand(netlist: &Netlist) -> Result<Netlist, GenError> {
     let mut map: Vec<NodeId> = Vec::with_capacity(netlist.node_count());
     for id in netlist.node_ids() {
         let new_id = match netlist.node(id) {
-            Node::Input { name } => out.add_input(name.clone()),
+            Node::Input { name } => out.add_input(name),
             Node::Gate { kind, fanins } => {
                 let mapped: Vec<NodeId> = fanins.iter().map(|f| map[f.index()]).collect();
                 match kind {
                     GateKind::Xor => nand_parity_chain(&mut out, &mapped, false)?,
                     GateKind::Xnor => nand_parity_chain(&mut out, &mapped, true)?,
-                    other => out.add_gate(*other, &mapped)?,
+                    other => out.add_gate(other, &mapped)?,
                 }
             }
         };

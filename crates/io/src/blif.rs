@@ -2,10 +2,17 @@
 //!
 //! Supported constructs: `.model`, `.inputs`, `.outputs`, `.names` with
 //! single-output sum-of-products covers, `.latch` (cut into the
-//! combinational envelope) and `.end`. Line continuations with `\` are
-//! handled. Covers are converted to gate networks on read (a row becomes an
-//! AND of literals, rows are ORed, an off-set cover is complemented) and
-//! gates are converted back to covers on write.
+//! combinational envelope), `.clock` and `.end`. Line continuations with
+//! `\` are handled. Covers are converted to gate networks on read (a row
+//! becomes an AND of literals, rows are ORed, an off-set cover is
+//! complemented) and gates are converted back to covers on write.
+//!
+//! Two shapes that gateconvert's writer emits are read as well. A
+//! `.clock` name is a primary input, like an `.inputs` name: the
+//! combinational envelope has no clock, but gates may read the clock
+//! wire. A name that `.inputs` declares and a `.latch` drives is one
+//! node, the latch's output (a state input); a `.names` cover that
+//! defines it is still a duplicate.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -71,7 +78,7 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
             ".model" => {
                 model = Some(tokens.next().unwrap_or("unnamed"));
             }
-            ".inputs" => inputs.extend(tokens.map(|name| syms.intern(name))),
+            ".inputs" | ".clock" => inputs.extend(tokens.map(|name| syms.intern(name))),
             ".outputs" => outputs.extend(tokens.map(|name| (syms.intern(name), 0))),
             ".latch" => {
                 let (Some(input), Some(output)) = (tokens.next(), tokens.next()) else {
@@ -161,9 +168,16 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
 
     let model = model.ok_or(ParseError::at(0, ParseErrorKind::MissingModel))?;
     // Inputs and latch outputs are declared before any cover is defined,
-    // so a cover that reuses their name is reported at its own line.
+    // so a cover that reuses their name is reported at its own line. The
+    // first `.inputs` declaration of a latch output defers to the latch.
+    let mut latch_output = vec![false; syms.len()];
+    for &(_, output, _) in &latches {
+        latch_output[output] = true;
+    }
     for &sym in &inputs {
-        syms.declare_input(sym, 0)?;
+        if !std::mem::take(&mut latch_output[sym]) {
+            syms.declare_input(sym, 0)?;
+        }
     }
     for &(_, output, _) in &latches {
         syms.declare_input(output, 0)?;
@@ -299,7 +313,7 @@ pub fn write(design: &Design) -> Result<String, WriteError> {
                 .iter()
                 .map(|f| node_names[f.index()].as_str())
                 .collect();
-            write_cover(&mut out, *kind, &ins, &node_names[id.index()])?;
+            write_cover(&mut out, kind, &ins, &node_names[id.index()])?;
         }
     }
     for (alias, driver) in names::output_aliases(netlist, &node_names) {
@@ -376,18 +390,11 @@ fn write_cover(
     Ok(())
 }
 
-/// A row asserting input `hot` (with value `value`) and don't-cares
-/// elsewhere, with output 1 for `'1'`-rows (OR) and 0 for NOR.
+/// A row asserting input `hot` and don't-cares elsewhere, with output
+/// `polarity`: `'1'` rows form OR's on-set, `'0'` rows NOR's off-set.
 fn one_hot_row(n: usize, hot: usize, polarity: char) -> String {
     let pattern: String = (0..n).map(|i| if i == hot { '1' } else { '-' }).collect();
-    // For OR the on-set rows output 1; NOR is written as the complemented
-    // on-set (output 0 rows describe the off... ); see tests.
-    let _ = polarity;
-    if polarity == '1' {
-        format!("{pattern} 1\n")
-    } else {
-        format!("{pattern} 0\n")
-    }
+    format!("{pattern} {polarity}\n")
 }
 
 #[cfg(test)]
@@ -442,6 +449,48 @@ mod tests {
         assert!(d.is_sequential());
         assert_eq!(d.netlist.input_count(), 2); // d + pseudo q
         assert_eq!(d.netlist.output_count(), 2); // y + q$next
+    }
+
+    #[test]
+    fn state_input_is_the_latch_output() {
+        // gateconvert declares the state input i0 in `.inputs` and again
+        // as the latch output.
+        let text = ".model m\n.inputs i0 a\n.outputs y\n.latch o0 i0 2\n\
+                    .names i0 a o0\n10 1\n01 1\n.names o0 y\n1 1\n.end\n";
+        let d = parse(text).unwrap();
+        assert_eq!(d.netlist.input_count(), 2, "a, then the state input i0");
+        assert_eq!(d.netlist.signal_name(d.netlist.inputs()[1]), "i0");
+        let two = crate::unroll::unroll_free(&d, 2).unwrap();
+        assert_eq!(two.input_count(), 3, "i0@init, a@0 and a@1");
+        // y@0 = i0 ^ a@0, y@1 = (i0 ^ a@0) ^ a@1, and i0$final.
+        assert_eq!(
+            two.evaluate(&[true, false, true]).unwrap(),
+            vec![true, false, false]
+        );
+
+        let twice = text.replace(".inputs i0 a", ".inputs i0 a i0");
+        let err = parse(&twice).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::DuplicateDefinition("i0".into()));
+        let covered = text.replace(".names o0 y", ".names a i0\n1 1\n.names o0 y");
+        let err = parse(&covered).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::DuplicateDefinition("i0".into()));
+        assert_eq!(err.line, 8, "at the cover that defines i0");
+    }
+
+    #[test]
+    fn clock_names_are_primary_inputs() {
+        let text = ".model m\n.inputs a\n.clock clk\n.outputs y\n.latch d q 2\n\
+                    .names a clk q y\n111 1\n.names a d\n0 1\n.end\n";
+        let d = parse(text).unwrap();
+        let names: Vec<String> = d
+            .netlist
+            .inputs()
+            .iter()
+            .map(|&id| d.netlist.signal_name(id))
+            .collect();
+        assert_eq!(names, ["a", "clk", "q"]);
+        assert!(d.netlist.evaluate(&[true, true, true]).unwrap()[0]);
+        assert!(!d.netlist.evaluate(&[true, false, true]).unwrap()[0]);
     }
 
     #[test]

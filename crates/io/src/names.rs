@@ -18,7 +18,7 @@ pub(crate) fn node_names(netlist: &Netlist) -> Vec<String> {
     let mut preferred: Vec<Option<String>> = vec![None; netlist.node_count()];
     for id in netlist.node_ids() {
         if let Node::Input { name } = netlist.node(id) {
-            preferred[id.index()] = Some(name.clone());
+            preferred[id.index()] = Some(name.to_owned());
         }
     }
     for out in netlist.outputs() {

@@ -67,6 +67,11 @@ impl<'t, D> Symbols<'t, D> {
         }
     }
 
+    /// Number of distinct names interned so far.
+    pub(crate) fn len(&self) -> usize {
+        self.names.len()
+    }
+
     pub(crate) fn intern(&mut self, name: &'t str) -> usize {
         let next = self.names.len();
         let sym = *self.index.entry(name).or_insert(next);

@@ -175,7 +175,7 @@ fn unroll_impl(
     let mut input_roles: Vec<Option<usize>> = Vec::with_capacity(netlist.input_count());
     for &id in netlist.inputs() {
         let name = match netlist.node(id) {
-            Node::Input { name } => name.as_str(),
+            Node::Input { name } => name,
             _ => unreachable!("input list holds inputs"),
         };
         input_roles.push(latch_of.get(name).copied());

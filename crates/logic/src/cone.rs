@@ -110,13 +110,13 @@ impl ConeHasher {
 /// The canonical-numbering DFS over one cone, parameterized over what
 /// to do with each emitted event word.
 fn walk_cone(netlist: &Netlist, root: NodeId, mut emit: impl FnMut(u64)) {
-    let first_visit = |node: &Node| -> u64 {
+    let first_visit = |node: Node<'_>| -> u64 {
         match node {
             Node::Input { .. } => EVENT_INPUT,
             Node::Gate { kind, fanins } => {
                 let ordinal = GateKind::ALL
                     .iter()
-                    .position(|k| k == kind)
+                    .position(|&k| k == kind)
                     .expect("every kind appears in GateKind::ALL")
                     as u64;
                 EVENT_GATE | (ordinal << 3) | ((fanins.len() as u64) << 8)

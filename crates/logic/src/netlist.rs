@@ -1,4 +1,11 @@
 //! The combinational netlist data structure.
+//!
+//! A [`Netlist`] keeps its structure in a few flat arrays: every node's
+//! kind, one arena holding every gate's fanins back to back, and the
+//! output drivers. The names sit beside that structure. The transform
+//! passes read and build the structure alone and attach the source's
+//! names once, at the end of each public pass, so neither parsing nor a
+//! pass nor a clone allocates per gate.
 
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -43,42 +50,43 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A node of the netlist DAG: either a primary input or a gate.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Node {
+/// A node of the netlist DAG, borrowed from its netlist: either a primary
+/// input or a gate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Node<'a> {
     /// A primary input with a user-visible name.
     Input {
         /// Name of the input signal.
-        name: String,
+        name: &'a str,
     },
     /// A gate applying [`GateKind`] semantics to its fanins.
     Gate {
         /// The gate's kind.
         kind: GateKind,
         /// Ids of the fanin nodes, all strictly smaller than this node's id.
-        fanins: Vec<NodeId>,
+        fanins: &'a [NodeId],
     },
 }
 
-impl Node {
+impl<'a> Node<'a> {
     /// Returns `true` for primary inputs.
     #[must_use]
-    pub fn is_input(&self) -> bool {
+    pub fn is_input(self) -> bool {
         matches!(self, Node::Input { .. })
     }
 
     /// The gate kind, or `None` for primary inputs.
     #[must_use]
-    pub fn kind(&self) -> Option<GateKind> {
+    pub fn kind(self) -> Option<GateKind> {
         match self {
             Node::Input { .. } => None,
-            Node::Gate { kind, .. } => Some(*kind),
+            Node::Gate { kind, .. } => Some(kind),
         }
     }
 
     /// The fanin list (empty for inputs and constants).
     #[must_use]
-    pub fn fanins(&self) -> &[NodeId] {
+    pub fn fanins(self) -> &'a [NodeId] {
         match self {
             Node::Input { .. } => &[],
             Node::Gate { fanins, .. } => fanins,
@@ -93,6 +101,93 @@ pub struct Output {
     pub name: String,
     /// The node driving this output.
     pub driver: NodeId,
+}
+
+/// A netlist's structure without its names: node kinds and fanins in one
+/// arena, plus the output drivers.
+///
+/// Every transform pass keeps the primary inputs in their relative order
+/// and the outputs in theirs, so the k-th input node always stands for
+/// the source's k-th input and the j-th driver for its j-th output. A pass
+/// is therefore one walk over flat arrays, and equality is structural
+/// equality of the netlists two structures would name.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Structure {
+    /// Per node: its gate kind, or `None` for a primary input.
+    kinds: Vec<Option<GateKind>>,
+    /// Node `i`'s fanins are `fanins[ends[i - 1]..ends[i]]`, starting
+    /// at 0 for node 0.
+    ends: Vec<u32>,
+    fanins: Vec<NodeId>,
+    /// The driver of each primary output, in declaration order.
+    pub(crate) outputs: Vec<NodeId>,
+}
+
+impl Structure {
+    /// An empty structure with room for `nodes` nodes and `fanins`
+    /// fanin slots.
+    pub(crate) fn with_capacity(nodes: usize, fanins: usize) -> Self {
+        Structure {
+            kinds: Vec::with_capacity(nodes),
+            ends: Vec::with_capacity(nodes),
+            fanins: Vec::with_capacity(fanins),
+            outputs: Vec::new(),
+        }
+    }
+
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// Number of fanin slots over all nodes.
+    pub(crate) fn fanin_slots(&self) -> usize {
+        self.fanins.len()
+    }
+
+    /// The gate kind of `id`, or `None` for a primary input.
+    pub(crate) fn kind(&self, id: NodeId) -> Option<GateKind> {
+        self.kinds[id.index()]
+    }
+
+    /// The fanins of `id`.
+    pub(crate) fn fanins(&self, id: NodeId) -> &[NodeId] {
+        let i = id.index();
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.fanins[start as usize..self.ends[i] as usize]
+    }
+
+    /// The primary input ids, ascending.
+    fn input_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.len())
+            .map(NodeId::from_index)
+            .filter(|&id| self.kind(id).is_none())
+    }
+
+    /// The fanin of `id` if it is an inverter.
+    pub(crate) fn inverted(&self, id: NodeId) -> Option<NodeId> {
+        (self.kind(id) == Some(GateKind::Not)).then(|| self.fanins(id)[0])
+    }
+
+    /// Appends a primary input.
+    pub(crate) fn push_input(&mut self) -> NodeId {
+        self.push(None, &[])
+    }
+
+    /// Appends a gate; the caller guarantees arity and fanin bounds.
+    pub(crate) fn push_gate(&mut self, kind: GateKind, fanins: &[NodeId]) -> NodeId {
+        debug_assert!(kind.arity_ok(fanins.len()));
+        self.push(Some(kind), fanins)
+    }
+
+    fn push(&mut self, kind: Option<GateKind>, fanins: &[NodeId]) -> NodeId {
+        let id = NodeId::from_index(self.len());
+        self.kinds.push(kind);
+        self.fanins.extend_from_slice(fanins);
+        self.ends
+            .push(u32::try_from(self.fanins.len()).expect("fewer than u32::MAX fanin slots"));
+        id
+    }
 }
 
 /// A combinational netlist: a DAG of gates over named primary inputs, with
@@ -128,8 +223,12 @@ pub struct Output {
 #[derive(Clone, Default)]
 pub struct Netlist {
     name: String,
-    nodes: Vec<Node>,
+    structure: Structure,
+    /// The primary input ids, ascending.
     inputs: Vec<NodeId>,
+    /// The name of each primary input, in declaration order.
+    input_names: Vec<String>,
+    /// Each output's name beside its driver, which `structure` holds too.
     outputs: Vec<Output>,
     /// Finds an output by name in O(1), so declaring `m` outputs costs
     /// O(m), not O(m²). Derived from `outputs`, so equality and `Debug`
@@ -140,8 +239,8 @@ pub struct Netlist {
 impl PartialEq for Netlist {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
-            && self.nodes == other.nodes
-            && self.inputs == other.inputs
+            && self.structure == other.structure
+            && self.input_names == other.input_names
             && self.outputs == other.outputs
     }
 }
@@ -152,7 +251,7 @@ impl fmt::Debug for Netlist {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Netlist")
             .field("name", &self.name)
-            .field("nodes", &self.nodes)
+            .field("nodes", &self.nodes().collect::<Vec<_>>())
             .field("inputs", &self.inputs)
             .field("outputs", &self.outputs)
             .finish()
@@ -219,10 +318,7 @@ impl Netlist {
     pub fn new(name: impl Into<String>) -> Self {
         Netlist {
             name: name.into(),
-            nodes: Vec::new(),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            output_names: OutputNames::default(),
+            ..Netlist::default()
         }
     }
 
@@ -249,41 +345,71 @@ impl Netlist {
     /// is not exactly the `Node::Input` ids in id order.
     pub fn from_parts(
         name: impl Into<String>,
-        nodes: Vec<Node>,
+        nodes: Vec<Node<'_>>,
         inputs: Vec<NodeId>,
         outputs: Vec<Output>,
     ) -> Result<Self, LogicError> {
         let len = nodes.len();
-        for node in &nodes {
-            if let Node::Gate { kind, fanins } = node {
-                kind.check_arity(fanins.len())?;
-                for &f in fanins {
-                    if f.index() >= len {
+        let mut netlist = Netlist::new(name);
+        for node in nodes {
+            match node {
+                Node::Input { name } => {
+                    netlist.structure.push_input();
+                    netlist.input_names.push(name.to_owned());
+                }
+                Node::Gate { kind, fanins } => {
+                    kind.check_arity(fanins.len())?;
+                    if let Some(f) = fanins.iter().find(|f| f.index() >= len) {
                         return Err(LogicError::UnknownNode { id: f.index(), len });
                     }
+                    netlist.structure.push(Some(kind), fanins);
                 }
             }
         }
-        let declared: Vec<NodeId> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_input())
-            .map(|(i, _)| NodeId::from_index(i))
-            .collect();
-        if inputs != declared {
+        if !inputs.iter().copied().eq(netlist.structure.input_ids()) {
             return Err(LogicError::InputListMismatch);
         }
-        let mut netlist = Netlist {
-            name: name.into(),
-            nodes,
-            inputs,
-            outputs: Vec::with_capacity(outputs.len()),
-            output_names: OutputNames::default(),
-        };
+        netlist.inputs = inputs;
         for out in outputs {
             netlist.add_output(out.name, out.driver)?;
         }
         Ok(netlist)
+    }
+
+    /// The netlist of `structure`, named after `source`: its design name,
+    /// its input names and its output names. Only a pass over `source`'s
+    /// structure, which keeps both interfaces in order, produces a valid
+    /// `structure` here.
+    pub(crate) fn named_after(structure: Structure, source: &Netlist) -> Netlist {
+        let inputs: Vec<NodeId> = structure.input_ids().collect();
+        debug_assert_eq!(
+            inputs.len(),
+            source.input_count(),
+            "passes keep every input"
+        );
+        let outputs = source
+            .outputs
+            .iter()
+            .zip(&structure.outputs)
+            .map(|(o, &driver)| Output {
+                name: o.name.clone(),
+                driver,
+            })
+            .collect();
+        Netlist {
+            name: source.name.clone(),
+            structure,
+            inputs,
+            input_names: source.input_names.clone(),
+            outputs,
+            // The same names at the same positions.
+            output_names: source.output_names.clone(),
+        }
+    }
+
+    /// The structure the transform passes walk.
+    pub(crate) fn structure(&self) -> &Structure {
+        &self.structure
     }
 
     /// The design name.
@@ -303,9 +429,9 @@ impl Netlist {
     /// enforces uniqueness at its own level), but unique names make reports
     /// much more readable.
     pub fn add_input(&mut self, name: impl Into<String>) -> NodeId {
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(Node::Input { name: name.into() });
+        let id = self.structure.push_input();
         self.inputs.push(id);
+        self.input_names.push(name.into());
         id
     }
 
@@ -320,20 +446,11 @@ impl Netlist {
     /// topologically ordered.
     pub fn add_gate(&mut self, kind: GateKind, fanins: &[NodeId]) -> Result<NodeId, LogicError> {
         kind.check_arity(fanins.len())?;
-        for &f in fanins {
-            if f.index() >= self.nodes.len() {
-                return Err(LogicError::UnknownNode {
-                    id: f.index(),
-                    len: self.nodes.len(),
-                });
-            }
+        let len = self.node_count();
+        if let Some(f) = fanins.iter().find(|f| f.index() >= len) {
+            return Err(LogicError::UnknownNode { id: f.index(), len });
         }
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(Node::Gate {
-            kind,
-            fanins: fanins.to_vec(),
-        });
-        Ok(id)
+        Ok(self.structure.push_gate(kind, fanins))
     }
 
     /// Adds a constant node.
@@ -361,16 +478,17 @@ impl Netlist {
         driver: NodeId,
     ) -> Result<(), LogicError> {
         let name = name.into();
-        if driver.index() >= self.nodes.len() {
+        if driver.index() >= self.node_count() {
             return Err(LogicError::UnknownNode {
                 id: driver.index(),
-                len: self.nodes.len(),
+                len: self.node_count(),
             });
         }
         if self.output_position(&name).is_some() {
             return Err(LogicError::DuplicateOutput { name });
         }
         self.outputs.push(Output { name, driver });
+        self.structure.outputs.push(driver);
         self.output_names.push(&self.outputs);
         Ok(())
     }
@@ -382,31 +500,44 @@ impl Netlist {
     /// Panics if `id` is out of bounds; ids obtained from this netlist are
     /// always in bounds.
     #[must_use]
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        match self.structure.kind(id) {
+            None => {
+                let position = self
+                    .inputs
+                    .binary_search(&id)
+                    .expect("the input list holds every input");
+                Node::Input {
+                    name: &self.input_names[position],
+                }
+            }
+            Some(kind) => Node::Gate {
+                kind,
+                fanins: self.structure.fanins(id),
+            },
+        }
     }
 
     /// Total number of nodes (inputs + gates + constants + buffers).
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.structure.len()
     }
 
     /// Returns `true` if the netlist contains no nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.node_count() == 0
     }
 
     /// Iterates over all node ids in topological order.
     pub fn node_ids(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId::from_index)
+        (0..self.node_count()).map(NodeId::from_index)
     }
 
     /// All nodes in topological order.
-    #[must_use]
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = Node<'_>> + '_ {
+        self.node_ids().map(|id| self.node(id))
     }
 
     /// Primary input ids, in declaration order.
@@ -446,9 +577,10 @@ impl Netlist {
     /// load capacitance and leakage.
     #[must_use]
     pub fn gate_count(&self) -> usize {
-        self.nodes
+        self.structure
+            .kinds
             .iter()
-            .filter(|n| n.kind().is_some_and(GateKind::counts_as_gate))
+            .filter(|kind| kind.is_some_and(GateKind::counts_as_gate))
             .count()
     }
 
@@ -457,7 +589,7 @@ impl Netlist {
     #[must_use]
     pub fn signal_name(&self, id: NodeId) -> String {
         if let Node::Input { name } = self.node(id) {
-            return name.clone();
+            return name.to_owned();
         }
         if let Some(out) = self.outputs.iter().find(|o| o.driver == id) {
             return out.name.clone();
@@ -476,26 +608,26 @@ impl Netlist {
     /// Returns the first violated invariant: fanin ordering, arity, or
     /// dangling output drivers.
     pub fn validate(&self) -> Result<(), LogicError> {
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in self.nodes().enumerate() {
             if let Node::Gate { kind, fanins } = node {
                 kind.check_arity(fanins.len())?;
-                for &f in fanins {
-                    if f.index() >= i {
-                        return Err(LogicError::FaninOrder {
-                            gate: i,
-                            fanin: f.index(),
-                        });
-                    }
+                if let Some(f) = fanins.iter().find(|f| f.index() >= i) {
+                    return Err(LogicError::FaninOrder {
+                        gate: i,
+                        fanin: f.index(),
+                    });
                 }
             }
         }
-        for out in &self.outputs {
-            if out.driver.index() >= self.nodes.len() {
-                return Err(LogicError::UnknownNode {
-                    id: out.driver.index(),
-                    len: self.nodes.len(),
-                });
-            }
+        if let Some(out) = self
+            .outputs
+            .iter()
+            .find(|o| o.driver.index() >= self.node_count())
+        {
+            return Err(LogicError::UnknownNode {
+                id: out.driver.index(),
+                len: self.node_count(),
+            });
         }
         Ok(())
     }
@@ -514,10 +646,10 @@ impl Netlist {
                 got: assignment.len(),
             });
         }
-        let mut values = vec![false; self.nodes.len()];
+        let mut values = vec![false; self.node_count()];
         let mut next_input = 0;
         let mut fanin_buf: Vec<bool> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in self.nodes().enumerate() {
             match node {
                 Node::Input { .. } => {
                     values[i] = assignment[next_input];
@@ -581,13 +713,12 @@ impl Netlist {
                 got: inputs.len(),
             });
         }
-        for &id in inputs {
-            if id.index() >= self.nodes.len() {
-                return Err(LogicError::UnknownNode {
-                    id: id.index(),
-                    len: self.nodes.len(),
-                });
-            }
+        let len = self.node_count();
+        if let Some(id) = inputs.iter().find(|id| id.index() >= len) {
+            return Err(LogicError::UnknownNode {
+                id: id.index(),
+                len,
+            });
         }
         let mut map: Vec<NodeId> = Vec::with_capacity(other.node_count());
         let mut next_input = 0;
@@ -602,7 +733,7 @@ impl Netlist {
                 Node::Gate { kind, fanins } => {
                     fanin_buf.clear();
                     fanin_buf.extend(fanins.iter().map(|f| map[f.index()]));
-                    self.add_gate(*kind, &fanin_buf)?
+                    self.add_gate(kind, &fanin_buf)?
                 }
             };
             map.push(new_id);
@@ -642,7 +773,7 @@ impl fmt::Display for Netlist {
             self.inputs.len(),
             self.outputs.len(),
             self.gate_count(),
-            self.nodes.len()
+            self.node_count()
         )
     }
 }
@@ -819,12 +950,13 @@ mod tests {
     #[test]
     fn from_parts_admits_forward_references() {
         // n0 = Not(n1), n1 = input: representable only through from_parts.
+        let fanins = [NodeId::from_index(1)];
         let nodes = vec![
             Node::Gate {
                 kind: GateKind::Not,
-                fanins: vec![NodeId::from_index(1)],
+                fanins: &fanins,
             },
-            Node::Input { name: "a".into() },
+            Node::Input { name: "a" },
         ];
         let nl = Netlist::from_parts(
             "fwd",
@@ -846,12 +978,12 @@ mod tests {
 
     #[test]
     fn from_parts_still_checks_everything_but_order() {
-        let input = || Node::Input { name: "a".into() };
+        let input = || Node::Input { name: "a" };
         let err = Netlist::from_parts(
             "bad",
             vec![Node::Gate {
                 kind: GateKind::Maj,
-                fanins: vec![NodeId::from_index(0)],
+                fanins: &[NodeId::from_index(0)],
             }],
             vec![],
             vec![],
@@ -863,7 +995,7 @@ mod tests {
             "bad",
             vec![Node::Gate {
                 kind: GateKind::Not,
-                fanins: vec![NodeId::from_index(9)],
+                fanins: &[NodeId::from_index(9)],
             }],
             vec![],
             vec![],

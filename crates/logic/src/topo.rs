@@ -93,7 +93,7 @@ pub fn try_topo_order(netlist: &Netlist) -> Result<Vec<NodeId>, LogicError> {
 #[must_use]
 pub fn levels(netlist: &Netlist) -> Vec<u32> {
     let mut levels = vec![0u32; netlist.node_count()];
-    for (i, node) in netlist.nodes().iter().enumerate() {
+    for (i, node) in netlist.nodes().enumerate() {
         if let Node::Gate { kind, fanins } = node {
             let deepest = fanins.iter().map(|f| levels[f.index()]).max().unwrap_or(0);
             levels[i] = match kind {
@@ -269,11 +269,15 @@ mod tests {
     /// Builds a (possibly cyclic) netlist from `(kind, fanins)` gate
     /// specs appended after one primary input.
     fn raw(gates: &[(GateKind, &[usize])]) -> Netlist {
-        let mut nodes = vec![Node::Input { name: "a".into() }];
-        for (kind, fanins) in gates {
+        let fanins: Vec<Vec<NodeId>> = gates
+            .iter()
+            .map(|(_, fanins)| fanins.iter().map(|&i| NodeId::from_index(i)).collect())
+            .collect();
+        let mut nodes = vec![Node::Input { name: "a" }];
+        for ((kind, _), fanins) in gates.iter().zip(&fanins) {
             nodes.push(Node::Gate {
                 kind: *kind,
-                fanins: fanins.iter().map(|&i| NodeId::from_index(i)).collect(),
+                fanins,
             });
         }
         let last = NodeId::from_index(nodes.len() - 1);

@@ -1,9 +1,8 @@
 //! Balanced decomposition of wide gates into fanin-bounded trees.
 
-use super::flat::Flat;
 use crate::error::LogicError;
 use crate::gate::GateKind;
-use crate::netlist::{Netlist, NodeId};
+use crate::netlist::{Netlist, NodeId, Structure};
 
 /// Rewrites the netlist so that no gate has more than `max_fanin` fanins.
 ///
@@ -38,17 +37,18 @@ use crate::netlist::{Netlist, NodeId};
 /// # }
 /// ```
 pub fn decompose_to_max_fanin(netlist: &Netlist, max_fanin: usize) -> Result<Netlist, LogicError> {
-    Ok(decompose(&Flat::of(netlist), max_fanin)?.into_netlist(netlist))
+    let mapped = decompose(netlist.structure(), max_fanin)?;
+    Ok(Netlist::named_after(mapped, netlist))
 }
 
-/// One decomposition walk over a flat structure.
-pub(crate) fn decompose(src: &Flat, max_fanin: usize) -> Result<Flat, LogicError> {
+/// One decomposition walk over a netlist's structure.
+pub(crate) fn decompose(src: &Structure, max_fanin: usize) -> Result<Structure, LogicError> {
     if max_fanin < 2 {
         return Err(LogicError::FaninBudgetTooSmall {
             requested: max_fanin,
         });
     }
-    let mut out = Flat::with_capacity(src.len(), src.fanin_slots());
+    let mut out = Structure::with_capacity(src.len(), src.fanin_slots());
     let mut map: Vec<NodeId> = Vec::with_capacity(src.len());
     let mut mapped: Vec<NodeId> = Vec::new();
     let mut tree = Tree::default();
@@ -80,7 +80,7 @@ impl Tree {
     /// of the node computing its function.
     fn emit(
         &mut self,
-        out: &mut Flat,
+        out: &mut Structure,
         kind: GateKind,
         fanins: &[NodeId],
         max_fanin: usize,
@@ -118,7 +118,7 @@ impl Tree {
 
 /// `MAJ(a, b, c)` as `OR(OR(AND(a,b), AND(a,c)), AND(b,c))` — used when the
 /// fanin budget excludes 3-input gates.
-fn emit_maj_sop(out: &mut Flat, fanins: &[NodeId]) -> NodeId {
+fn emit_maj_sop(out: &mut Structure, fanins: &[NodeId]) -> NodeId {
     let (a, b, c) = (fanins[0], fanins[1], fanins[2]);
     let ab = out.push_gate(GateKind::And, &[a, b]);
     let ac = out.push_gate(GateKind::And, &[a, c]);
@@ -171,12 +171,10 @@ mod tests {
         let mapped = decompose_to_max_fanin(&nl, 3).unwrap();
         let nands = mapped
             .nodes()
-            .iter()
             .filter(|n| n.kind() == Some(GateKind::Nand))
             .count();
         let ands = mapped
             .nodes()
-            .iter()
             .filter(|n| n.kind() == Some(GateKind::And))
             .count();
         assert_eq!(nands, 1);

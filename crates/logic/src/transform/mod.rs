@@ -14,14 +14,14 @@
 //!
 //! All transforms are pure: they build a fresh [`Netlist`] and never mutate
 //! their input. All of them preserve the circuit's Boolean function, which
-//! the test-suite checks exhaustively for small circuits. Internally every
-//! pass walks a name-free flat structure, so [`prepare`]'s dozen passes
-//! build one [`Netlist`], at the end.
+//! the test-suite checks exhaustively for small circuits. Every pass reads
+//! and builds the netlist's own name-free structure (node kinds, one fanin
+//! arena, output drivers), so [`prepare`]'s dozen passes attach names to
+//! one [`Netlist`], at the end.
 //!
 //! [`Netlist`]: crate::Netlist
 
 mod decompose;
-mod flat;
 mod optimize;
 
 pub use decompose::decompose_to_max_fanin;
@@ -29,7 +29,6 @@ pub use optimize::{dedupe, fold_constants, optimize, sweep};
 
 use crate::error::LogicError;
 use crate::netlist::Netlist;
-use flat::Flat;
 
 /// Runs the full preparation flow: optimize, map to fanin `max_fanin`,
 /// optimize again.
@@ -56,9 +55,12 @@ use flat::Flat;
 /// # }
 /// ```
 pub fn prepare(netlist: &Netlist, max_fanin: usize) -> Result<Netlist, LogicError> {
-    let optimized = optimize::optimize_flat(Flat::of(netlist));
+    let optimized = optimize::optimize_structure(netlist.structure());
     let mapped = decompose::decompose(&optimized, max_fanin)?;
-    Ok(optimize::optimize_flat(mapped).into_netlist(netlist))
+    Ok(Netlist::named_after(
+        optimize::optimize_structure(&mapped),
+        netlist,
+    ))
 }
 
 #[cfg(test)]

@@ -1,15 +1,14 @@
 //! Function-preserving cleanup passes: constant folding, buffer collapsing,
 //! structural hashing and dead-gate sweeping.
 //!
-//! Each pass is one walk over a [`Flat`] structure; [`optimize`] iterates
-//! them without materializing a [`Netlist`] in between.
+//! Each pass is one walk over a netlist's name-free structure;
+//! [`optimize`] iterates them and names the result once.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 
-use super::flat::Flat;
 use crate::gate::GateKind;
-use crate::netlist::{Netlist, NodeId};
+use crate::netlist::{Netlist, NodeId, Structure};
 
 /// What a source node simplifies to in the folded structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,7 +21,7 @@ enum Repr {
 
 /// Bookkeeping for folding one structure.
 struct Folder {
-    out: Flat,
+    out: Structure,
     const_nodes: [Option<NodeId>; 2],
     /// Reused fanin buffer.
     nodes: Vec<NodeId>,
@@ -245,10 +244,10 @@ impl Folder {
 }
 
 /// One folding walk; see [`fold_constants`].
-fn fold(src: &Flat) -> Flat {
+fn fold(src: &Structure) -> Structure {
     let mut f = Folder {
         // Each source node adds at most one node, plus two constants.
-        out: Flat::with_capacity(src.len() + 2, src.fanin_slots()),
+        out: Structure::with_capacity(src.len() + 2, src.fanin_slots()),
         const_nodes: [None, None],
         nodes: Vec::new(),
         seen: vec![0; src.len() + 2],
@@ -276,8 +275,8 @@ fn fold(src: &Flat) -> Flat {
 }
 
 /// One structural-hashing walk; see [`dedupe`].
-fn hash_cons(src: &Flat) -> Flat {
-    let mut out = Flat::with_capacity(src.len(), src.fanin_slots());
+fn hash_cons(src: &Structure) -> Structure {
+    let mut out = Structure::with_capacity(src.len(), src.fanin_slots());
     let mut map: Vec<NodeId> = Vec::with_capacity(src.len());
     // Open addressing over node ids + 1 (0 is empty), at most half full.
     let mut slots = vec![0u32; (2 * src.len()).next_power_of_two().max(16)];
@@ -320,7 +319,7 @@ fn hash_cons(src: &Flat) -> Flat {
 }
 
 /// One dead-gate walk; see [`sweep`].
-fn sweep_dead(src: &Flat) -> Flat {
+fn sweep_dead(src: &Structure) -> Structure {
     let mut live = vec![false; src.len()];
     for driver in &src.outputs {
         live[driver.index()] = true;
@@ -333,7 +332,7 @@ fn sweep_dead(src: &Flat) -> Flat {
             }
         }
     }
-    let mut out = Flat::with_capacity(src.len(), src.fanin_slots());
+    let mut out = Structure::with_capacity(src.len(), src.fanin_slots());
     let mut map: Vec<NodeId> = vec![NodeId::from_index(0); src.len()];
     let mut fanins: Vec<NodeId> = Vec::new();
     for i in 0..src.len() {
@@ -353,13 +352,17 @@ fn sweep_dead(src: &Flat) -> Flat {
 }
 
 /// Iterates fold → hash → sweep rounds to a fixed point, at most 8.
-pub(crate) fn optimize_flat(mut current: Flat) -> Flat {
-    for round in 0..8 {
+pub(crate) fn optimize_structure(src: &Structure) -> Structure {
+    let mut current = sweep_dead(&hash_cons(&fold(src)));
+    if current == *src {
+        return current;
+    }
+    for _ in 1..8 {
         let folded = fold(&current);
-        // After the first round `current` is hashed and swept, which
-        // both passes leave unchanged; so if folding changes nothing,
-        // neither would the rest of the round.
-        if round > 0 && folded == current {
+        // `current` is hashed and swept, which both passes leave
+        // unchanged; so if folding changes nothing, neither would the
+        // rest of the round.
+        if folded == current {
             break;
         }
         let next = sweep_dead(&hash_cons(&folded));
@@ -395,7 +398,7 @@ pub(crate) fn optimize_flat(mut current: Flat) -> Flat {
 /// ```
 #[must_use]
 pub fn fold_constants(netlist: &Netlist) -> Netlist {
-    fold(&Flat::of(netlist)).into_netlist(netlist)
+    Netlist::named_after(fold(netlist.structure()), netlist)
 }
 
 /// Structural hashing: replaces gates with identical (kind, fanins) by a
@@ -403,21 +406,21 @@ pub fn fold_constants(netlist: &Netlist) -> Netlist {
 /// library is commutative.
 #[must_use]
 pub fn dedupe(netlist: &Netlist) -> Netlist {
-    hash_cons(&Flat::of(netlist)).into_netlist(netlist)
+    Netlist::named_after(hash_cons(netlist.structure()), netlist)
 }
 
 /// Dead-gate elimination: removes nodes not reachable from any primary
 /// output. Primary inputs are always kept so the interface is stable.
 #[must_use]
 pub fn sweep(netlist: &Netlist) -> Netlist {
-    sweep_dead(&Flat::of(netlist)).into_netlist(netlist)
+    Netlist::named_after(sweep_dead(netlist.structure()), netlist)
 }
 
 /// Iterates folding, hashing and sweeping to a fixed point (bounded at 8
 /// rounds, which is far more than any practical netlist needs).
 #[must_use]
 pub fn optimize(netlist: &Netlist) -> Netlist {
-    optimize_flat(Flat::of(netlist)).into_netlist(netlist)
+    Netlist::named_after(optimize_structure(netlist.structure()), netlist)
 }
 
 #[cfg(test)]
@@ -473,11 +476,7 @@ mod tests {
         let opt = optimize(&nl);
         assert_equivalent(&nl, &opt);
         assert_eq!(opt.gate_count(), 1);
-        let kinds: Vec<_> = opt
-            .nodes()
-            .iter()
-            .filter_map(crate::netlist::Node::kind)
-            .collect();
+        let kinds: Vec<_> = opt.nodes().filter_map(crate::netlist::Node::kind).collect();
         assert!(kinds.contains(&GateKind::Xor));
     }
 
@@ -545,11 +544,7 @@ mod tests {
         nl.add_output("y", g).unwrap();
         let opt = optimize(&nl);
         assert_equivalent(&nl, &opt);
-        let kinds: Vec<_> = opt
-            .nodes()
-            .iter()
-            .filter_map(crate::netlist::Node::kind)
-            .collect();
+        let kinds: Vec<_> = opt.nodes().filter_map(crate::netlist::Node::kind).collect();
         assert_eq!(kinds, vec![GateKind::Or]);
 
         // MAJ(a, a, b) == a

@@ -66,7 +66,7 @@ fn build_random(netlist_seed: u64, inputs: usize, gates: usize) -> Netlist {
 fn renamed(nl: &Netlist) -> Netlist {
     let mut out = Netlist::new("renamed");
     let mut map: Vec<NodeId> = Vec::with_capacity(nl.node_count());
-    for (i, node) in nl.nodes().iter().enumerate() {
+    for (i, node) in nl.nodes().enumerate() {
         let id = match node.kind() {
             None => out.add_input(format!("renamed_in{i}")),
             Some(GateKind::Const0) => out.add_const(false),

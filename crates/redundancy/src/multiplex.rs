@@ -130,7 +130,7 @@ pub fn multiplex_full(
     for id in nand.node_ids() {
         let bundle = match nand.node(id) {
             Node::Input { name } => {
-                let wire = out.add_input(name.clone());
+                let wire = out.add_input(name);
                 vec![wire; n]
             }
             Node::Gate {
@@ -141,7 +141,7 @@ pub fn multiplex_full(
                 kind: kind @ (GateKind::Const0 | GateKind::Const1),
                 ..
             } => {
-                let c = out.add_gate(*kind, &[])?;
+                let c = out.add_gate(kind, &[])?;
                 vec![c; n]
             }
             Node::Gate {

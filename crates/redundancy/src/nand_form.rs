@@ -30,7 +30,6 @@ use crate::error::RedundancyError;
 /// let nand = to_nand2(&rca)?;
 /// assert!(nand
 ///     .nodes()
-///     .iter()
 ///     .all(|n| matches!(n.kind(), None | Some(GateKind::Nand | GateKind::Buf))));
 /// # Ok(())
 /// # }
@@ -41,10 +40,10 @@ pub fn to_nand2(netlist: &Netlist) -> Result<Netlist, RedundancyError> {
     let mut map: Vec<NodeId> = Vec::with_capacity(two.node_count());
     for id in two.node_ids() {
         let new_id = match two.node(id) {
-            Node::Input { name } => out.add_input(name.clone()),
+            Node::Input { name } => out.add_input(name),
             Node::Gate { kind, fanins } => {
                 let f: Vec<NodeId> = fanins.iter().map(|x| map[x.index()]).collect();
-                rewrite_gate(&mut out, *kind, &f)?
+                rewrite_gate(&mut out, kind, &f)?
             }
         };
         map.push(new_id);

@@ -55,7 +55,7 @@ pub fn nmr(netlist: &Netlist, r: usize) -> Result<Netlist, RedundancyError> {
         .iter()
         .map(|&id| {
             let name = match netlist.node(id) {
-                nanobound_logic::Node::Input { name } => name.clone(),
+                nanobound_logic::Node::Input { name } => name,
                 _ => unreachable!("input list holds inputs"),
             };
             out.add_input(name)

@@ -245,13 +245,13 @@ fn cmd_figures(args: &[String]) -> Result<(), String> {
     let engine = Engine::new(pool_from_flags(&flags)?, cache_from_flags(&flags)?);
     let Some(dir) = sink else {
         for &id in &ids {
-            print!("{}", engine.figure_csv(id)?);
+            print!("{}", csv_of(&engine.figure(id, engine.pool())?));
         }
         return Ok(());
     };
     fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
     for &id in &ids {
-        let figure = engine.figure(id)?;
+        let figure = engine.figure(id, engine.pool())?;
         for path in write_figure(&dir, &figure)? {
             println!("wrote {path}");
         }
@@ -270,7 +270,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     }
     let sink = artifact_sink(&flags)?;
     let engine = Engine::new(pool_from_flags(&flags)?, cache_from_flags(&flags)?);
-    let outputs = engine.validation()?;
+    let outputs = engine.validation(engine.pool())?;
     let Some(dir) = sink else {
         for figure in &outputs {
             print!("{}", csv_of(figure));

@@ -410,24 +410,16 @@ impl Engine {
         Ok(out)
     }
 
-    /// Regenerates (or replays) one figure.
+    /// Regenerates (or replays) one figure. `pool` is the engine's own
+    /// or a request's `--request-jobs` budget; only the profile-backed
+    /// figures use it (to profile the suite), the closed-form sweeps run
+    /// inline.
     ///
     /// # Errors
     ///
     /// Propagates generator failures (not expected for the paper's
     /// fixed parameters).
-    pub fn figure(&self, id: FigureId) -> Result<FigureOutput, String> {
-        self.figure_with(id, &self.pool)
-    }
-
-    /// [`Engine::figure`] under a caller-supplied worker budget, which
-    /// only the profile-backed figures use (to profile the suite); the
-    /// closed-form sweeps run inline.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::figure`].
-    pub fn figure_with(&self, id: FigureId, pool: &ThreadPool) -> Result<FigureOutput, String> {
+    pub fn figure(&self, id: FigureId, pool: &ThreadPool) -> Result<FigureOutput, String> {
         let figure = self.figures.get_or_try_insert(id, || {
             let suite = if id.needs_profiles() {
                 Some(self.ensure_suite_with(pool)?)
@@ -440,62 +432,30 @@ impl Engine {
         Ok((*figure).clone())
     }
 
-    /// One figure's tables as CSV — the `figures --only <id> --stdout`
-    /// text.
+    /// One figure's tables as CSV under the engine's own pool.
+    ///
+    /// The front ends render [`Engine::figure`] with [`csv_of`]; this
+    /// one-argument form stays only because the benchmark probe
+    /// (`perfbench/probe`) calls it.
     ///
     /// # Errors
     ///
     /// Same as [`Engine::figure`].
     pub fn figure_csv(&self, id: FigureId) -> Result<String, String> {
-        Ok(csv_of(&self.figure(id)?))
+        Ok(csv_of(&self.figure(id, &self.pool)?))
     }
 
-    /// [`Engine::figure_csv`] under a caller-supplied worker budget.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::figure`].
-    pub fn figure_csv_with(&self, id: FigureId, pool: &ThreadPool) -> Result<String, String> {
-        Ok(csv_of(&self.figure_with(id, pool)?))
-    }
-
-    /// Runs (or replays) both validation experiments.
+    /// Runs (or replays) both validation experiments under `pool`, the
+    /// engine's own or a request's `--request-jobs` budget.
     ///
     /// # Errors
     ///
     /// Propagates the underlying experiment failures.
-    pub fn validation(&self) -> Result<Vec<FigureOutput>, String> {
-        self.validation_with(&self.pool)
-    }
-
-    /// [`Engine::validation`] under a caller-supplied worker budget.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::validation`].
-    pub fn validation_with(&self, pool: &ThreadPool) -> Result<Vec<FigureOutput>, String> {
+    pub fn validation(&self, pool: &ThreadPool) -> Result<Vec<FigureOutput>, String> {
         let outputs = self.validation.get_or_try_insert((), || {
             validation::generate(&self.exec(pool)).map_err(|e| e.to_string())
         })?;
         Ok((*outputs).clone())
-    }
-
-    /// The validation tables as CSV — the `validate --stdout` text.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::validation`].
-    pub fn validation_csv(&self) -> Result<String, String> {
-        self.validation_csv_with(&self.pool)
-    }
-
-    /// [`Engine::validation_csv`] under a caller-supplied worker budget.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::validation`].
-    pub fn validation_csv_with(&self, pool: &ThreadPool) -> Result<String, String> {
-        Ok(self.validation_with(pool)?.iter().map(csv_of).collect())
     }
 
     /// Executes a `lint` workload; returns the report text and the

@@ -48,7 +48,7 @@ use nanobound_experiments::FigureId;
 use nanobound_runner::{ThreadPool, MAX_JOBS};
 
 use crate::args::parse_flags;
-use crate::engine::Engine;
+use crate::engine::{csv_of, Engine};
 use crate::proto::{parse_request, write_response, Request, RESERVED_ID};
 use crate::requests::{BoundRequest, GcRequest, LintRequest, McShardsRequest, ProfileRequest};
 
@@ -560,11 +560,12 @@ fn dispatch(engine: &Engine, request: &Request) -> (bool, Vec<u8>) {
                             .to_owned(),
                     ),
                 })
-                .and_then(|id| engine.figure_csv_with(id, pool))
+                .and_then(|id| engine.figure(id, pool))
+                .map(|figure| csv_of(&figure))
         }),
         "validate" => with_request_pool(engine, &request.args, |args, pool| {
             no_args("validate", args)?;
-            engine.validation_csv_with(pool)
+            Ok(engine.validation(pool)?.iter().map(csv_of).collect())
         }),
         "gc" => parse_flags(&request.args, &GcRequest::FLAGS)
             .and_then(|(positional, flags)| GcRequest::from_parts(&positional, &flags))

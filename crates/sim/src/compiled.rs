@@ -236,7 +236,7 @@ impl SimProgram {
                             .expect("operand tape exceeds u32::MAX entries");
                         let dst = fresh(2);
                         program.ops.push(Op {
-                            kind: *kind,
+                            kind,
                             dst,
                             operands: (start, end),
                         });

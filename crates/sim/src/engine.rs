@@ -114,7 +114,7 @@ pub fn evaluate_packed(netlist: &Netlist, patterns: &PatternSet) -> Result<NodeV
     let words = patterns.words_per_signal();
     let mut values = vec![0u64; netlist.node_count() * words];
     let mut next_input = 0usize;
-    for (i, node) in netlist.nodes().iter().enumerate() {
+    for (i, node) in netlist.nodes().enumerate() {
         let (done, rest) = values.split_at_mut(i * words);
         let out = &mut rest[..words];
         match node {
@@ -122,7 +122,7 @@ pub fn evaluate_packed(netlist: &Netlist, patterns: &PatternSet) -> Result<NodeV
                 out.copy_from_slice(patterns.input_words(next_input));
                 next_input += 1;
             }
-            Node::Gate { kind, fanins } => eval_gate_into(*kind, fanins, done, words, out),
+            Node::Gate { kind, fanins } => eval_gate_into(kind, fanins, done, words, out),
         }
     }
     Ok(NodeValues::from_flat(values, words, patterns.count()))

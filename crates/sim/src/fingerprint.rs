@@ -41,7 +41,7 @@ pub fn netlist_fingerprint(builder: &mut FingerprintBuilder, netlist: &Netlist) 
             Node::Gate { kind, fanins } => {
                 let kind_index = GateKind::ALL
                     .iter()
-                    .position(|k| k == kind)
+                    .position(|&k| k == kind)
                     .expect("GateKind::ALL covers every kind");
                 builder.push_u64(kind_index as u64);
                 builder.push_usize(fanins.len());

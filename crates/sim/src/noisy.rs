@@ -130,7 +130,7 @@ pub fn evaluate_noisy(
     // created for exactly the `counts_as_gate` kinds, in the same
     // order), which is what makes the two engines' masks identical.
     let mut gate_ordinal = 0u64;
-    for (i, node) in netlist.nodes().iter().enumerate() {
+    for (i, node) in netlist.nodes().enumerate() {
         let (done, rest) = values.split_at_mut(i * words);
         let out = &mut rest[..words];
         match node {
@@ -139,7 +139,7 @@ pub fn evaluate_noisy(
                 next_input += 1;
             }
             Node::Gate { kind, fanins } => {
-                eval_gate_into(*kind, fanins, done, words, out);
+                eval_gate_into(kind, fanins, done, words, out);
                 if kind.counts_as_gate() {
                     let gs = gate_state(config.seed, gate_ordinal);
                     gate_ordinal += 1;

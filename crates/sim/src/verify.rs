@@ -271,7 +271,7 @@ impl SimProgram {
         let mut next_op = 0usize;
         let mut operand_sorted: Vec<(u32, u32)> = Vec::new();
         let mut fanin_sorted: Vec<(u32, u32)> = Vec::new();
-        for (i, node) in netlist.nodes().iter().enumerate() {
+        for (i, node) in netlist.nodes().enumerate() {
             let slots = self.node_slots[i];
             bound(num_slots, || format!("node n{i} clean slot"), slots.0)?;
             bound(num_slots, || format!("node n{i} noisy slot"), slots.1)?;
@@ -291,7 +291,7 @@ impl SimProgram {
                 }
                 Node::Gate { kind, fanins } => match kind {
                     GateKind::Const0 | GateKind::Const1 => {
-                        let materialized = if *kind == GateKind::Const0 {
+                        let materialized = if kind == GateKind::Const0 {
                             self.zero_slot
                         } else {
                             self.ones_slot
@@ -316,7 +316,7 @@ impl SimProgram {
                         let op = &self.ops[next_op];
                         let index = next_op;
                         next_op += 1;
-                        if op.kind != *kind {
+                        if op.kind != kind {
                             return Err(TapeDefect::OpMismatch {
                                 op: index,
                                 detail: format!("kind {} where node n{i} is {kind}", op.kind),

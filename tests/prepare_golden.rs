@@ -116,10 +116,10 @@ fn rule_dag(seed: u64, inputs: usize, steps: usize, outputs: usize) -> Netlist {
             }
             6 if !gates.is_empty() => {
                 let g = gates[rng.below(gates.len())];
-                let Node::Gate { kind, fanins } = nl.node(g).clone() else {
+                let Node::Gate { kind, fanins } = nl.node(g) else {
                     unreachable!("only gates are recorded")
                 };
-                let mut fanins = fanins;
+                let mut fanins = fanins.to_vec();
                 fanins.reverse();
                 nl.add_gate(kind, &fanins).unwrap()
             }
