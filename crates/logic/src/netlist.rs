@@ -164,6 +164,24 @@ impl Structure {
             .filter(|&id| self.kind(id).is_none())
     }
 
+    /// Marks `roots` and every node in their transitive fanin, indexed by
+    /// [`NodeId::index`].
+    pub(crate) fn fanin_cone(&self, roots: impl IntoIterator<Item = NodeId>) -> Vec<bool> {
+        let mut marked = vec![false; self.len()];
+        for root in roots {
+            marked[root.index()] = true;
+        }
+        // Reverse topological sweep: a marked node marks its fanins.
+        for i in (0..self.len()).rev() {
+            if marked[i] {
+                for f in self.fanins(NodeId::from_index(i)) {
+                    marked[f.index()] = true;
+                }
+            }
+        }
+        marked
+    }
+
     /// The fanin of `id` if it is an inverter.
     pub(crate) fn inverted(&self, id: NodeId) -> Option<NodeId> {
         (self.kind(id) == Some(GateKind::Not)).then(|| self.fanins(id)[0])

@@ -141,43 +141,20 @@ pub fn fanout_counts(netlist: &Netlist) -> Vec<u32> {
 /// fanins transitively. The result is indexed by [`NodeId::index`].
 #[must_use]
 pub fn reachable_from_outputs(netlist: &Netlist) -> Vec<bool> {
-    let mut reachable = vec![false; netlist.node_count()];
-    for out in netlist.outputs() {
-        reachable[out.driver.index()] = true;
-    }
-    // Reverse topological sweep: a node's reachability propagates to fanins.
-    for i in (0..netlist.node_count()).rev() {
-        if reachable[i] {
-            for f in netlist.node(NodeId::from_index(i)).fanins() {
-                reachable[f.index()] = true;
-            }
-        }
-    }
-    reachable
+    netlist
+        .structure()
+        .fanin_cone(netlist.outputs().iter().map(|o| o.driver))
 }
 
 /// Ids of the nodes in the transitive fanin cone of `roots` (inclusive),
 /// in topological order.
 #[must_use]
 pub fn cone(netlist: &Netlist, roots: &[NodeId]) -> Vec<NodeId> {
-    let mut in_cone = vec![false; netlist.node_count()];
-    for &r in roots {
-        if r.index() < in_cone.len() {
-            in_cone[r.index()] = true;
-        }
-    }
-    for i in (0..netlist.node_count()).rev() {
-        if in_cone[i] {
-            for f in netlist.node(NodeId::from_index(i)).fanins() {
-                in_cone[f.index()] = true;
-            }
-        }
-    }
-    in_cone
-        .iter()
-        .enumerate()
-        .filter(|&(_i, &m)| m)
-        .map(|(i, &_m)| NodeId::from_index(i))
+    let in_bounds = roots.iter().filter(|r| r.index() < netlist.node_count());
+    let in_cone = netlist.structure().fanin_cone(in_bounds.copied());
+    netlist
+        .node_ids()
+        .filter(|id| in_cone[id.index()])
         .collect()
 }
 

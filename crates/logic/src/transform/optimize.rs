@@ -320,18 +320,7 @@ fn hash_cons(src: &Structure) -> Structure {
 
 /// One dead-gate walk; see [`sweep`].
 fn sweep_dead(src: &Structure) -> Structure {
-    let mut live = vec![false; src.len()];
-    for driver in &src.outputs {
-        live[driver.index()] = true;
-    }
-    // Reverse topological sweep: a node's liveness propagates to fanins.
-    for i in (0..src.len()).rev() {
-        if live[i] {
-            for f in src.fanins(NodeId::from_index(i)) {
-                live[f.index()] = true;
-            }
-        }
-    }
+    let live = src.fanin_cone(src.outputs.iter().copied());
     let mut out = Structure::with_capacity(src.len(), src.fanin_slots());
     let mut map: Vec<NodeId> = vec![NodeId::from_index(0); src.len()];
     let mut fanins: Vec<NodeId> = Vec::new();
