@@ -71,12 +71,14 @@ pub enum Node<'a> {
 impl<'a> Node<'a> {
     /// Returns `true` for primary inputs.
     #[must_use]
+    #[inline]
     pub fn is_input(self) -> bool {
         matches!(self, Node::Input { .. })
     }
 
     /// The gate kind, or `None` for primary inputs.
     #[must_use]
+    #[inline]
     pub fn kind(self) -> Option<GateKind> {
         match self {
             Node::Input { .. } => None,
@@ -86,6 +88,7 @@ impl<'a> Node<'a> {
 
     /// The fanin list (empty for inputs and constants).
     #[must_use]
+    #[inline]
     pub fn fanins(self) -> &'a [NodeId] {
         match self {
             Node::Input { .. } => &[],
@@ -146,11 +149,13 @@ impl Structure {
     }
 
     /// The gate kind of `id`, or `None` for a primary input.
+    #[inline]
     pub(crate) fn kind(&self, id: NodeId) -> Option<GateKind> {
         self.kinds[id.index()]
     }
 
     /// The fanins of `id`.
+    #[inline]
     pub(crate) fn fanins(&self, id: NodeId) -> &[NodeId] {
         let i = id.index();
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
@@ -518,13 +523,20 @@ impl Netlist {
     /// Panics if `id` is out of bounds; ids obtained from this netlist are
     /// always in bounds.
     #[must_use]
+    #[inline]
     pub fn node(&self, id: NodeId) -> Node<'_> {
         match self.structure.kind(id) {
             None => {
-                let position = self
-                    .inputs
-                    .binary_search(&id)
-                    .expect("the input list holds every input");
+                // Where the inputs come first, as in every parsed design,
+                // node k is input k; elsewhere the ascending list is
+                // searched.
+                let position = if self.inputs.get(id.index()) == Some(&id) {
+                    id.index()
+                } else {
+                    self.inputs
+                        .binary_search(&id)
+                        .expect("the input list holds every input")
+                };
                 Node::Input {
                     name: &self.input_names[position],
                 }
@@ -555,7 +567,24 @@ impl Netlist {
 
     /// All nodes in topological order.
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = Node<'_>> + '_ {
-        self.node_ids().map(|id| self.node(id))
+        // One step through the arrays per node, with no lookup.
+        let structure = &self.structure;
+        let mut names = self.input_names.iter();
+        let mut start = 0;
+        structure
+            .kinds
+            .iter()
+            .zip(&structure.ends)
+            .map(move |(&kind, &end)| {
+                let fanins = &structure.fanins[start..end as usize];
+                start = end as usize;
+                match kind {
+                    None => Node::Input {
+                        name: names.next().expect("one name per input"),
+                    },
+                    Some(kind) => Node::Gate { kind, fanins },
+                }
+            })
     }
 
     /// Primary input ids, in declaration order.
