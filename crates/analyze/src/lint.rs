@@ -195,8 +195,7 @@ fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -
     // `seen[f] == g + 1` marks fanin `f` as already listed by gate `g`,
     // so the first repeated fanin costs one pass over the fanin list.
     let mut seen = vec![0usize; netlist.node_count()];
-    for id in netlist.node_ids() {
-        let node = netlist.node(id);
+    for (id, node) in netlist.node_ids().zip(netlist.nodes()) {
         let Some(kind) = node.kind() else { continue };
         let stamp = id.index() + 1;
         if let Some(&dup) = node
@@ -272,14 +271,15 @@ fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -
     // buffers and constants are noise-free wiring, worth surfacing so
     // profile consumers know how much of the node count draws faults.
     let wiring: Vec<usize> = netlist
-        .node_ids()
-        .filter(|&id| {
+        .nodes()
+        .enumerate()
+        .filter(|(_, node)| {
             matches!(
-                netlist.node(id).kind(),
+                node.kind(),
                 Some(GateKind::Buf | GateKind::Const0 | GateKind::Const1)
             )
         })
-        .map(NodeId::index)
+        .map(|(i, _)| i)
         .collect();
     if !wiring.is_empty() {
         report.push(

@@ -25,6 +25,7 @@ pub fn try_topo_order(netlist: &Netlist) -> Result<Vec<NodeId>, LogicError> {
     const GRAY: u8 = 1; // on the current DFS path
     const BLACK: u8 = 2; // finished
     let n = netlist.node_count();
+    let structure = netlist.structure();
     let mut color = vec![WHITE; n];
     let mut order = Vec::with_capacity(n);
     // Iterative DFS: (node, next fanin to expand).
@@ -36,7 +37,7 @@ pub fn try_topo_order(netlist: &Netlist) -> Result<Vec<NodeId>, LogicError> {
         stack.push((root, 0));
         color[root] = GRAY;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let fanins = netlist.node(NodeId::from_index(node)).fanins();
+            let fanins = structure.fanins(NodeId::from_index(node));
             if *next < fanins.len() {
                 let fanin = fanins[*next].index();
                 *next += 1;
