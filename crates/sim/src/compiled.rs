@@ -22,6 +22,13 @@
 //!   allocation**: the arena is sized on first use and reused across
 //!   chunks (a smaller tail chunk never reallocates).
 //!
+//! Exact sensitivity ([`crate::sensitivity::exact_with`]) runs the tape
+//! over all `2^n` input assignments in windows of 32 words (2,048
+//! assignments): each window's input words are computed from the
+//! pattern index, the arena holds one window per slot, and only the
+//! output streams are copied out. Its memory is therefore the outputs'
+//! `2^n / 8` bytes each, not every slot's.
+//!
 //! The fused executor ([`SimProgram::run_tally_batch`]) computes the
 //! clean and the noisy value of each gate in a single pass —
 //! specialized per-shape kernels evaluate both lanes in one loop — and
@@ -77,7 +84,13 @@ use crate::faultstream::avx512;
 use crate::faultstream::{gate_state, MaskBlock, MaskPlan};
 use crate::fingerprint::experiment_builder;
 use crate::noisy::{NoisyConfig, NoisyTally};
-use crate::patterns::{popcount_valid, tail_mask, PatternSet};
+use crate::patterns::{exhaustive_word, popcount_valid, tail_mask, PatternSet};
+
+/// Words per window of [`SimProgram::exhaustive_output_streams`]: a
+/// power of two, chosen by timing `c880a`'s exact sensitivity (19
+/// inputs) in fresh processes — see the README's "cost of exact
+/// sensitivity".
+const EXHAUSTIVE_WINDOW: usize = 32;
 
 /// Which evaluation backend executes simulation workloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -634,6 +647,36 @@ impl SimProgram {
         self.fill_consts(scratch, words);
         self.eval_clean(scratch);
         Ok(())
+    }
+
+    /// The clean stream of every output under all `2^n` assignments of
+    /// the `n` inputs, in the natural binary order of
+    /// [`PatternSet::exhaustive`], output-major: output `o` holds words
+    /// `o·t..(o+1)·t` for `t = ⌈2^n / 64⌉`.
+    ///
+    /// The tape runs over windows of [`EXHAUSTIVE_WINDOW`] words, which
+    /// divide `t` because both are powers of two. Each window's input
+    /// words are computed in place and the window-sized arena is reused,
+    /// so the memory beyond the returned streams is `num_slots` windows,
+    /// not `num_slots` full streams.
+    pub(crate) fn exhaustive_output_streams(&self, scratch: &mut SimScratch) -> Vec<u64> {
+        let total = (1usize << self.num_inputs()).div_ceil(64);
+        let window = total.min(EXHAUSTIVE_WINDOW);
+        scratch.prepare(self.num_slots, window);
+        self.fill_consts(scratch, window);
+        let mut streams = vec![0u64; self.num_outputs() * total];
+        for start in (0..total).step_by(window) {
+            for (i, &slot) in self.input_slots.iter().enumerate() {
+                for (k, w) in scratch.slot_mut(slot, window).iter_mut().enumerate() {
+                    *w = exhaustive_word(i, start + k);
+                }
+            }
+            self.eval_clean(scratch);
+            for (stream, &(clean, _)) in streams.chunks_exact_mut(total).zip(&self.output_slots) {
+                stream[start..start + window].copy_from_slice(scratch.slot(clean, window));
+            }
+        }
+        streams
     }
 
     /// Re-evaluates every op error-free over the input and constant
@@ -1240,6 +1283,35 @@ mod tests {
                 values.node(id),
                 "node {id}"
             );
+        }
+    }
+
+    #[test]
+    fn exhaustive_windows_match_evaluate_packed() {
+        // A partial word, one word, one window and four windows.
+        for inputs in [3usize, 6, 11, 13] {
+            let config = nanobound_gen::random::RandomDagConfig {
+                inputs,
+                gates: 40,
+                max_fanin: 3,
+                outputs: 4,
+                seed: inputs as u64,
+            };
+            let nl = nanobound_gen::random::random_dag(&config).unwrap();
+            let program = SimProgram::compile(&nl);
+            let streams = program.exhaustive_output_streams(&mut program.scratch());
+            let patterns = PatternSet::exhaustive(inputs).unwrap();
+            let values = evaluate_packed(&nl, &patterns).unwrap();
+            let words = patterns.words_per_signal();
+            assert_eq!(streams.len(), nl.output_count() * words);
+            for (stream, out) in streams.chunks_exact(words).zip(nl.outputs()) {
+                assert_eq!(
+                    stream,
+                    values.node(out.driver),
+                    "{inputs} inputs, {}",
+                    out.name
+                );
+            }
         }
     }
 

@@ -10,6 +10,18 @@
 //! [`EXACT_LIMIT`] inputs (lane-permutation tricks keep it bit-parallel)
 //! and a random-sampling estimator that reports a certified *lower* bound
 //! for wider circuits.
+//!
+//! Each runs on the interpreted graph walker ([`exact`], [`sampled`]),
+//! which stays the oracle, and on a compiled [`SimProgram`]
+//! ([`exact_with`], [`sampled_with`]), bit-identical to it. The
+//! interpreted forms keep one `u32` count per assignment and bump it
+//! once per sensitive input. The compiled forms keep the counts
+//! bit-sliced, `⌈log₂(n+1)⌉` planes of one word per 64 assignments, and
+//! add each input's sensitive assignments with a ripple-carry add over
+//! whole words. [`exact_with`] also never holds a stream per tape slot:
+//! the program evaluates the `2^n` assignments in small windows and keeps
+//! only the output streams, so its memory is about
+//! `(outputs + ⌈log₂(n+1)⌉ + 1) · 2^n / 8` bytes.
 
 use nanobound_logic::Netlist;
 
@@ -100,9 +112,14 @@ pub fn exact(netlist: &Netlist) -> Result<u32, SimError> {
     Ok(exact_from_streams(&streams, n, &patterns))
 }
 
-/// Exact sensitivity on the compiled engine: evaluates the program
-/// exhaustively and applies the same lane-permutation counting as
-/// [`exact`] — bit-identical results, no per-node allocation.
+/// Exact sensitivity on the compiled engine — bit-identical to
+/// [`exact`].
+///
+/// The program runs over the `2^n` assignments in small windows and
+/// keeps only the output streams. The flip-diffs are those of [`exact`],
+/// and the per-assignment counts are bit-sliced (see the
+/// [module docs](self)), so beyond the output streams the memory is
+/// `⌈log₂(n+1)⌉ + 1` streams and one window per slot.
 ///
 /// # Errors
 ///
@@ -118,17 +135,23 @@ pub fn exact_with(program: &SimProgram, scratch: &mut SimScratch) -> Result<u32,
     if n == 0 {
         return Ok(0);
     }
-    let patterns = PatternSet::exhaustive(n)?;
-    program.run_clean(scratch, &patterns)?;
-    let streams: Vec<&[u64]> = (0..program.num_outputs())
-        .map(|o| program.output_stream(scratch, o))
-        .collect();
-    Ok(exact_from_streams(&streams, n, &patterns))
+    let streams = program.exhaustive_output_streams(scratch);
+    let words = (1usize << n).div_ceil(64);
+    let mut counts = SlicedCounts::new(n, words);
+    let mut any_diff = vec![0u64; words];
+    for i in 0..n {
+        any_diff.fill(0);
+        for stream in streams.chunks_exact(words) {
+            accumulate_flip_diff(stream, i, &mut any_diff);
+        }
+        counts.add(&mut any_diff);
+    }
+    Ok(counts.max(tail_mask(1 << n)))
 }
 
-/// The exhaustive counting core shared by both engines: for every
-/// input, OR the flip-diffs of every output stream, then track how many
-/// inputs are sensitive at each assignment.
+/// The exhaustive counting core of [`exact`]: for every input, OR the
+/// flip-diffs of every output stream, then track how many inputs are
+/// sensitive at each assignment.
 fn exact_from_streams(output_streams: &[&[u64]], n: usize, patterns: &PatternSet) -> u32 {
     let count = patterns.count();
     let words = patterns.words_per_signal();
@@ -165,6 +188,61 @@ fn add_sensitive_bits(any_diff: &[u64], tail: u64, counts: &mut [u32]) {
         bump(w, d);
     }
     bump(full.len(), last & tail);
+}
+
+/// Per-assignment counts of sensitive inputs, bit-sliced: plane `k`
+/// holds bit `k` of every lane's count, one word per 64 lanes, so
+/// adding an input's sensitive lanes is a ripple-carry add over whole
+/// words instead of one increment per set bit. `⌈log₂(n+1)⌉` planes
+/// hold every count from 0 to `n`, so no add carries out of the top.
+struct SlicedCounts {
+    /// Plane-major: plane `k` is `planes[k·words..(k+1)·words]`.
+    planes: Vec<u64>,
+    words: usize,
+}
+
+impl SlicedCounts {
+    /// Zero counts for `words` words of lanes, `n` inputs at most.
+    fn new(n: usize, words: usize) -> Self {
+        let planes = (usize::BITS - n.leading_zeros()) as usize;
+        SlicedCounts {
+            planes: vec![0; planes * words],
+            words,
+        }
+    }
+
+    /// Adds one to every lane set in `carry`, which the add consumes as
+    /// its carry chain.
+    fn add(&mut self, carry: &mut [u64]) {
+        for plane in self.planes.chunks_exact_mut(self.words) {
+            for (bit, c) in plane.iter_mut().zip(carry.iter_mut()) {
+                let overflow = *bit & *c;
+                *bit ^= *c;
+                *c = overflow;
+            }
+        }
+        debug_assert!(carry.iter().all(|&c| c == 0), "a count passed n");
+    }
+
+    /// The largest count among the valid lanes (every lane of a full
+    /// word, `tail` of the last): top-down over the planes, each word
+    /// keeps the lanes that match the best prefix so far.
+    fn max(&self, tail: u64) -> u32 {
+        let mut best = 0;
+        for w in 0..self.words {
+            let mut lanes = if w + 1 == self.words { tail } else { !0 };
+            let mut count = 0;
+            for (k, plane) in self.planes.chunks_exact(self.words).enumerate().rev() {
+                let hit = lanes & plane[w];
+                if hit != 0 {
+                    count |= 1 << k;
+                    lanes = hit;
+                }
+            }
+            best = best.max(count);
+        }
+        best
+    }
 }
 
 /// ORs into `acc` the positions where `stream` differs from itself under
@@ -266,11 +344,8 @@ pub fn sampled_with(
     let base_streams: Vec<Vec<u64>> = (0..program.num_outputs())
         .map(|o| program.output_stream(scratch, o).to_vec())
         .collect();
-    let count = base.count();
     let words = base.words_per_signal();
-    let tail = tail_mask(count);
-
-    let mut counts = vec![0u32; count];
+    let mut counts = SlicedCounts::new(n, words);
     let mut any_diff = vec![0u64; words];
     // Inverting input i's slot in place and re-running the tape yields
     // exactly the streams of `base.with_input_flipped(i)`, the input the
@@ -285,10 +360,10 @@ pub fn sampled_with(
                 any_diff[w] |= a[w] ^ b[w];
             }
         }
-        add_sensitive_bits(&any_diff, tail, &mut counts);
+        counts.add(&mut any_diff);
         program.invert_input(scratch, i);
     }
-    Ok(counts.iter().copied().max().unwrap_or(0))
+    Ok(counts.max(base.tail_mask()))
 }
 
 /// Dispatches to [`exact`] when feasible, otherwise [`sampled`].
@@ -437,11 +512,49 @@ mod tests {
         // One pattern sensitive to 70,000 inputs, as in a 70,000-input
         // XOR: a 16-bit count would wrap to 4,464.
         let mut counts = vec![0; 64];
+        let mut sliced = SlicedCounts::new(70_000, 1);
         for _ in 0..70_000 {
             add_sensitive_bits(&[1 << 5], !0, &mut counts);
+            sliced.add(&mut [1 << 5]);
         }
         assert_eq!(u64::from(counts[5]), 70_000);
         assert_eq!(counts.iter().map(|&c| u64::from(c)).sum::<u64>(), 70_000);
+        assert_eq!(sliced.max(!0), 70_000);
+    }
+
+    #[test]
+    fn sliced_max_matches_per_lane_counts() {
+        // Three words of lanes, 150 of them valid. The counts reach n, so
+        // they cross each power of two up to 16; the 42 invalid lanes are
+        // sensitive to every input and must not count.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let tail = tail_mask(150);
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in [1usize, 3, 4, 7, 8, 15, 16, 20] {
+            // Dense, sparse, and dense with one lane sensitive to all.
+            for shape in 0..3 {
+                let mut counts = vec![0; 192];
+                let mut sliced = SlicedCounts::new(n, 3);
+                for _ in 0..n {
+                    let mut diff: [u64; 3] = std::array::from_fn(|_| match shape {
+                        1 => rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                        _ => rng.next_u64(),
+                    });
+                    if shape == 2 {
+                        diff[1] |= 1 << 9;
+                    }
+                    diff[2] |= !tail;
+                    add_sensitive_bits(&diff, tail, &mut counts);
+                    sliced.add(&mut diff);
+                }
+                let expected = counts.iter().copied().max().unwrap();
+                assert_eq!(sliced.max(tail), expected, "n = {n}, shape {shape}");
+                if shape == 2 {
+                    assert_eq!(expected, n as u32);
+                }
+            }
+        }
     }
 
     #[test]

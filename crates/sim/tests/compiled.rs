@@ -163,6 +163,74 @@ proptest! {
     }
 }
 
+/// Random DAGs whose exhaustive streams span 8 to 1,024 words, so the
+/// compiled exact sensitivity runs over several windows.
+fn wide_dag() -> impl Strategy<Value = RandomDagConfig> {
+    (
+        9usize..=16,
+        1usize..=60,
+        2usize..=4,
+        1usize..=6,
+        any::<u64>(),
+    )
+        .prop_map(
+            |(inputs, gates, max_fanin, outputs, seed)| RandomDagConfig {
+                inputs,
+                gates,
+                max_fanin,
+                outputs,
+                seed,
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn exact_sensitivities_are_identical_across_windows(config in wide_dag()) {
+        let nl = random_dag(&config).unwrap();
+        let program = SimProgram::compile(&nl);
+        let mut scratch = program.scratch();
+        prop_assert_eq!(
+            sensitivity::exact_with(&program, &mut scratch).unwrap(),
+            sensitivity::exact(&nl).unwrap()
+        );
+    }
+}
+
+#[test]
+fn exact_sensitivities_match_on_wiring_outputs() {
+    // Outputs read straight from an input, both constants, a buffer, and
+    // one gate twice; input counts on both sides of one word and of one
+    // window.
+    for n in [1usize, 2, 5, 6, 7, 11, 12, 13] {
+        let mut nl = Netlist::new("wired");
+        let inputs: Vec<_> = (0..n).map(|i| nl.add_input(format!("x{i}"))).collect();
+        let zero = nl.add_const(false);
+        let one = nl.add_const(true);
+        let gate = if n == 1 {
+            nl.add_gate(GateKind::Not, &inputs).unwrap()
+        } else {
+            nl.add_gate(GateKind::Nand, &inputs).unwrap()
+        };
+        let buf = nl.add_gate(GateKind::Buf, &[gate]).unwrap();
+        nl.add_output("x", inputs[0]).unwrap();
+        nl.add_output("z", zero).unwrap();
+        nl.add_output("o", one).unwrap();
+        nl.add_output("b", buf).unwrap();
+        nl.add_output("g", gate).unwrap();
+        nl.add_output("g2", gate).unwrap();
+        let program = SimProgram::compile(&nl);
+        let mut scratch = program.scratch();
+        assert_eq!(
+            sensitivity::exact_with(&program, &mut scratch).unwrap(),
+            sensitivity::exact(&nl).unwrap(),
+            "n = {n}"
+        );
+    }
+}
+
 /// A netlist of nothing but wiring: buffers and constants, zero gates.
 fn wiring_only() -> Netlist {
     let mut nl = Netlist::new("wiring");
@@ -208,9 +276,8 @@ fn zero_gate_netlists_match_across_all_epsilons() {
 
 #[test]
 fn exhaustive_patterns_match_through_run_clean() {
-    // run_clean must accept externally built pattern sets (sensitivity
-    // uses exhaustive ones), not only the random streams it draws
-    // itself.
+    // run_clean must accept externally built pattern sets, exhaustive
+    // ones included, not only the random streams it draws itself.
     let config = RandomDagConfig {
         inputs: 6,
         gates: 30,
