@@ -72,13 +72,22 @@ impl Default for LintOptions {
 /// Lints a parsed design, using its recorded source lines for spans.
 #[must_use]
 pub fn lint_design(design: &Design, options: &LintOptions) -> Report {
-    lint_impl(&design.netlist, &design.source_lines, options)
+    let next_states: Vec<usize> = design
+        .latches
+        .iter()
+        .filter_map(|latch| {
+            design
+                .netlist
+                .output_position(&format!("{}$next", latch.output))
+        })
+        .collect();
+    lint_impl(&design.netlist, &design.source_lines, &next_states, options)
 }
 
 /// Lints a bare netlist (no source-line information).
 #[must_use]
 pub fn lint_netlist(netlist: &Netlist, options: &LintOptions) -> Report {
-    lint_impl(netlist, &[], options)
+    lint_impl(netlist, &[], &[], options)
 }
 
 fn line_of(source_lines: &[usize], node: usize) -> Option<usize> {
@@ -94,7 +103,14 @@ fn span(mut nodes: Vec<usize>) -> Vec<usize> {
     nodes
 }
 
-fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -> Report {
+/// `next_states` lists the outputs that are a latch's `<q>$next`
+/// pseudo-output, which the readers add beside the declared outputs.
+fn lint_impl(
+    netlist: &Netlist,
+    source_lines: &[usize],
+    next_states: &[usize],
+    options: &LintOptions,
+) -> Report {
     let mut report = Report::new(netlist.name());
 
     // NB001 — a cycle poisons every order-dependent pass below.
@@ -240,14 +256,21 @@ fn lint_impl(netlist: &Netlist, source_lines: &[usize], options: &LintOptions) -
         }
     }
 
-    // NB008 — outputs sharing a driver, reported once per driver at its
-    // first output, naming the others in declaration order.
+    // NB008 — declared outputs sharing a driver, reported once per
+    // driver at its first output, naming the others in declaration
+    // order. A latch's next state is wiring the reader added, so its
+    // pseudo-output shares the driver of a declared output silently.
     let outputs = netlist.outputs();
+    let mut declared = vec![true; outputs.len()];
+    for &i in next_states {
+        declared[i] = false;
+    }
+    let mut first_declared: Vec<Option<usize>> = vec![None; netlist.node_count()];
     let mut shared: Vec<Vec<&str>> = vec![Vec::new(); outputs.len()];
-    for (i, out) in outputs.iter().enumerate() {
-        let first = first_output[out.driver.index()].expect("every driver has a first output");
-        if first != i {
-            shared[first].push(&out.name);
+    for (i, out) in outputs.iter().enumerate().filter(|&(i, _)| declared[i]) {
+        match first_declared[out.driver.index()] {
+            Some(first) => shared[first].push(&out.name),
+            None => first_declared[out.driver.index()] = Some(i),
         }
     }
     for (out, shared) in outputs.iter().zip(&shared) {
@@ -506,6 +529,32 @@ mod tests {
         let report = lint_netlist(&nl, &options);
         assert!(!codes_of(&report).contains(&codes::TAPE_OK));
         assert!(!codes_of(&report).contains(&codes::TAPE_DEFECT));
+    }
+
+    #[test]
+    fn latch_next_states_share_drivers_silently() {
+        let shared_driver = |design: &Design| {
+            let report = lint_design(design, &LintOptions::default());
+            report
+                .diagnostics
+                .iter()
+                .filter(|d| d.code == codes::SHARED_DRIVER)
+                .map(|d| d.message.clone())
+                .collect::<Vec<_>>()
+        };
+        // Output `d` is also `q`'s next state, so the reader's `q$next`
+        // pseudo-output shares its driver.
+        let text = "INPUT(a)\nOUTPUT(d)\nq = DFF(d)\nd = NAND(a, q)\n";
+        let mut design = nanobound_io::bench::parse(text).unwrap();
+        assert_eq!(design.netlist.output_count(), 2);
+        assert!(shared_driver(&design).is_empty());
+        // A second declared output on that driver still warns.
+        let d = design.netlist.outputs()[0].driver;
+        design.netlist.add_output("z", d).unwrap();
+        assert_eq!(
+            shared_driver(&design),
+            vec!["outputs `d` and `z` share driver `d`"]
+        );
     }
 
     #[test]
