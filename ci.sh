@@ -367,6 +367,9 @@ CLU_ARGS=(--eps 0.02 --patterns 4194304 --chunk 16384 --batch 4 --jobs 2)
 # Spawns a serve worker on an ephemeral port; echoes "pid addr".
 start_worker() {
   local log="$1" pid addr
+  # The log exists before the worker starts, so the first `sed` never
+  # races the worker's own redirection.
+  : > "$log"
   target/release/nanobound serve --listen 127.0.0.1:0 >/dev/null 2>"$log" &
   pid=$!
   for _ in $(seq 200); do
@@ -374,6 +377,7 @@ start_worker() {
     if [ -n "$addr" ]; then echo "$pid $addr"; return 0; fi
     sleep 0.05
   done
+  kill "$pid" 2>/dev/null || true
   echo "worker never announced its address" >&2
   return 1
 }
@@ -540,5 +544,32 @@ for netlist in wide.bench wide.blif pairs.bench clocked.blif; do
   timeout 5 target/release/nanobound lint "$detdir/$netlist" >/dev/null
   timeout 5 target/release/nanobound profile "$detdir/$netlist" --patterns 64 >/dev/null
 done
+
+echo "==> exact-sensitivity gate: a 20-input profile in 512 MiB of address space"
+# 20 inputs, 9,600 two-input gates and the last 1,000 of them as
+# outputs; each gate reads the one before it and one of the 256 signals
+# before that (a MINSTD draw), so every gate stays live. Exact
+# sensitivity enumerates 2^20 assignments. With one full stream per
+# tape slot it peaked at 2.4 GiB RSS and aborts here (exit 134); in
+# windows it keeps the 1,000 output streams, 134 MiB peak RSS on a
+# 2-vCPU x86-64 host.
+awk 'function sig(i) { return i < 20 ? "x" i : "g" (i - 20) }
+BEGIN {
+  split("AND OR NAND NOR XOR", kind, " ")
+  s = 1
+  for (i = 0; i < 20; i++) printf "INPUT(x%d)\n", i
+  for (g = 8600; g < 9600; g++) printf "OUTPUT(g%d)\n", g
+  for (g = 0; g < 9600; g++) {
+    n = 20 + g; w = (n < 256 ? n : 256)
+    s = (s * 48271) % 2147483647; b = n - 1 - s % w
+    if (b == n - 1) b = n - 2
+    s = (s * 48271) % 2147483647
+    printf "g%d = %s(%s, %s)\n", g, kind[1 + s % 5], sig(n - 1), sig(b)
+  }
+}' > "$detdir/exact20.bench"
+(
+  ulimit -v 524288
+  timeout 20 target/release/nanobound profile "$detdir/exact20.bench" --patterns 64 >/dev/null
+)
 
 echo "CI green."
