@@ -247,16 +247,30 @@ impl SlicedCounts {
 
 /// ORs into `acc` the positions where `stream` differs from itself under
 /// the "flip input `i`" lane permutation.
+///
+/// For `i ≥ 6` the permutation swaps word `w` with `w ^ stride`, so each
+/// `2·stride` block is walked as its two halves: word `w` of the low
+/// half pairs with word `w` of the high half, and both get their XOR.
+/// The stream length, a power of two of words, is a multiple of
+/// `2·stride` for every `i < n`.
 fn accumulate_flip_diff(stream: &[u64], i: usize, acc: &mut [u64]) {
     if i < 6 {
         let s = 1u32 << i;
-        for (w, &x) in stream.iter().enumerate() {
-            acc[w] |= x ^ delta_swap(x, s);
+        for (a, &x) in acc.iter_mut().zip(stream) {
+            *a |= x ^ delta_swap(x, s);
         }
     } else {
         let stride = 1usize << (i - 6);
-        for (w, &x) in stream.iter().enumerate() {
-            acc[w] |= x ^ stream[w ^ stride];
+        for (a, x) in acc
+            .chunks_exact_mut(2 * stride)
+            .zip(stream.chunks_exact(2 * stride))
+        {
+            let (a_lo, a_hi) = a.split_at_mut(stride);
+            let (x_lo, x_hi) = x.split_at(stride);
+            for (((al, ah), &l), &h) in a_lo.iter_mut().zip(a_hi).zip(x_lo).zip(x_hi) {
+                *al |= l ^ h;
+                *ah |= l ^ h;
+            }
         }
     }
 }
@@ -573,6 +587,28 @@ mod tests {
         for j in 0..64u32 {
             let x = 1u64 << j;
             assert_eq!(delta_swap(x, s), 1u64 << (j ^ s), "lane {j}");
+        }
+    }
+
+    #[test]
+    fn flip_diff_marks_lanes_that_differ_from_their_flip() {
+        // 2^9 lanes: inputs 0–5 flip within words, 6–8 across them.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let stream: Vec<u64> = (0..8).map(|_| rng.next_u64()).collect();
+        let bit = |p: usize| stream[p / 64] >> (p % 64) & 1;
+        for i in 0..9 {
+            let mut acc = vec![0; 8];
+            accumulate_flip_diff(&stream, i, &mut acc);
+            for p in 0..512 {
+                let differs = bit(p) != bit(p ^ (1 << i));
+                assert_eq!(
+                    acc[p / 64] >> (p % 64) & 1 == 1,
+                    differs,
+                    "input {i}, lane {p}"
+                );
+            }
         }
     }
 }
