@@ -96,6 +96,11 @@
 #      (1,000 state inputs declared by `.inputs` and again as `.latch`
 #      outputs, 64 data inputs, one `.clock`): a reader that rejects
 #      either shape fails
+#  16. the exact-sensitivity gate: a generated 20-input, 9,600-gate
+#      design profiled in 512 MiB of address space — at 64 patterns
+#      under both engines, stdouts diffed, and at 2^20 patterns — so an
+#      exact enumeration or an activity run that holds a full stream
+#      per slot or node aborts
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -545,7 +550,7 @@ for netlist in wide.bench wide.blif pairs.bench clocked.blif; do
   timeout 5 target/release/nanobound profile "$detdir/$netlist" --patterns 64 >/dev/null
 done
 
-echo "==> exact-sensitivity gate: a 20-input profile in 512 MiB of address space"
+echo "==> exact-sensitivity gate: 20-input profiles in 512 MiB of address space"
 # 20 inputs, 9,600 two-input gates and the last 1,000 of them as
 # outputs; each gate reads the one before it and one of the 256 signals
 # before that (a MINSTD draw), so every gate stays live. Exact
@@ -567,9 +572,19 @@ BEGIN {
     printf "g%d = %s(%s, %s)\n", g, kind[1 + s % 5], sig(n - 1), sig(b)
   }
 }' > "$detdir/exact20.bench"
+# The interpreted engine, the oracle, enumerates in windows too, and must
+# print the same profile. At 2^20 patterns, activity also runs in
+# windows: a full arena of 19,220 slots x 16,384 words (2.5 GB) aborted
+# here with exit 134.
 (
   ulimit -v 524288
-  timeout 20 target/release/nanobound profile "$detdir/exact20.bench" --patterns 64 >/dev/null
+  timeout 20 target/release/nanobound profile "$detdir/exact20.bench" --patterns 64 \
+      > "$detdir/exact20-compiled.out"
+  NANOBOUND_ENGINE=interp timeout 20 target/release/nanobound profile \
+      "$detdir/exact20.bench" --patterns 64 > "$detdir/exact20-interp.out"
+  timeout 20 target/release/nanobound profile "$detdir/exact20.bench" \
+      --patterns 1048576 >/dev/null
 )
+diff "$detdir/exact20-compiled.out" "$detdir/exact20-interp.out"
 
 echo "CI green."

@@ -22,12 +22,22 @@
 //!   allocation**: the arena is sized on first use and reused across
 //!   chunks (a smaller tail chunk never reallocates).
 //!
-//! Exact sensitivity ([`crate::sensitivity::exact_with`]) runs the tape
-//! over all `2^n` input assignments in windows of 32 words (2,048
-//! assignments): each window's input words are computed from the
-//! pattern index, the arena holds one window per slot, and only the
-//! output streams are copied out. Its memory is therefore the outputs'
-//! `2^n / 8` bytes each, not every slot's.
+//! Every clean pass runs over one window of 32 words (2,048 patterns)
+//! per slot and reuses that window arena:
+//!
+//! - activity ([`SimProgram::estimate_activity`]) draws each window's
+//!   input words from generators positioned at each input's first word,
+//!   evaluates the window and counts it at once, carrying each node's
+//!   last word into the next window's boundary toggle. Its memory is
+//!   `num_slots × 256` bytes plus three words per node, for any pattern
+//!   count;
+//! - exact sensitivity ([`crate::sensitivity::exact_with`]) computes
+//!   each window's input words from the pattern index and copies out
+//!   only the output streams, so it holds the outputs' `2^n / 8` bytes
+//!   each, not every slot's;
+//! - sampled sensitivity ([`crate::sensitivity::sampled_with`]) fills
+//!   the window with side-by-side copies of its base patterns and
+//!   inverts one input per copy, so one tape pass tests several inputs.
 //!
 //! The fused executor ([`SimProgram::run_tally_batch`]) computes the
 //! clean and the noisy value of each gate in a single pass —
@@ -84,13 +94,16 @@ use crate::faultstream::avx512;
 use crate::faultstream::{gate_state, MaskBlock, MaskPlan};
 use crate::fingerprint::experiment_builder;
 use crate::noisy::{NoisyConfig, NoisyTally};
-use crate::patterns::{exhaustive_word, popcount_valid, tail_mask, PatternSet};
+use crate::patterns::{exhaustive_word, tail_mask, PatternSet};
 
-/// Words per window of [`SimProgram::exhaustive_output_streams`]: a
-/// power of two, chosen by timing `c880a`'s exact sensitivity (19
-/// inputs) in fresh processes — see the README's "cost of exact
-/// sensitivity".
-const EXHAUSTIVE_WINDOW: usize = 32;
+/// Words per window of every clean pass: exact sensitivity
+/// ([`SimProgram::exhaustive_output_streams`]), activity
+/// ([`SimProgram::estimate_activity`]) and the flip groups of sampled
+/// sensitivity. A power of two, chosen by timing `c880a`'s exact
+/// sensitivity and `base21`'s activity and sampled sensitivity in fresh
+/// processes — see the README's "cost of exact sensitivity" and "cost
+/// of activity and sampled sensitivity".
+pub(crate) const WINDOW: usize = 32;
 
 /// Which evaluation backend executes simulation workloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -637,16 +650,51 @@ impl SimProgram {
                 got: patterns.num_inputs(),
             });
         }
-        let words = patterns.words_per_signal();
-        scratch.prepare(self.num_slots, words);
-        for (i, &slot) in self.input_slots.iter().enumerate() {
-            scratch
-                .slot_mut(slot, words)
-                .copy_from_slice(patterns.input_words(i));
-        }
-        self.fill_consts(scratch, words);
+        self.load_copies(scratch, patterns, 1);
         self.eval_clean(scratch);
         Ok(())
+    }
+
+    /// Lays `copies` copies of `patterns` side by side in every input
+    /// slot (copy `k` is words `k·t..(k+1)·t` of a `copies·t`-word
+    /// slot, `t` the pattern set's words per signal) and fills the
+    /// constants to match, ready for [`SimProgram::eval_clean`].
+    pub(crate) fn load_copies(
+        &self,
+        scratch: &mut SimScratch,
+        patterns: &PatternSet,
+        copies: usize,
+    ) {
+        let words = patterns.words_per_signal();
+        scratch.prepare(self.num_slots, copies * words);
+        for (i, &slot) in self.input_slots.iter().enumerate() {
+            for copy in scratch
+                .slot_mut(slot, copies * words)
+                .chunks_exact_mut(words)
+            {
+                copy.copy_from_slice(patterns.input_words(i));
+            }
+        }
+        self.fill_consts(scratch, copies * words);
+    }
+
+    /// Inverts, for each `k`, copy `k` of input `first + k`'s stream
+    /// laid out by [`SimProgram::load_copies`] with `words` words per
+    /// copy: the input fill of [`PatternSet::with_input_flipped`] for
+    /// one input per copy. Inverting twice restores the streams.
+    pub(crate) fn invert_copies(
+        &self,
+        scratch: &mut SimScratch,
+        first: usize,
+        count: usize,
+        words: usize,
+    ) {
+        let width = scratch.words;
+        for (k, &slot) in self.input_slots[first..first + count].iter().enumerate() {
+            for w in &mut scratch.slot_mut(slot, width)[k * words..(k + 1) * words] {
+                *w = !*w;
+            }
+        }
     }
 
     /// The clean stream of every output under all `2^n` assignments of
@@ -654,14 +702,14 @@ impl SimProgram {
     /// [`PatternSet::exhaustive`], output-major: output `o` holds words
     /// `o·t..(o+1)·t` for `t = ⌈2^n / 64⌉`.
     ///
-    /// The tape runs over windows of [`EXHAUSTIVE_WINDOW`] words, which
+    /// The tape runs over windows of [`WINDOW`] words, which
     /// divide `t` because both are powers of two. Each window's input
     /// words are computed in place and the window-sized arena is reused,
     /// so the memory beyond the returned streams is `num_slots` windows,
     /// not `num_slots` full streams.
     pub(crate) fn exhaustive_output_streams(&self, scratch: &mut SimScratch) -> Vec<u64> {
         let total = (1usize << self.num_inputs()).div_ceil(64);
-        let window = total.min(EXHAUSTIVE_WINDOW);
+        let window = total.min(WINDOW);
         scratch.prepare(self.num_slots, window);
         self.fill_consts(scratch, window);
         let mut streams = vec![0u64; self.num_outputs() * total];
@@ -690,16 +738,6 @@ impl SimProgram {
         }
     }
 
-    /// Inverts every word of input `i`'s stream in `scratch` — the input
-    /// fill of [`PatternSet::with_input_flipped`] without copying the
-    /// other inputs. Inverting twice restores the stream.
-    pub(crate) fn invert_input(&self, scratch: &mut SimScratch, i: usize) {
-        let words = scratch.words;
-        for w in scratch.slot_mut(self.input_slots[i], words) {
-            *w = !*w;
-        }
-    }
-
     /// The clean stream of node `id` after a [`SimProgram::run_clean`].
     ///
     /// # Panics
@@ -725,15 +763,16 @@ impl SimProgram {
     /// netlist — bit-identical to
     /// [`estimate_activity`](crate::estimate_activity).
     ///
-    /// This is the profile executor's bulk path: the input words are
-    /// drawn straight into the slot arena (the exact stream
-    /// [`PatternSet::random`] produces, input-major) instead of
-    /// materializing a pattern set and copying it in, and the per-node
-    /// statistics come from one fused popcount+toggle pass per stream.
+    /// A kernel entry: one CPU-feature check, then the windowed
+    /// evaluate-and-count body or its AVX-512 twin. The tape runs over
+    /// windows of 32 words in one reused window arena (see the
+    /// [module docs](self)), so the memory is `num_slots` windows plus
+    /// three words per node, whatever `patterns` is.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::BadParameter`] if `patterns < 2`.
+    #[allow(unsafe_code)]
     pub fn estimate_activity(
         &self,
         scratch: &mut SimScratch,
@@ -743,54 +782,95 @@ impl SimProgram {
         if patterns < 2 {
             return Err(SimError::bad("patterns", patterns, "must be at least 2"));
         }
-        let words = patterns.div_ceil(64);
-        scratch.prepare(self.num_slots, words);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for &slot in &self.input_slots {
-            for w in scratch.slot_mut(slot, words) {
-                *w = rng.next_u64();
-            }
-        }
-        self.fill_consts(scratch, words);
-        self.eval_clean(scratch);
-        Ok(self.count_activity(scratch, patterns))
-    }
-
-    /// The counting loop of [`SimProgram::estimate_activity`], a kernel
-    /// entry: one CPU-feature check, then
-    /// [`SimProgram::count_activity_body`] or its AVX-512 twin.
-    #[allow(unsafe_code)]
-    fn count_activity(&self, scratch: &SimScratch, patterns: usize) -> ActivityProfile {
         #[cfg(target_arch = "x86_64")]
         if avx512() {
             // SAFETY: the twin's target features were just detected.
-            return unsafe { self.count_activity_avx512(scratch, patterns) };
+            return Ok(unsafe { self.activity_avx512(scratch, patterns, seed) });
         }
-        self.count_activity_body(scratch, patterns)
+        Ok(self.activity_body(scratch, patterns, seed))
     }
 
-    /// [`SimProgram::count_activity_body`] compiled for AVX-512.
+    /// [`SimProgram::activity_body`] compiled for AVX-512.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq,avx512vpopcntdq")]
-    fn count_activity_avx512(&self, scratch: &SimScratch, patterns: usize) -> ActivityProfile {
-        self.count_activity_body(scratch, patterns)
+    fn activity_avx512(
+        &self,
+        scratch: &mut SimScratch,
+        patterns: usize,
+        seed: u64,
+    ) -> ActivityProfile {
+        self.activity_body(scratch, patterns, seed)
     }
 
-    /// Profiles every node's clean stream of `patterns` patterns in
-    /// `scratch`: one fused popcount + toggle pass per stream. Float
-    /// arithmetic is the same sequence of operations in both
-    /// compilations (Rust never contracts or reorders it).
+    /// Evaluates the tape window by window and counts each window while
+    /// it is still in cache. Input `i`'s words are words `i·t..(i+1)·t`
+    /// of the seed's stream (`t = ⌈patterns/64⌉`), exactly as
+    /// [`PatternSet::random`] draws them: one pass over the stream
+    /// positions a generator at each input's first word. Every node
+    /// keeps integer ones and toggles; a window's last word is counted
+    /// once the next window's first word gives its boundary toggle, and
+    /// the final word only over its valid patterns. The floats are
+    /// formed once, in node order, by the same operations in both
+    /// compilations (Rust never contracts or reorders them).
     #[inline(always)]
-    fn count_activity_body(&self, scratch: &SimScratch, patterns: usize) -> ActivityProfile {
-        let words = scratch.words;
+    fn activity_body(
+        &self,
+        scratch: &mut SimScratch,
+        patterns: usize,
+        seed: u64,
+    ) -> ActivityProfile {
+        let words = patterns.div_ceil(64);
+        let mut stream = StdRng::seed_from_u64(seed);
+        let mut inputs: Vec<StdRng> = (0..self.num_inputs())
+            .map(|_| {
+                let first = stream.clone();
+                for _ in 0..words {
+                    stream.next_u64();
+                }
+                first
+            })
+            .collect();
+        // Per node: ones, toggles, and the pending last word of the
+        // window before.
+        let mut counts = vec![[0u64; 3]; self.node_slots.len()];
+        for start in (0..words).step_by(WINDOW) {
+            let len = WINDOW.min(words - start);
+            scratch.prepare(self.num_slots, len);
+            self.fill_consts(scratch, len);
+            for (rng, &slot) in inputs.iter_mut().zip(&self.input_slots) {
+                for w in scratch.slot_mut(slot, len) {
+                    *w = rng.next_u64();
+                }
+            }
+            self.eval_clean(scratch);
+            for (&(clean, _), [ones, toggles, last]) in self.node_slots.iter().zip(&mut counts) {
+                let window = scratch.slot(clean, len);
+                let (mut o, mut t) = (0u64, 0u64);
+                if start > 0 {
+                    o += u64::from(last.count_ones());
+                    t += block_toggles(*last, window[0]);
+                }
+                for (&x, &next) in window.iter().zip(&window[1..]) {
+                    o += u64::from(x.count_ones());
+                    t += block_toggles(x, next);
+                }
+                *ones += o;
+                *toggles += t;
+                *last = window[len - 1];
+            }
+        }
+        let tail = tail_mask(patterns);
+        // The final word's in-word transitions between valid patterns.
+        let within = (1u64 << ((patterns - 1) % 64)) - 1;
         let transitions = patterns - 1;
-        let mut signal_probability = Vec::with_capacity(self.node_slots.len());
-        let mut switching_activity = Vec::with_capacity(self.node_slots.len());
+        let mut signal_probability = Vec::with_capacity(counts.len());
+        let mut switching_activity = Vec::with_capacity(counts.len());
         let mut gate_sw_sum = 0.0;
         let mut gate_p_sum = 0.0;
         let mut gates = 0usize;
-        for (&(clean, _), &is_gate) in self.node_slots.iter().zip(&self.is_gate) {
-            let (ones, toggles) = popcount_toggle(scratch.slot(clean, words), patterns);
+        for (&[ones, toggles, last], &is_gate) in counts.iter().zip(&self.is_gate) {
+            let ones = ones + u64::from((last & tail).count_ones());
+            let toggles = toggles + u64::from(((last ^ (last >> 1)) & within).count_ones());
             let p = ones as f64 / patterns as f64;
             let sw = toggles as f64 / transitions as f64;
             if is_gate {
@@ -863,35 +943,6 @@ fn toggle_count_pair(clean: &[u64], noisy: &[u64], count: usize) -> (u64, u64) {
         n_toggles += u64::from(((n ^ (n >> 1)) & mask).count_ones());
     }
     (c_toggles, n_toggles)
-}
-
-/// [`popcount_valid`] and [`toggle_count`] of one stream in a single
-/// fused pass — the profile executor's counting loop. Each word is
-/// loaded once and feeds both accumulators; for any `count ≥ 1` the
-/// toggle loop's full 64-transition blocks are exactly the non-final
-/// words (`(count-1)/64 == count.div_ceil(64) - 1`), so the two
-/// original loops line up word for word. Bit-identical to the two
-/// separate calls (pinned by a unit test below).
-#[inline(always)]
-fn popcount_toggle(stream: &[u64], count: usize) -> (u64, u64) {
-    if count < 2 {
-        return (popcount_valid(stream, count), 0);
-    }
-    let Some((&last, body)) = stream.split_last() else {
-        return (0, 0);
-    };
-    let mut ones = 0u64;
-    let mut toggles = 0u64;
-    for (&x, &next) in body.iter().zip(&stream[1..]) {
-        ones += u64::from(x.count_ones());
-        toggles += block_toggles(x, next);
-    }
-    ones += u64::from((last & tail_mask(count)).count_ones());
-    let rest = (count - 1) % 64;
-    if rest > 0 {
-        toggles += u64::from(((last ^ (last >> 1)) & ((1u64 << rest) - 1)).count_ones());
-    }
-    (ones, toggles)
 }
 
 /// Which of a node's two streams an operand read selects.
@@ -985,6 +1036,9 @@ fn eval_op_pair(
 ///
 /// `lo` is the arena prefix below the op's destination — every operand
 /// slot lies inside it because fanins precede their gate in slot order.
+/// The 2- and 3-input And/Nand/Or/Nor/Xor/Xnor shapes, the ones
+/// [`eval_op_pair`] fuses, take one pass over the operand words; wider
+/// gates fold one operand per pass.
 fn eval_op(
     kind: GateKind,
     lo: &[u64],
@@ -998,60 +1052,62 @@ fn eval_op(
         let slot = if lane == Lane::Clean { clean } else { noisy };
         &lo[slot as usize * words..][..words]
     };
-    match kind {
-        GateKind::Const0 | GateKind::Const1 | GateKind::Buf => {
+    macro_rules! one2 {
+        (|$a:ident, $b:ident| $expr:expr) => {{
+            for ((o, &$a), &$b) in out.iter_mut().zip(src(0)).zip(src(1)) {
+                *o = $expr;
+            }
+        }};
+    }
+    macro_rules! one3 {
+        (|$a:ident, $b:ident, $c:ident| $expr:expr) => {{
+            for (((o, &$a), &$b), &$c) in out.iter_mut().zip(src(0)).zip(src(1)).zip(src(2)) {
+                *o = $expr;
+            }
+        }};
+    }
+    // Any width: copy the first operand, fold in the rest one pass each,
+    // then negate if `kind` is the inverted form.
+    macro_rules! fold {
+        ($op:tt, $inverted:path) => {{
+            out.copy_from_slice(src(0));
+            for i in 1..operands.len() {
+                for (o, &r) in out.iter_mut().zip(src(i)) {
+                    *o $op r;
+                }
+            }
+            if kind == $inverted {
+                for o in out.iter_mut() {
+                    *o = !*o;
+                }
+            }
+        }};
+    }
+    match (kind, operands.len()) {
+        (GateKind::Const0 | GateKind::Const1 | GateKind::Buf, _) => {
             unreachable!("constants and buffers are slots, not ops")
         }
-        GateKind::Not => {
+        (GateKind::Not, _) => {
             for (o, &a) in out.iter_mut().zip(src(0)) {
                 *o = !a;
             }
         }
-        GateKind::And | GateKind::Nand => {
-            out.copy_from_slice(src(0));
-            for i in 1..operands.len() {
-                for (o, &r) in out.iter_mut().zip(src(i)) {
-                    *o &= r;
-                }
-            }
-            if kind == GateKind::Nand {
-                for o in out.iter_mut() {
-                    *o = !*o;
-                }
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            out.copy_from_slice(src(0));
-            for i in 1..operands.len() {
-                for (o, &r) in out.iter_mut().zip(src(i)) {
-                    *o |= r;
-                }
-            }
-            if kind == GateKind::Nor {
-                for o in out.iter_mut() {
-                    *o = !*o;
-                }
-            }
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            out.copy_from_slice(src(0));
-            for i in 1..operands.len() {
-                for (o, &r) in out.iter_mut().zip(src(i)) {
-                    *o ^= r;
-                }
-            }
-            if kind == GateKind::Xnor {
-                for o in out.iter_mut() {
-                    *o = !*o;
-                }
-            }
-        }
-        GateKind::Maj => {
-            let (a, b, c) = (src(0), src(1), src(2));
-            for (w, o) in out.iter_mut().enumerate() {
-                *o = (a[w] & b[w]) | (a[w] & c[w]) | (b[w] & c[w]);
-            }
-        }
+        (GateKind::And, 2) => one2!(|a, b| a & b),
+        (GateKind::Nand, 2) => one2!(|a, b| !(a & b)),
+        (GateKind::Or, 2) => one2!(|a, b| a | b),
+        (GateKind::Nor, 2) => one2!(|a, b| !(a | b)),
+        (GateKind::Xor, 2) => one2!(|a, b| a ^ b),
+        (GateKind::Xnor, 2) => one2!(|a, b| !(a ^ b)),
+        (GateKind::And, 3) => one3!(|a, b, c| a & b & c),
+        (GateKind::Nand, 3) => one3!(|a, b, c| !(a & b & c)),
+        (GateKind::Or, 3) => one3!(|a, b, c| a | b | c),
+        (GateKind::Nor, 3) => one3!(|a, b, c| !(a | b | c)),
+        (GateKind::Xor, 3) => one3!(|a, b, c| a ^ b ^ c),
+        (GateKind::Xnor, 3) => one3!(|a, b, c| !(a ^ b ^ c)),
+        (GateKind::Maj, _) => one3!(|a, b, c| (a & b) | (a & c) | (b & c)),
+        (GateKind::And | GateKind::Nand, _) => fold!(&=, GateKind::Nand),
+        (GateKind::Or | GateKind::Nor, _) => fold!(|=, GateKind::Nor),
+        (GateKind::Xor | GateKind::Xnor, _) => fold!(^=, GateKind::Xnor),
     }
 }
 
@@ -1501,19 +1557,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_popcount_toggle_matches_separate_kernels() {
-        use rand::rngs::StdRng;
-        let mut rng = StdRng::seed_from_u64(42);
-        for count in [0usize, 1, 2, 63, 64, 65, 127, 128, 129, 500] {
-            let words = count.div_ceil(64).max(1);
-            let stream: Vec<u64> = (0..words).map(|_| rng.next_u64()).collect();
-            let (ones, toggles) = popcount_toggle(&stream, count);
-            assert_eq!(ones, popcount_valid(&stream, count), "count={count}");
-            assert_eq!(toggles, toggle_count(&stream, count), "count={count}");
-        }
-    }
-
     /// Runs a ragged batch through `op_loop` and checks every shard's
     /// tally against the interpreted oracle.
     fn batch_matches_oracle(op_loop: OpLoop, what: &str) {
@@ -1552,15 +1595,16 @@ mod tests {
 
     #[test]
     fn activity_count_scalar_body_and_entry_match_the_oracle() {
+        // One short window, one full window, a second window of one and
+        // of two words, and five windows with a partial last word.
         let nl = mixed_netlist();
         let program = SimProgram::compile(&nl);
         let mut scratch = program.scratch();
-        for patterns in [2usize, 64, 65, 130, 2000] {
+        for patterns in [2usize, 64, 65, 130, 2000, 2048, 2049, 2113, 10_000] {
             let oracle = estimate_activity(&nl, patterns, 11).unwrap();
             let entry = program.estimate_activity(&mut scratch, patterns, 11);
             assert_eq!(entry.unwrap(), oracle, "patterns={patterns}");
-            // The scratch still holds the streams just counted.
-            let scalar = program.count_activity_body(&scratch, patterns);
+            let scalar = program.activity_body(&mut scratch, patterns, 11);
             assert_eq!(scalar, oracle, "scalar patterns={patterns}");
         }
     }

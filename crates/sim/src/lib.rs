@@ -36,10 +36,11 @@
 // `deny`, not `forbid`: the Monte-Carlo kernel carries the one
 // sanctioned exception — one AVX-512 `#[target_feature]` twin per
 // kernel entry (`MaskPlan::xor_masks`, the `run_tally_batch` op loop
-// and the `estimate_activity` counting loop), each the entry's safe
-// `#[inline(always)]` body compiled a second time. Calling a twin is
-// `unsafe` only because the compiler demands it for feature-gated
-// codegen; each call sits behind a runtime CPU-feature check.
+// and `SimProgram::estimate_activity`'s windowed evaluate-and-count
+// loop), each the entry's safe `#[inline(always)]` body compiled a
+// second time. Calling a twin is `unsafe` only because the compiler
+// demands it for feature-gated codegen; each call sits behind a runtime
+// CPU-feature check.
 #![deny(unsafe_code)]
 
 pub mod activity;

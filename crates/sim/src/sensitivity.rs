@@ -18,17 +18,22 @@
 //! once per sensitive input. The compiled forms keep the counts
 //! bit-sliced, `⌈log₂(n+1)⌉` planes of one word per 64 assignments, and
 //! add each input's sensitive assignments with a ripple-carry add over
-//! whole words. [`exact_with`] also never holds a stream per tape slot:
-//! the program evaluates the `2^n` assignments in small windows and keeps
-//! only the output streams, so its memory is about
-//! `(outputs + ⌈log₂(n+1)⌉ + 1) · 2^n / 8` bytes.
+//! whole words.
+//!
+//! Neither exact form holds a stream per node or tape slot: both
+//! evaluate the `2^n` assignments in windows of 32 words and keep only
+//! the output streams, [`exact`] with one `evaluate_packed` per window.
+//! [`exact_with`]'s memory is about `(outputs + ⌈log₂(n+1)⌉ + 1) · 2^n /
+//! 8` bytes. [`sampled_with`] tests one input per copy of its base
+//! patterns per tape pass, as many copies as fit in one window and in
+//! a bounded arena.
 
 use nanobound_logic::Netlist;
 
-use crate::compiled::{SimProgram, SimScratch};
+use crate::compiled::{SimProgram, SimScratch, WINDOW};
 use crate::engine::evaluate_packed;
 use crate::error::SimError;
-use crate::patterns::{tail_mask, PatternSet};
+use crate::patterns::{exhaustive_word, tail_mask, PatternSet};
 
 /// Largest input count for which [`exact`] enumerates all assignments
 /// (`2^20` ≈ 1 M patterns).
@@ -102,14 +107,28 @@ pub fn exact(netlist: &Netlist) -> Result<u32, SimError> {
     if n == 0 {
         return Ok(0);
     }
-    let patterns = PatternSet::exhaustive(n)?;
-    let values = evaluate_packed(netlist, &patterns)?;
-    let streams: Vec<&[u64]> = netlist
-        .outputs()
-        .iter()
-        .map(|out| values.node(out.driver))
-        .collect();
-    Ok(exact_from_streams(&streams, n, &patterns))
+    // The 2^n assignments in windows of WINDOW words: each window's
+    // pattern set is evaluated on its own and only the output words are
+    // kept, so no node holds a full stream.
+    let total = (1usize << n).div_ceil(64);
+    let window = total.min(WINDOW);
+    let mut streams = vec![0u64; netlist.output_count() * total];
+    for start in (0..total).step_by(window) {
+        let inputs = (0..n)
+            .map(|i| {
+                (start..start + window)
+                    .map(|w| exhaustive_word(i, w))
+                    .collect()
+            })
+            .collect();
+        let patterns = PatternSet::from_raw(inputs, (1 << n).min(64 * window))?;
+        let values = evaluate_packed(netlist, &patterns)?;
+        for (stream, out) in streams.chunks_exact_mut(total).zip(netlist.outputs()) {
+            stream[start..start + window].copy_from_slice(values.node(out.driver));
+        }
+    }
+    let streams: Vec<&[u64]> = streams.chunks_exact(total).collect();
+    Ok(exact_from_streams(&streams, n))
 }
 
 /// Exact sensitivity on the compiled engine — bit-identical to
@@ -150,12 +169,12 @@ pub fn exact_with(program: &SimProgram, scratch: &mut SimScratch) -> Result<u32,
 }
 
 /// The exhaustive counting core of [`exact`]: for every input, OR the
-/// flip-diffs of every output stream, then track how many inputs are
-/// sensitive at each assignment.
-fn exact_from_streams(output_streams: &[&[u64]], n: usize, patterns: &PatternSet) -> u32 {
-    let count = patterns.count();
-    let words = patterns.words_per_signal();
-    let tail = patterns.tail_mask();
+/// flip-diffs of every output stream over the `2^n` assignments, then
+/// track how many inputs are sensitive at each assignment.
+fn exact_from_streams(output_streams: &[&[u64]], n: usize) -> u32 {
+    let count = 1usize << n;
+    let words = count.div_ceil(64);
+    let tail = tail_mask(count);
     // counts[p] = number of inputs sensitive at assignment p.
     let mut counts = vec![0u32; count];
     let mut any_diff = vec![0u64; words];
@@ -333,9 +352,23 @@ pub fn sampled(netlist: &Netlist, samples: usize, seed: u64) -> Result<u32, SimE
     Ok(counts.iter().copied().max().unwrap_or(0))
 }
 
+/// The largest slot arena, in bytes, that [`sampled_with`] widens to
+/// hold more flip copies. On a 98,814-gate multiplier (about 198,000
+/// slots, 8 words per copy) a 25 MB arena of two copies ran as fast as
+/// one copy or faster, and a 50 MB arena of four took twice as long.
+const GROUP_ARENA_BYTES: usize = 32 << 20;
+
 /// Sensitivity lower bound from random sampling on the compiled engine
 /// — bit-identical to [`sampled`] (same base patterns, same flips, same
 /// counting).
+///
+/// After the base run, every input slot holds `G` copies of the base
+/// patterns side by side: as many as fit in the clean passes' window of
+/// `W` words, `W / words` for `words` words per stream, but no more
+/// than keep the arena within 32 MiB, and at least one. One tape pass
+/// inverts one input per copy, so the `n` inputs take `⌈n / G⌉` passes
+/// instead of `n`, and each copy's outputs are compared with the base
+/// streams.
 ///
 /// # Errors
 ///
@@ -359,23 +392,29 @@ pub fn sampled_with(
         .map(|o| program.output_stream(scratch, o).to_vec())
         .collect();
     let words = base.words_per_signal();
+    let group = (WINDOW / words)
+        .min(GROUP_ARENA_BYTES / (program.num_slots * words * 8))
+        .max(1);
+    program.load_copies(scratch, &base, group);
     let mut counts = SlicedCounts::new(n, words);
     let mut any_diff = vec![0u64; words];
-    // Inverting input i's slot in place and re-running the tape yields
-    // exactly the streams of `base.with_input_flipped(i)`, the input the
-    // interpreted oracle runs, without copying the other inputs.
-    for i in 0..n {
-        program.invert_input(scratch, i);
+    // Copy k of input i inverted in place is the input stream of
+    // `base.with_input_flipped(i)`, the input the interpreted oracle runs.
+    for first in (0..n).step_by(group) {
+        let flips = group.min(n - first);
+        program.invert_copies(scratch, first, flips, words);
         program.eval_clean(scratch);
-        any_diff.fill(0);
-        for (o, a) in base_streams.iter().enumerate() {
-            let b = program.output_stream(scratch, o);
-            for w in 0..words {
-                any_diff[w] |= a[w] ^ b[w];
+        for k in 0..flips {
+            any_diff.fill(0);
+            for (o, a) in base_streams.iter().enumerate() {
+                let b = &program.output_stream(scratch, o)[k * words..(k + 1) * words];
+                for ((d, &x), &y) in any_diff.iter_mut().zip(a).zip(b) {
+                    *d |= x ^ y;
+                }
             }
+            counts.add(&mut any_diff);
         }
-        counts.add(&mut any_diff);
-        program.invert_input(scratch, i);
+        program.invert_copies(scratch, first, flips, words);
     }
     Ok(counts.max(base.tail_mask()))
 }

@@ -108,7 +108,9 @@ proptest! {
     fn activity_profiles_are_bitwise_identical(
         config in small_dag(),
         seed in any::<u64>(),
-        patterns in 2usize..400,
+        // Up to three 32-word windows, most with a short last window
+        // and a partial last word.
+        patterns in 2usize..5_000,
     ) {
         let nl = random_dag(&config).unwrap();
         let program = SimProgram::compile(&nl);
@@ -154,9 +156,18 @@ proptest! {
         let mut scratch = program.scratch();
         let compiled_exact = sensitivity::exact_with(&program, &mut scratch).unwrap();
         prop_assert_eq!(compiled_exact, sensitivity::exact(&nl).unwrap());
-        let compiled_sampled =
-            sensitivity::sampled_with(&program, &mut scratch, 128, seed).unwrap();
-        prop_assert_eq!(compiled_sampled, sensitivity::sampled(&nl, 128, seed).unwrap());
+        // Flip groups of 32, 16 and 2 copies (the last two partial for
+        // most input counts), and one stream wider than the window.
+        for samples in [64, 128, 700, 2_100] {
+            let compiled_sampled =
+                sensitivity::sampled_with(&program, &mut scratch, samples, seed).unwrap();
+            prop_assert_eq!(
+                compiled_sampled,
+                sensitivity::sampled(&nl, samples, seed).unwrap(),
+                "samples={}",
+                samples
+            );
+        }
         let compiled_est =
             sensitivity::estimate_with(&program, &mut scratch, 64, seed).unwrap();
         prop_assert_eq!(compiled_est, sensitivity::estimate(&nl, 64, seed).unwrap());

@@ -11,6 +11,8 @@
 //!   makes about 20,000.
 //! - Exact sensitivity holds the output streams of the `2^n`
 //!   assignments, not a full stream for every slot of the tape.
+//! - Activity holds one window per slot of the tape, whatever the
+//!   pattern count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -194,5 +196,29 @@ fn exact_sensitivity_holds_output_streams_not_slot_streams() {
     assert!(
         peak <= budget,
         "exact sensitivity held {peak} bytes, budget {budget}"
+    );
+}
+
+#[test]
+fn activity_holds_one_window_per_slot() {
+    let netlist = xor_groups();
+    let program = SimProgram::compile(&netlist);
+    let mut scratch = program.scratch();
+    let patterns = 1 << 16;
+    let (profile, peak) = peak_bytes(|| {
+        program
+            .estimate_activity(&mut scratch, patterns, 3)
+            .expect("at least 2 patterns")
+    });
+    assert_eq!(profile.patterns, patterns);
+    // Each input has a slot and each of the 16 gates a clean and a
+    // noisy one: 52 slots of one 32-word window, 13 KiB. The fixed
+    // 64 KiB covers the per-node counters, the per-input generators and
+    // the profile; a full arena of 1,024 words per slot takes 416 KiB.
+    let slots = bytes(netlist.input_count() + 2 * program.gate_count());
+    let budget = slots * 32 * 8 + (64 << 10);
+    assert!(
+        peak <= budget,
+        "activity held {peak} bytes at {patterns} patterns, budget {budget}"
     );
 }
