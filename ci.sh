@@ -28,11 +28,12 @@
 #      --no-cache, diffing all three outputs byte-for-byte — a cache
 #      that changes results fails the gate, and so does a warm run that
 #      re-measures a profile or misses a tally; then the stale-format
-#      half: every cached entry's frame version is rewritten to 1 (a
-#      v1-era cache left on disk across the FORMAT_VERSION bump) and the
-#      next runs must reuse nothing — every stale entry a counted miss or
-#      re-measurement, none replayed — while producing byte-identical
-#      artifacts
+#      half, once per retired format: every cached entry's frame version
+#      is rewritten to 1 (a cache from before the fault-stream v2 bump)
+#      and then to 2 (from before the word-wise fingerprint of format
+#      3), and each time the next runs must reuse nothing — every stale
+#      entry a counted miss or re-measurement, none replayed — while
+#      producing byte-identical artifacts
 #   9. the serve gate: one scripted multi-request session piped into
 #      `nanobound serve` twice — cold cache at --jobs 1, then warm
 #      cache at --jobs $(nproc) — diffing the two response streams
@@ -95,10 +96,11 @@
 #      Last, a clocked BLIF in the shape gateconvert's `to_blif` writes
 #      (1,000 state inputs declared by `.inputs` and again as `.latch`
 #      outputs, 64 data inputs, one `.clock`): a reader that rejects
-#      either shape fails
+#      either shape fails, and so does a `lint --deny warnings` that
+#      reports the unread clock as an unused input
 #  16. the exact-sensitivity gate: a generated 20-input, 9,600-gate
-#      design profiled in 512 MiB of address space — at 64 patterns
-#      under both engines, stdouts diffed, and at 2^20 patterns — so an
+#      design profiled in 512 MiB of address space under both engines,
+#      stdouts diffed, at 64 patterns and at 2^20 patterns — so an
 #      exact enumeration or an activity run that holds a full stream
 #      per slot or node aborts
 set -euo pipefail
@@ -169,31 +171,37 @@ diff -r "$detdir/j1" "$detdir/cold"
 diff -r "$detdir/val-cold" "$detdir/val-warm"
 diff -r "$detdir/val-cold" "$detdir/val-nocache"
 
-echo "==> stale-cache gate: v1-version frames are counted misses, never replayed"
+echo "==> stale-cache gate: v1- and v2-version frames are counted misses, never replayed"
 # Rewrite every cached frame's version field (4 bytes LE at offset 4)
-# to 1, simulating a cache left on disk from before the stream-v2
-# FORMAT_VERSION bump. Every entry must be rejected up front — a
-# replayed v1 tally would silently mix two incompatible fault streams.
-find "$detdir/cache" -name '*.bin' -exec sh -c \
-    'printf "\001\000\000\000" | dd of="$1" bs=1 seek=4 count=4 conv=notrunc status=none' _ {} \;
-stale_profiles="$(target/release/nanobound figures --out "$detdir/stale" \
-    --cache-dir "$detdir/cache" --jobs 1 | grep '^cache profiles: ')"
-case "$stale_profiles" in
-  *": 0 activity reused ("*", 0 sensitivity reused ("*) ;;
-  *) echo "stale-version profiles were replayed: $stale_profiles" >&2; exit 1 ;;
-esac
-stale_tallies="$(target/release/nanobound validate --out "$detdir/val-stale" \
-    --cache-dir "$detdir/cache" --jobs 1 | grep '^cache .* misses, ')"
-case "$stale_tallies" in
-  *": 0 hits,"*) ;;
-  *) echo "stale-version tallies were replayed: $stale_tallies" >&2; exit 1 ;;
-esac
-case "$stale_tallies" in
-  *" 0 misses,"*) echo "stale entries were not counted as misses: $stale_tallies" >&2; exit 1 ;;
-  *) ;;
-esac
-diff -r "$detdir/cold" "$detdir/stale"
-diff -r "$detdir/val-cold" "$detdir/val-stale"
+# to a retired format, simulating a cache left on disk from before a
+# FORMAT_VERSION bump: 1, from before the fault-stream v2 bump, then 2,
+# from before the word-wise fingerprint. Every entry must be rejected
+# up front — a replayed v1 tally would silently mix two incompatible
+# fault streams. Each pass recomputes and rewrites every entry in the
+# current format, so the next pass again finds a full cache.
+for version in 1 2; do
+  find "$detdir/cache" -name '*.bin' -exec sh -c \
+      'printf "\00$0\000\000\000" | dd of="$1" bs=1 seek=4 count=4 conv=notrunc status=none' \
+      "$version" {} \;
+  stale_profiles="$(target/release/nanobound figures --out "$detdir/stale$version" \
+      --cache-dir "$detdir/cache" --jobs 1 | grep '^cache profiles: ')"
+  case "$stale_profiles" in
+    *": 0 activity reused ("*", 0 sensitivity reused ("*) ;;
+    *) echo "v$version profiles were replayed: $stale_profiles" >&2; exit 1 ;;
+  esac
+  stale_tallies="$(target/release/nanobound validate --out "$detdir/val-stale$version" \
+      --cache-dir "$detdir/cache" --jobs 1 | grep '^cache .* misses, ')"
+  case "$stale_tallies" in
+    *": 0 hits,"*) ;;
+    *) echo "v$version tallies were replayed: $stale_tallies" >&2; exit 1 ;;
+  esac
+  case "$stale_tallies" in
+    *" 0 misses,"*) echo "v$version entries were not counted as misses: $stale_tallies" >&2; exit 1 ;;
+    *) ;;
+  esac
+  diff -r "$detdir/cold" "$detdir/stale$version"
+  diff -r "$detdir/val-cold" "$detdir/val-stale$version"
+done
 
 echo "==> serve gate: scripted session, cold --jobs 1 vs warm --jobs $(nproc) vs one-shot CLI"
 printf 'INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n' > "$detdir/xor2.bench"
@@ -549,6 +557,9 @@ for netlist in wide.bench wide.blif pairs.bench clocked.blif; do
   timeout 5 target/release/nanobound lint "$detdir/$netlist" >/dev/null
   timeout 5 target/release/nanobound profile "$detdir/$netlist" --patterns 64 >/dev/null
 done
+# No gate reads the clock, and `lint` knows it is one: the clocked
+# design is warning-free.
+timeout 5 target/release/nanobound lint "$detdir/clocked.blif" --deny warnings >/dev/null
 
 echo "==> exact-sensitivity gate: 20-input profiles in 512 MiB of address space"
 # 20 inputs, 9,600 two-input gates and the last 1,000 of them as
@@ -574,8 +585,9 @@ BEGIN {
 }' > "$detdir/exact20.bench"
 # The interpreted engine, the oracle, enumerates in windows too, and must
 # print the same profile. At 2^20 patterns, activity also runs in
-# windows: a full arena of 19,220 slots x 16,384 words (2.5 GB) aborted
-# here with exit 134.
+# windows on both engines: a full arena of 19,220 slots x 16,384 words
+# (2.5 GB) aborted here with exit 134, and so did the interpreted
+# oracle's one stream per node (1.26 GB).
 (
   ulimit -v 524288
   timeout 20 target/release/nanobound profile "$detdir/exact20.bench" --patterns 64 \
@@ -583,8 +595,11 @@ BEGIN {
   NANOBOUND_ENGINE=interp timeout 20 target/release/nanobound profile \
       "$detdir/exact20.bench" --patterns 64 > "$detdir/exact20-interp.out"
   timeout 20 target/release/nanobound profile "$detdir/exact20.bench" \
-      --patterns 1048576 >/dev/null
+      --patterns 1048576 > "$detdir/exact20-wide-compiled.out"
+  NANOBOUND_ENGINE=interp timeout 20 target/release/nanobound profile \
+      "$detdir/exact20.bench" --patterns 1048576 > "$detdir/exact20-wide-interp.out"
 )
 diff "$detdir/exact20-compiled.out" "$detdir/exact20-interp.out"
+diff "$detdir/exact20-wide-compiled.out" "$detdir/exact20-wide-interp.out"
 
 echo "CI green."

@@ -11,6 +11,8 @@
 //! later check — and the tape compiler itself — assumes a validated,
 //! id-ordered netlist.
 
+use std::collections::HashSet;
+
 use nanobound_io::Design;
 use nanobound_logic::{topo, GateKind, LogicError, Netlist, Node, NodeId};
 use nanobound_sim::SimProgram;
@@ -81,13 +83,28 @@ pub fn lint_design(design: &Design, options: &LintOptions) -> Report {
                 .output_position(&format!("{}$next", latch.output))
         })
         .collect();
-    lint_impl(&design.netlist, &design.source_lines, &next_states, options)
+    // The inputs BLIF's `.clock` declared, in node order.
+    let clock_names: HashSet<&str> = design.clocks.iter().map(String::as_str).collect();
+    let clocks: Vec<usize> = design
+        .netlist
+        .inputs()
+        .iter()
+        .filter(|&&id| matches!(design.netlist.node(id), Node::Input { name } if clock_names.contains(name)))
+        .map(|id| id.index())
+        .collect();
+    lint_impl(
+        &design.netlist,
+        &design.source_lines,
+        &next_states,
+        &clocks,
+        options,
+    )
 }
 
 /// Lints a bare netlist (no source-line information).
 #[must_use]
 pub fn lint_netlist(netlist: &Netlist, options: &LintOptions) -> Report {
-    lint_impl(netlist, &[], &[], options)
+    lint_impl(netlist, &[], &[], &[], options)
 }
 
 fn line_of(source_lines: &[usize], node: usize) -> Option<usize> {
@@ -104,11 +121,14 @@ fn span(mut nodes: Vec<usize>) -> Vec<usize> {
 }
 
 /// `next_states` lists the outputs that are a latch's `<q>$next`
-/// pseudo-output, which the readers add beside the declared outputs.
+/// pseudo-output, which the readers add beside the declared outputs;
+/// `clocks` the ids of the clock inputs, ascending, which no gate of the
+/// combinational envelope needs to read.
 fn lint_impl(
     netlist: &Netlist,
     source_lines: &[usize],
     next_states: &[usize],
+    clocks: &[usize],
     options: &LintOptions,
 ) -> Report {
     let mut report = Report::new(netlist.name());
@@ -169,7 +189,10 @@ fn lint_impl(
 
     // NB004 — one finding per dangling input keeps per-node lines.
     for &id in netlist.inputs() {
-        if fanouts[id.index()] == 0 && first_output[id.index()].is_none() {
+        if fanouts[id.index()] == 0
+            && first_output[id.index()].is_none()
+            && clocks.binary_search(&id.index()).is_err()
+        {
             report.push(
                 codes::UNUSED_INPUT,
                 Severity::Warning,
@@ -555,6 +578,32 @@ mod tests {
             shared_driver(&design),
             vec!["outputs `d` and `z` share driver `d`"]
         );
+    }
+
+    #[test]
+    fn unread_clock_inputs_are_not_unused() {
+        // One latch in gateconvert's `to_blif` shape: the clock is an
+        // input no gate reads, beside a data input `b` no gate reads.
+        let text = ".model one\n.inputs i0\n.inputs a\n.inputs b\n.outputs o0\n\
+                    .clock clk\n.latch o0 i0\n.names i0 a o0\n10 1\n01 1\n.end\n";
+        let design = nanobound_io::blif::parse(text).unwrap();
+        assert_eq!(design.clocks, ["clk"]);
+        let report = lint_design(&design, &LintOptions::default());
+        let unused: Vec<&str> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == codes::UNUSED_INPUT)
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(unused, ["primary input `b` drives no gate and no output"]);
+        // The bare netlist has no clock list, so there the clock warns.
+        let bare = lint_netlist(&design.netlist, &LintOptions::default());
+        let bare_unused = bare
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == codes::UNUSED_INPUT)
+            .count();
+        assert_eq!(bare_unused, 2);
     }
 
     #[test]

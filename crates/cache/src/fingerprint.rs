@@ -30,25 +30,36 @@
 /// (`nanobound_sim::faultstream`) — tallies simulated under v1 are not
 /// comparable and must never be replayed, so the bump orphans them
 /// (stale entries read as counted misses and `ShardCache::sweep`
-/// deletes them).
-pub const FORMAT_VERSION: u32 = 2;
+/// deletes them); 3 = the word-at-a-time builder (one `u64` per mixer
+/// step instead of one byte, and one word for a gate's kind and fanin
+/// count in `nanobound_sim::netlist_fingerprint`), which moves every
+/// address — payloads are unchanged, but v2 entries are misses and GC
+/// sweeps them first.
+pub const FORMAT_VERSION: u32 = 3;
 
-/// FNV-1a 64-bit offset basis — shared with the entry-checksum in
-/// `store.rs` (the store's integrity hash and fingerprint lane 1 are
-/// the same hash family on purpose; keep the constants in one place).
+/// FNV-1a 64-bit offset basis — the entry checksum's basis in
+/// `store.rs` and the starting state of lane 1 (keep the constants in
+/// one place).
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime (see [`FNV_OFFSET`]).
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// Offset/multiplier of the second lane — an independent byte mixer so
-/// the two 64-bit lanes do not collide together.
+/// Starting state of the second lane.
 const LANE2_OFFSET: u64 = 0x9e37_79b9_7f4a_7c15;
-const LANE2_MULT: u64 = 0xbf58_476d_1ce4_e5b9;
 
-/// SplitMix64 finalizer: the avalanche applied when a lane is frozen.
+/// SplitMix64 finalizer: lane 1's step mixer and the avalanche applied
+/// when the lanes are frozen.
 fn avalanche(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// MurmurHash3's 64-bit finalizer: lane 2's step mixer, with constants
+/// and shifts independent of [`avalanche`].
+fn fmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    z = (z ^ (z >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    z ^ (z >> 33)
 }
 
 /// Accumulates the parameters that identify one experiment.
@@ -86,26 +97,28 @@ impl FingerprintBuilder {
 
     /// Folds raw bytes into the fingerprint, length-framed so
     /// `push_bytes(b"ab"); push_bytes(b"c")` differs from
-    /// `push_bytes(b"a"); push_bytes(b"bc")`.
+    /// `push_bytes(b"a"); push_bytes(b"bc")`: 8-byte little-endian
+    /// words, then the zero-padded tail if any, then the length.
     pub fn push_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(b);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.push_u64(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
         }
-        for b in (bytes.len() as u64).to_le_bytes() {
-            self.mix(b);
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.push_u64(u64::from_le_bytes(word));
         }
+        self.push_usize(bytes.len());
     }
 
-    fn mix(&mut self, b: u8) {
-        self.lane1 = (self.lane1 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        self.lane2 = (self.lane2.rotate_left(23) ^ u64::from(b)).wrapping_mul(LANE2_MULT);
-    }
-
-    /// Folds a `u64` (8 little-endian bytes, unframed).
+    /// Folds a `u64` as one word, unframed: each lane takes one step of
+    /// its full-avalanche mixer, so a difference in any bit of the word
+    /// reaches every bit of both lanes before the next word arrives.
     pub fn push_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.mix(b);
-        }
+        self.lane1 = avalanche(self.lane1 ^ v);
+        self.lane2 = fmix64(self.lane2.wrapping_add(v));
     }
 
     /// Folds a `usize` through the `u64` path.
@@ -206,13 +219,54 @@ mod tests {
     #[test]
     fn hex_form_is_32_chars_and_injective_on_a_grid() {
         let mut seen = HashSet::new();
-        for i in 0..512u64 {
+        for i in 0..100_000u64 {
             let mut b = FingerprintBuilder::new("grid");
             b.push_u64(i);
             let hex = b.finish().to_hex();
             assert_eq!(hex.len(), 32);
             assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
             assert!(seen.insert(hex), "collision at {i}");
+        }
+    }
+
+    #[test]
+    fn top_bit_differences_in_successive_words_do_not_cancel() {
+        // Under a per-word FNV step, (h ^ w) * p, a difference in bit 63
+        // stays in bit 63, so flipping it in two successive words
+        // cancels; the mixers spread it to every bit first.
+        let fp = |first: u64, second: u64| {
+            let mut b = FingerprintBuilder::new("t");
+            b.push_u64(first);
+            b.push_u64(second);
+            b.push_u64(7);
+            b.finish()
+        };
+        let top = 1u64 << 63;
+        assert_ne!(fp(0, 0), fp(top, top));
+        assert_ne!(fp(5, 9), fp(5 ^ top, 9 ^ top));
+    }
+
+    #[test]
+    fn every_length_and_trailing_zero_is_distinguished() {
+        let fp = |bytes: &[u8]| {
+            let mut b = FingerprintBuilder::new("t");
+            b.push_bytes(bytes);
+            b.finish()
+        };
+        let mut seen = HashSet::new();
+        for len in 0..=17 {
+            assert!(seen.insert(fp(&[0u8; 17][..len])), "zeros of length {len}");
+        }
+        for len in 1..=17 {
+            assert!(
+                seen.insert(fp(&[0xa5u8; 17][..len])),
+                "0xa5 of length {len}"
+            );
+        }
+        let mut text = String::from("name");
+        for _ in 0..17 {
+            assert!(seen.insert(fp(text.as_bytes())), "{text:?}");
+            text.push('\0');
         }
     }
 

@@ -49,58 +49,94 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
     let mut outputs: Vec<(usize, usize)> = Vec::new();
     // (data input, latch output, line) per DFF.
     let mut latches: Vec<(usize, usize, usize)> = Vec::new();
+    let mut line = Line::default();
 
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+    let bytes = text.as_bytes();
+    let mut at = 0;
+    let mut line_no = 0;
+    while at < bytes.len() {
+        line_no += 1;
+        at = line.scan(bytes, at);
+        let (lo, hi) = trim(text, line.start, line.cut);
+        if lo == hi {
             continue;
         }
-        let syntax = || ParseError::at(line_no, ParseErrorKind::Syntax(line.to_owned()));
-        if let Some(name) = parse_decl(line, "INPUT") {
-            inputs.push((syms.intern(name), line_no));
-        } else if let Some(name) = parse_decl(line, "OUTPUT") {
-            outputs.push((syms.intern(name), line_no));
-        } else if let Some((lhs, rhs)) = line.split_once('=') {
-            let lhs = lhs.trim();
-            if lhs.is_empty() {
-                return Err(syntax());
-            }
-            let (kind_name, inner) = parse_call(rhs.trim()).ok_or_else(syntax)?;
-            let start = syms.args.len();
-            if !inner.is_empty() {
-                for arg in inner.split(',') {
-                    let arg = arg.trim();
-                    if arg.is_empty() {
-                        return Err(syntax());
-                    }
-                    let sym = syms.intern(arg);
-                    syms.args.push(sym);
+        let syntax = || ParseError::at(line_no, ParseErrorKind::Syntax(text[lo..hi].to_owned()));
+        match bytes[lo] {
+            b'I' => {
+                if let Some(name) = decl(text, lo, hi, b"INPUT") {
+                    inputs.push((syms.intern(name), line_no));
+                    continue;
                 }
             }
-            let args = start..syms.args.len();
-            if kind_name.eq_ignore_ascii_case("DFF") {
-                if args.len() != 1 {
-                    return Err(ParseError::at(
-                        line_no,
-                        ParseErrorKind::BadCover(format!(
-                            "DFF takes 1 argument, got {}",
-                            args.len()
-                        )),
-                    ));
+            b'O' => {
+                if let Some(name) = decl(text, lo, hi, b"OUTPUT") {
+                    outputs.push((syms.intern(name), line_no));
+                    continue;
                 }
-                latches.push((syms.args[start], syms.intern(lhs), line_no));
-                syms.args.truncate(start);
-                continue;
             }
-            let kind = GateKind::from_name(kind_name).ok_or_else(|| {
-                ParseError::at(line_no, ParseErrorKind::UnknownGate(kind_name.to_owned()))
-            })?;
-            let sym = syms.intern(lhs);
-            syms.define(sym, kind, args, line_no)?;
-        } else {
+            _ => {}
+        }
+        let Some(eq) = line.eq else {
+            return Err(syntax());
+        };
+        let (lhs_lo, lhs_hi) = trim(text, lo, eq);
+        if lhs_lo == lhs_hi {
             return Err(syntax());
         }
+        let lhs = &text[lhs_lo..lhs_hi];
+        // `KIND(args)`: the line must end in `)` after the first `(` that
+        // follows the `=`, and every comma after that `(` lies before it.
+        let Some(open) = line.open.filter(|_| bytes[hi - 1] == b')') else {
+            return Err(syntax());
+        };
+        let (kind_lo, kind_hi) = trim(text, eq + 1, open);
+        let kind_name = &text[kind_lo..kind_hi];
+        let kind = GateKind::from_name(kind_name);
+        let dff = kind.is_none() && kind_name.eq_ignore_ascii_case("DFF");
+        // No kind name with whitespace in it is valid, so only an unknown
+        // one needs the check.
+        if kind_name.is_empty()
+            || (kind.is_none() && !dff && kind_name.contains(char::is_whitespace))
+        {
+            return Err(syntax());
+        }
+        let start = syms.args.len();
+        let mut from = open + 1;
+        for &to in &line.commas {
+            let (arg_lo, arg_hi) = trim(text, from, to);
+            if arg_lo == arg_hi {
+                return Err(syntax());
+            }
+            let sym = syms.intern(&text[arg_lo..arg_hi]);
+            syms.args.push(sym);
+            from = to + 1;
+        }
+        // The last argument runs to the final `)`; `KIND()` has none.
+        let (arg_lo, arg_hi) = trim(text, from, hi - 1);
+        if arg_lo < arg_hi {
+            let sym = syms.intern(&text[arg_lo..arg_hi]);
+            syms.args.push(sym);
+        } else if !line.commas.is_empty() {
+            return Err(syntax());
+        }
+        let args = start..syms.args.len();
+        if dff {
+            if args.len() != 1 {
+                return Err(ParseError::at(
+                    line_no,
+                    ParseErrorKind::BadCover(format!("DFF takes 1 argument, got {}", args.len())),
+                ));
+            }
+            latches.push((syms.args[start], syms.intern(lhs), line_no));
+            syms.args.truncate(start);
+            continue;
+        }
+        let kind = kind.ok_or_else(|| {
+            ParseError::at(line_no, ParseErrorKind::UnknownGate(kind_name.to_owned()))
+        })?;
+        let sym = syms.intern(lhs);
+        syms.define(sym, kind, args, line_no)?;
     }
 
     // Gates are defined while scanning, so an INPUT or DFF that reuses
@@ -118,27 +154,155 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
     })
 }
 
-/// Matches `KEYWORD(name)` declarations.
-fn parse_decl<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
-    let rest = line.strip_prefix(keyword)?.trim_start();
-    let inner = rest.strip_prefix('(')?.strip_suffix(')')?;
-    let name = inner.trim();
-    (!name.is_empty() && !name.contains(['(', ')', ','])).then_some(name)
+/// What one forward scan finds in a line, as byte offsets into the text.
+#[derive(Default)]
+struct Line {
+    /// The line's first byte.
+    start: usize,
+    /// The end of its statement: its first `#`, else its `\n` or the
+    /// end of the text.
+    cut: usize,
+    /// The statement's first `=`.
+    eq: Option<usize>,
+    /// The first `(` after [`Line::eq`].
+    open: Option<usize>,
+    /// Every `,` after [`Line::open`]; reused from line to line.
+    commas: Vec<usize>,
 }
 
-/// Matches `KIND(args)` calls; returns the kind name and the trimmed
-/// argument list.
-fn parse_call(text: &str) -> Option<(&str, &str)> {
-    let open = text.find('(')?;
-    let close = text.rfind(')')?;
-    if close < open || !text[close + 1..].trim().is_empty() {
+impl Line {
+    /// Scans the line that starts at `start`, eight bytes per step, and
+    /// returns where the next one starts. Lines end at `\n` only, as
+    /// [`str::lines`] splits them; the `\r` of a `\r\n` is whitespace
+    /// that [`trim`] strips.
+    fn scan(&mut self, bytes: &[u8], start: usize) -> usize {
+        self.start = start;
+        self.eq = None;
+        self.open = None;
+        self.commas.clear();
+        let mut at = start;
+        loop {
+            let word = word_at(bytes, at);
+            let ends = equal_bytes(word, b'\n') | equal_bytes(word, b'#');
+            // The bytes before the statement's end: everything below the
+            // lowest marked byte, or the whole word.
+            let mut live = (ends & ends.wrapping_neg()).wrapping_sub(1);
+            if self.eq.is_none() {
+                let m = equal_bytes(word, b'=') & live;
+                live = if m == 0 {
+                    0
+                } else {
+                    self.eq = Some(at + first_byte(m));
+                    live & above_first(m)
+                };
+            }
+            if self.eq.is_some() && self.open.is_none() {
+                let m = equal_bytes(word, b'(') & live;
+                live = if m == 0 {
+                    0
+                } else {
+                    self.open = Some(at + first_byte(m));
+                    live & above_first(m)
+                };
+            }
+            if self.open.is_some() {
+                let mut m = equal_bytes(word, b',') & live;
+                while m != 0 {
+                    self.commas.push(at + first_byte(m));
+                    m &= m - 1;
+                }
+            }
+            if ends != 0 {
+                self.cut = at + first_byte(ends);
+                break;
+            }
+            at += 8;
+        }
+        let rest = &bytes[self.cut..];
+        match rest.first() {
+            Some(b'#') => match rest.iter().position(|&b| b == b'\n') {
+                Some(newline) => self.cut + newline + 1,
+                None => bytes.len(),
+            },
+            Some(_) => self.cut + 1,
+            None => bytes.len(),
+        }
+    }
+}
+
+/// The eight bytes at `at`, little-endian; past the end of the text,
+/// newlines, so every line ends within the text or at its end.
+fn word_at(bytes: &[u8], at: usize) -> u64 {
+    if let Some(word) = bytes.get(at..at + 8) {
+        return u64::from_le_bytes(word.try_into().expect("eight bytes"));
+    }
+    let mut word = [b'\n'; 8];
+    word[..bytes.len() - at].copy_from_slice(&bytes[at..]);
+    u64::from_le_bytes(word)
+}
+
+/// The high bit of every byte of `word` that equals `byte`, exactly:
+/// per byte, `(x & 0x7f) + 0x7f` reaches the high bit unless the low
+/// seven bits are zero, and never carries into the next byte.
+fn equal_bytes(word: u64, byte: u8) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let x = word ^ (0x0101_0101_0101_0101 * u64::from(byte));
+    !(((x & LOW7) + LOW7) | x | LOW7)
+}
+
+/// The index of the lowest byte marked in a nonzero `equal_bytes` mask.
+fn first_byte(mask: u64) -> usize {
+    mask.trailing_zeros() as usize / 8
+}
+
+/// The bits above the lowest bit set in the nonzero `mask`.
+fn above_first(mask: u64) -> u64 {
+    !(mask ^ (mask - 1))
+}
+
+/// The range `lo..hi` of `text` without the whitespace [`str::trim`]
+/// strips: ASCII whitespace byte by byte, and `str::trim` itself only
+/// when a non-ASCII byte is left at either end (the Unicode spaces).
+/// Both ends of `lo..hi` must be on character boundaries.
+fn trim(text: &str, mut lo: usize, mut hi: usize) -> (usize, usize) {
+    let bytes = text.as_bytes();
+    while lo < hi && is_space(bytes[lo]) {
+        lo += 1;
+    }
+    while hi > lo && is_space(bytes[hi - 1]) {
+        hi -= 1;
+    }
+    if lo < hi && (!bytes[lo].is_ascii() || !bytes[hi - 1].is_ascii()) {
+        let rest = &text[lo..hi];
+        let start = lo + rest.len() - rest.trim_start().len();
+        return (start, start + rest.trim().len());
+    }
+    (lo, hi)
+}
+
+/// The ASCII bytes [`char::is_whitespace`] accepts (U+0009–U+000D and
+/// the space) — unlike [`u8::is_ascii_whitespace`], which leaves out
+/// the vertical tab.
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// Matches `KEYWORD(name)` in the trimmed line `lo..hi`: the keyword,
+/// optional whitespace, `(`, a name without `(`, `)` or `,`, and the
+/// line's final `)`.
+fn decl<'t>(text: &'t str, lo: usize, hi: usize, keyword: &[u8]) -> Option<&'t str> {
+    let bytes = text.as_bytes();
+    if !bytes[lo..hi].starts_with(keyword) || bytes[hi - 1] != b')' {
         return None;
     }
-    let kind = text[..open].trim();
-    if kind.is_empty() || kind.contains(char::is_whitespace) {
+    let (open, _) = trim(text, lo + keyword.len(), hi);
+    if bytes[open] != b'(' {
         return None;
     }
-    Some((kind, text[open + 1..close].trim()))
+    let (name_lo, name_hi) = trim(text, open + 1, hi - 1);
+    let name = &bytes[name_lo..name_hi];
+    (!name.is_empty() && !name.iter().any(|b| matches!(b, b'(' | b')' | b',')))
+        .then(|| &text[name_lo..name_hi])
 }
 
 /// Serializes a design to `.bench` text.
@@ -503,5 +667,201 @@ y = AND(q, d)
         let d =
             parse("  INPUT( a )  # the input\n\nOUTPUT(y)\n y  =  NOT( a ) # invert\n").unwrap();
         assert_eq!(d.netlist.gate_count(), 1);
+    }
+
+    /// The reader's outcome on `text`: node order (inputs by name, gates
+    /// as `KIND(fanin ids)`, then `output=driver`), or the error's line
+    /// and kind.
+    fn outcome(text: &str) -> String {
+        match parse(text) {
+            Ok(d) => {
+                let nl = &d.netlist;
+                let nodes: Vec<String> = nl
+                    .nodes()
+                    .map(|node| match node {
+                        Node::Input { name } => format!("{name:?}"),
+                        Node::Gate { kind, fanins } => {
+                            let ids: Vec<String> =
+                                fanins.iter().map(|f| f.index().to_string()).collect();
+                            format!("{kind}({})", ids.join(","))
+                        }
+                    })
+                    .collect();
+                let outputs: Vec<String> = nl
+                    .outputs()
+                    .iter()
+                    .map(|o| format!("{:?}={}", o.name, o.driver.index()))
+                    .collect();
+                format!("{} | {}", nodes.join(" "), outputs.join(" "))
+            }
+            Err(e) => format!("line {}: {:?}", e.line, e.kind),
+        }
+    }
+
+    /// Byte-level edge cases, each with the outcome the `str`-pipeline
+    /// reader gave; the scanner must reproduce every one.
+    const EDGE_CASES: [(&str, &str); 32] = [
+        (
+            "INPUT(a)\r\nINPUT(b)\r\nOUTPUT(y)\r\ny = AND(a, b)\r\n",
+            "\"a\" \"b\" AND(0,1) | \"y\"=2",
+        ),
+        (
+            "INPUT(a)\r\nOUTPUT(y)\r\ny = NOT(a) # x\r\n\r\n",
+            "\"a\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "\tINPUT(a)\t\nOUTPUT(y)\ny\t=\tNOT(\ta\t)\n",
+            "\"a\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "INPUT(a)\nOUTPUT(y)\ny = NOT(a) # a comment ( , = )\n",
+            "\"a\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "INPUT(a)\nOUTPUT(y)\ny = NOT(a# cut)\n",
+            "line 3: Syntax(\"y = NOT(a\")",
+        ),
+        (
+            "INPUT(a#b)\nOUTPUT(y)\ny = NOT(a)\n",
+            "line 1: Syntax(\"INPUT(a\")",
+        ),
+        (
+            "INPUT(a)\nOUTPUT(y)\ny# = NOT(a)\n",
+            "line 3: Syntax(\"y\")",
+        ),
+        (
+            "#INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(b)\n",
+            "\"b\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "INPUT(\u{a0}a\u{a0})\nOUTPUT(y)\ny = NOT(\u{85}a\u{85})\n",
+            "\"a\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "\u{a0}INPUT(a)\u{85}\nOUTPUT(y)\n\u{85}y\u{a0}=\u{a0}NOT\u{a0}(a)\n",
+            "\"a\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "INPUT(a\u{a0}b)\nOUTPUT(y)\ny = NOT(a\u{a0}b)\n",
+            "\"a\\u{a0}b\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "INPUT(a)\nOUTPUT(y)\ny = N\u{85}OT(a)\n",
+            "line 3: Syntax(\"y = N\\u{85}OT(a)\")",
+        ),
+        (
+            "INPUT(a)\nOUTPUT(y)\ny = NOT\u{b}(a)\n",
+            "\"a\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a,,b)\n",
+            "line 4: Syntax(\"y = AND(a,,b)\")",
+        ),
+        (
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b))\n",
+            "line 4: UnknownSignal(\"b)\")",
+        ),
+        (
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND (a, b)\n",
+            "\"a\" \"b\" AND(0,1) | \"y\"=2",
+        ),
+        (
+            "INPUT( a )\nOUTPUT(y)\ny = NOT(a)\n",
+            "\"a\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "INPUT(a b)\nOUTPUT(y)\ny = NOT(a b)\n",
+            "\"a b\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = and(a, b)\nz = xOr(a, y)\n",
+            "\"a\" \"b\" AND(0,1) XOR(0,2) | \"y\"=2",
+        ),
+        (
+            "INPUT(d)\nOUTPUT(y)\nq = dff(d)\ny = not(q)\n",
+            "\"d\" \"q\" NOT(1) | \"y\"=2 \"q$next\"=0",
+        ),
+        (
+            "input(a)\nOUTPUT(y)\ny = NOT(a)\n",
+            "line 1: Syntax(\"input(a)\")",
+        ),
+        (
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(a, b)\ny = NOT(q)\n",
+            "line 4: BadCover(\"DFF takes 1 argument, got 2\")",
+        ),
+        ("", " | "),
+        (
+            "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nw = AND(a, y)=\n",
+            "line 4: Syntax(\"w = AND(a, y)=\")",
+        ),
+        (
+            "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\rz = NOT(a)\n",
+            "line 3: UnknownSignal(\"a)\\rz = NOT(a\")",
+        ),
+        (
+            "INPUT(a)\u{2028}\nOUTPUT(y)\ny = NOT(\u{3000}a)\n",
+            "\"a\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "INPUT(a=b)\nOUTPUT(y)\ny = NOT(a=b)\n",
+            "\"a=b\" NOT(0) | \"y\"=1",
+        ),
+        (
+            "INPUT(a)\nOUTPUT(y)\n = NOT(a)\n",
+            "line 3: Syntax(\"= NOT(a)\")",
+        ),
+        (
+            "INPUT(a)\nOUTPUT(y)\ny = (a)\n",
+            "line 3: Syntax(\"y = (a)\")",
+        ),
+        (
+            "INPUT(a)\nOUTPUT(y)\ny = NOT()\n",
+            "line 3: Logic(ArityMismatch { kind: Not, got: 0 })",
+        ),
+        (
+            "INPUT(a)\nOUTPUT()\ny = NOT(a)\n",
+            "line 2: Syntax(\"OUTPUT()\")",
+        ),
+        (
+            "INPUT(x(y)\nOUTPUT(y)\nx(y = NOT(a)\n",
+            "line 1: Syntax(\"INPUT(x(y)\")",
+        ),
+    ];
+
+    #[test]
+    fn space_bytes_are_the_ascii_whitespace_of_str_trim() {
+        for b in 0..128u8 {
+            assert_eq!(is_space(b), char::from(b).is_whitespace(), "byte {b:#04x}");
+        }
+    }
+
+    #[test]
+    fn equal_bytes_marks_exactly_the_matching_bytes() {
+        // Every byte value at every position, against neighbours that
+        // differ from the target by one bit, by borrow-prone values and
+        // by the target itself.
+        for target in [b'\n', b'#', b'=', b'(', b',', 0x00, 0x80, 0xff] {
+            for value in 0..=255u8 {
+                for at in 0..8 {
+                    for fill in [0x00, 0x01, 0x7f, 0x80, 0xff, target ^ 1, target] {
+                        let mut word = [fill; 8];
+                        word[at] = value;
+                        let want = word
+                            .iter()
+                            .enumerate()
+                            .fold(0u64, |m, (k, &b)| m | u64::from(b == target) << (8 * k + 7));
+                        assert_eq!(equal_bytes(u64::from_le_bytes(word), target), want);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scanner_edge_cases_match_the_str_reader() {
+        for (text, expected) in EDGE_CASES {
+            let got = outcome(text);
+            assert_eq!(got, expected, "on {text:?}");
+        }
     }
 }

@@ -60,6 +60,7 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
     let mut syms = Symbols::with_capacity(text.len() / 16);
     let mut model: Option<&str> = None;
     let mut inputs: Vec<usize> = Vec::new();
+    let mut clocks: Vec<&str> = Vec::new();
     // `.outputs` and `.latch` names carry no line: they are reported at 0.
     let mut outputs: Vec<(usize, usize)> = Vec::new();
     let mut latches: Vec<(usize, usize, usize)> = Vec::new();
@@ -78,7 +79,13 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
             ".model" => {
                 model = Some(tokens.next().unwrap_or("unnamed"));
             }
-            ".inputs" | ".clock" => inputs.extend(tokens.map(|name| syms.intern(name))),
+            ".inputs" => inputs.extend(tokens.map(|name| syms.intern(name))),
+            ".clock" => {
+                for name in tokens {
+                    inputs.push(syms.intern(name));
+                    clocks.push(name);
+                }
+            }
             ".outputs" => outputs.extend(tokens.map(|name| (syms.intern(name), 0))),
             ".latch" => {
                 let (Some(input), Some(output)) = (tokens.next(), tokens.next()) else {
@@ -185,9 +192,11 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
     for cover in covers {
         syms.define(cover.output, cover.rows, cover.inputs, cover.line)?;
     }
-    syms.finish(model, &outputs, &latches, |netlist, cover, fanins| {
+    let mut design = syms.finish(model, &outputs, &latches, |netlist, cover, fanins| {
         materialize_cover(netlist, &rows[cover.clone()], fanins)
-    })
+    })?;
+    design.clocks = clocks.into_iter().map(str::to_owned).collect();
+    Ok(design)
 }
 
 /// Joins `\` continuations into logical lines, each numbered by its
@@ -489,6 +498,7 @@ mod tests {
             .map(|&id| d.netlist.signal_name(id))
             .collect();
         assert_eq!(names, ["a", "clk", "q"]);
+        assert_eq!(d.clocks, ["clk"]);
         assert!(d.netlist.evaluate(&[true, true, true]).unwrap()[0]);
         assert!(!d.netlist.evaluate(&[true, false, true]).unwrap()[0]);
     }

@@ -61,6 +61,10 @@ pub struct Design {
     /// `.bench` knows every node's statement, BLIF attributes the gates
     /// materialized from a cover to the cover's `.names` line.
     pub source_lines: Vec<usize>,
+    /// The names BLIF's `.clock` declared, in order. Each is also a
+    /// primary input; the combinational envelope has no clock, so no
+    /// gate needs to read one.
+    pub clocks: Vec<String>,
 }
 
 impl Design {
@@ -71,6 +75,7 @@ impl Design {
             netlist,
             latches: Vec::new(),
             source_lines: Vec::new(),
+            clocks: Vec::new(),
         }
     }
 

@@ -202,6 +202,7 @@ impl<'t, D> Symbols<'t, D> {
                 })
                 .collect(),
             source_lines: lines,
+            clocks: Vec::new(),
         })
     }
 }

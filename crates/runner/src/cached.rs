@@ -194,7 +194,7 @@ mod tests {
         let cfg = NoisyConfig::new(0.01, 7).unwrap();
         assert_eq!(
             monte_carlo_fingerprint(&nl, &cfg, 4096, 11, 256).to_hex(),
-            "3f92e3f60cad5f5a94a012b00b9ad1b9"
+            "f0a2dcd2756284aada2d593adb2d9add"
         );
     }
 

@@ -7,7 +7,10 @@
 //! the per-gate averages (`sw0` in the paper) consumed by the bounds.
 
 use nanobound_logic::{GateKind, Netlist};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
+use crate::compiled::WINDOW;
 use crate::engine::{evaluate_packed, NodeValues};
 use crate::error::SimError;
 use crate::patterns::PatternSet;
@@ -73,20 +76,30 @@ pub fn toggle_count(stream: &[u64], count: usize) -> u64 {
 #[must_use]
 pub fn activity_of_values(netlist: &Netlist, values: &NodeValues) -> ActivityProfile {
     let count = values.count();
+    let counts: Vec<[u64; 2]> = netlist
+        .node_ids()
+        .map(|id| [values.ones(id), toggle_count(values.node(id), count)])
+        .collect();
+    profile_of_counts(netlist, &counts, count)
+}
+
+/// The profile of per-node `[ones, toggles]` counts over `count`
+/// patterns, formed in node order.
+fn profile_of_counts(netlist: &Netlist, counts: &[[u64; 2]], count: usize) -> ActivityProfile {
     let transitions = count.saturating_sub(1).max(1);
     let mut signal_probability = Vec::with_capacity(netlist.node_count());
     let mut switching_activity = Vec::with_capacity(netlist.node_count());
     let mut gate_sw_sum = 0.0;
     let mut gate_p_sum = 0.0;
     let mut gates = 0usize;
-    for id in netlist.node_ids() {
-        let p = values.probability(id);
-        let sw = toggle_count(values.node(id), count) as f64 / transitions as f64;
-        if netlist
-            .node(id)
-            .kind()
-            .is_some_and(GateKind::counts_as_gate)
-        {
+    for (node, &[ones, toggles]) in netlist.nodes().zip(counts) {
+        let p = if count == 0 {
+            0.0
+        } else {
+            ones as f64 / count as f64
+        };
+        let sw = toggles as f64 / transitions as f64;
+        if node.kind().is_some_and(GateKind::counts_as_gate) {
             gate_sw_sum += sw;
             gate_p_sum += p;
             gates += 1;
@@ -109,6 +122,17 @@ pub fn activity_of_values(netlist: &Netlist, values: &NodeValues) -> ActivityPro
 }
 
 /// Simulates `patterns` random vectors (seeded) and profiles the netlist.
+///
+/// This is the interpreted oracle of
+/// [`SimProgram::estimate_activity`](crate::SimProgram::estimate_activity),
+/// and shares no code with it. It runs [`evaluate_packed`] over windows
+/// of 32 words, so no node holds a full stream: input `i`'s words are
+/// words `i·t..(i+1)·t` of the seed's stream (`t = ⌈patterns/64⌉`),
+/// exactly as [`PatternSet::random`] draws them, from one generator
+/// positioned at each input's first word. Each node's ones and toggles
+/// are integers carried across windows, the toggle across a window
+/// boundary included, so the profile is the one the whole pattern set
+/// gives.
 ///
 /// # Errors
 ///
@@ -137,9 +161,39 @@ pub fn estimate_activity(
     if patterns < 2 {
         return Err(SimError::bad("patterns", patterns, "must be at least 2"));
     }
-    let set = PatternSet::random(netlist.input_count(), patterns, seed);
-    let values = evaluate_packed(netlist, &set)?;
-    Ok(activity_of_values(netlist, &values))
+    let words = patterns.div_ceil(64);
+    let mut stream = StdRng::seed_from_u64(seed);
+    let mut inputs: Vec<StdRng> = (0..netlist.input_count())
+        .map(|_| {
+            let first = stream.clone();
+            for _ in 0..words {
+                stream.next_u64();
+            }
+            first
+        })
+        .collect();
+    let mut counts = vec![[0u64; 2]; netlist.node_count()];
+    // The last pattern of each node in the window before.
+    let mut last = vec![0u64; netlist.node_count()];
+    for start in (0..words).step_by(WINDOW) {
+        let len = WINDOW.min(words - start);
+        let count = (patterns - 64 * start).min(64 * len);
+        let window = inputs
+            .iter_mut()
+            .map(|rng| (0..len).map(|_| rng.next_u64()).collect())
+            .collect();
+        let values = evaluate_packed(netlist, &PatternSet::from_raw(window, count)?)?;
+        for ((id, [ones, toggles]), last) in netlist.node_ids().zip(&mut counts).zip(&mut last) {
+            let stream = values.node(id);
+            *ones += values.ones(id);
+            *toggles += toggle_count(stream, count);
+            if start > 0 {
+                *toggles += *last ^ (stream[0] & 1);
+            }
+            *last = stream[len - 1] >> 63;
+        }
+    }
+    Ok(profile_of_counts(netlist, &counts, patterns))
 }
 
 /// Switching activity of a temporally independent signal with
@@ -232,6 +286,29 @@ mod tests {
         // Only the AND counts: p ≈ 1/4 → sw ≈ 2·(1/4)·(3/4) = 0.375.
         assert!((profile.avg_gate_activity - 0.375).abs() < 0.02);
         assert!((profile.avg_gate_probability - 0.25).abs() < 0.02);
+    }
+
+    #[test]
+    fn windows_match_one_pass_over_the_whole_pattern_set() {
+        // A partial first window, whole windows, a second window of one
+        // and of two words, and many windows with a partial last word;
+        // reconvergent fanout, a constant and a buffer.
+        let mut nl = Netlist::new("mix");
+        let x: Vec<_> = (0..5).map(|i| nl.add_input(format!("x{i}"))).collect();
+        let one = nl.add_const(true);
+        let a = nl.add_gate(GateKind::Nand, &[x[0], x[1]]).unwrap();
+        let b = nl.add_gate(GateKind::Xor, &[a, x[2], one]).unwrap();
+        let c = nl.add_gate(GateKind::Buf, &[b]).unwrap();
+        let d = nl.add_gate(GateKind::Maj, &[c, x[3], a]).unwrap();
+        let e = nl.add_gate(GateKind::Nor, &[d, x[4]]).unwrap();
+        nl.add_output("d", d).unwrap();
+        nl.add_output("e", e).unwrap();
+        for patterns in [2usize, 63, 64, 65, 2047, 2048, 2049, 2113, 10_000, 70_001] {
+            let set = PatternSet::random(nl.input_count(), patterns, 23);
+            let whole = activity_of_values(&nl, &evaluate_packed(&nl, &set).unwrap());
+            let windowed = estimate_activity(&nl, patterns, 23).unwrap();
+            assert_eq!(windowed, whole, "patterns={patterns}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! layer of this stack: no key folds it.
 
 use nanobound_cache::FingerprintBuilder;
-use nanobound_logic::{GateKind, Netlist, Node};
+use nanobound_logic::{Netlist, Node};
 
 /// Folds a netlist's complete structure into a fingerprint: node kinds,
 /// fanin wiring and output drivers in declaration order.
@@ -39,12 +39,10 @@ pub fn netlist_fingerprint(builder: &mut FingerprintBuilder, netlist: &Netlist) 
         match node {
             Node::Input { .. } => builder.push_u64(u64::MAX),
             Node::Gate { kind, fanins } => {
-                let kind_index = GateKind::ALL
-                    .iter()
-                    .position(|&k| k == kind)
-                    .expect("GateKind::ALL covers every kind");
-                builder.push_u64(kind_index as u64);
-                builder.push_usize(fanins.len());
+                // One word: the fanin count over the kind's declaration
+                // index (its place in `GateKind::ALL`, pinned below),
+                // whose low byte is never the input marker's 0xff.
+                builder.push_u64((fanins.len() as u64) << 8 | kind as u64);
                 for f in fanins {
                     builder.push_usize(f.index());
                 }
@@ -75,6 +73,7 @@ pub fn experiment_builder(domain: &str, netlist: &Netlist) -> FingerprintBuilder
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nanobound_logic::GateKind;
 
     #[test]
     fn experiment_builder_matches_the_manual_sequence() {
@@ -88,6 +87,13 @@ mod tests {
         let mut layered = experiment_builder("domain-x", &nl);
         layered.push_u64(42);
         assert_eq!(manual.finish(), layered.finish());
+    }
+
+    #[test]
+    fn kind_words_are_the_indices_in_all() {
+        for (index, kind) in GateKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, index, "{kind}");
+        }
     }
 
     #[test]
@@ -107,7 +113,7 @@ mod tests {
         nl.add_output("z", h).unwrap();
         assert_eq!(
             experiment_builder("pin", &nl).finish().to_hex(),
-            "535f7d3ee8b80e90fb91008f985f9f83"
+            "1f76a94183b0aee8ceaefc2c45c5a287"
         );
     }
 }
