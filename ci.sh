@@ -17,7 +17,11 @@
 #      into target/ so no build output lands under perfbench/
 #   7. every example (`examples/*.rs`, the list derived from the
 #      directory) built in release mode and run once from its own fresh
-#      temp cwd, stdout discarded — a nonzero exit fails the gate; then
+#      temp cwd — a nonzero exit fails the gate; `design_space`'s stdout
+#      (Section 5.2's bound factors and iso-energy / iso-delay Vdd
+#      solves over a compiled-engine profile) must match
+#      tests/golden/design_space.txt byte for byte, the others' stdout
+#      is discarded; then
 #      a byte-level diff of the `figures` CSVs at --jobs 1 vs
 #      --jobs $(nproc), so any single-thread/multi-thread divergence in
 #      the parallel runner fails the gate
@@ -49,7 +53,10 @@
 #      Monte-Carlo diff on a generated ~2,000-gate reconvergent netlist
 #      with 20 outputs: `cluster --patterns 20000` (a partial last
 #      shard) at ε = 0.001, 0.01 and 0.025, where the sparse mask
-#      sampler's multi-draw words are common, under both engines
+#      sampler's multi-draw words are common, under both engines; and
+#      `cluster --chunk 64 --patterns 5000` on a generated 76-value
+#      netlist, where `preferred_batch` fuses 8 shards per tape pass
+#      and the last shard is partial, under both engines
 #  11. the analyze gate: `lint --suite --deny warnings` must pass (the
 #      generated Section-6 suite stays lint-clean), its JSON report must
 #      match the committed golden byte-for-byte, an injected tape
@@ -136,7 +143,12 @@ for src in examples/*.rs; do
   bin="$PWD/target/release/examples/$name"
   mkdir "$detdir/example-$name"
   echo "    $name"
-  (cd "$detdir/example-$name" && "$bin" >/dev/null)
+  if [ "$name" = design_space ]; then
+    (cd "$detdir/example-$name" && "$bin" > stdout.txt)
+    diff tests/golden/design_space.txt "$detdir/example-$name/stdout.txt"
+  else
+    (cd "$detdir/example-$name" && "$bin" >/dev/null)
+  fi
 done
 
 echo "==> determinism gate: figures --jobs 1 vs --jobs $(nproc)"
@@ -271,6 +283,29 @@ for eps in 0.001 0.01 0.025; do
       --patterns 20000 --jobs 1 > "$detdir/mc-interp.out"
   diff "$detdir/mc-compiled.out" "$detdir/mc-interp.out"
 done
+# Fused shards: 16 inputs and 3 layers of 20 two-input gates, each
+# reading a gate of the layer below and one of the layer below that; the
+# last layer is the outputs. At 64-pattern chunks `preferred_batch` runs
+# 8 shards per tape pass, so several shards' inputs share each slot, and
+# 5,000 patterns end in a partial shard.
+awk 'function sig(l, j) { return l == 0 ? "x" (j % 16) : "g" l "_" j }
+BEGIN {
+  split("AND OR NAND NOR XOR XNOR XOR XNOR", kind, " ")
+  s = 54321
+  for (i = 0; i < 16; i++) printf "INPUT(x%d)\n", i
+  for (j = 0; j < 20; j++) printf "OUTPUT(g3_%d)\n", j
+  for (l = 1; l <= 3; l++) for (j = 0; j < 20; j++) {
+    s = (s * 16807) % 2147483647; a = sig(l - 1, s % 20)
+    s = (s * 16807) % 2147483647; b = sig(l < 2 ? 0 : l - 2, (j + 1 + s % 19) % 20)
+    s = (s * 16807) % 2147483647; k = kind[1 + s % 8]
+    printf "g%d_%d = %s(%s, %s)\n", l, j, k, a, b
+  }
+}' > "$detdir/fused.bench"
+target/release/nanobound cluster "$detdir/fused.bench" --eps 0.05 --chunk 64 \
+    --patterns 5000 --jobs 1 > "$detdir/fused-compiled.out"
+NANOBOUND_ENGINE=interp target/release/nanobound cluster "$detdir/fused.bench" --eps 0.05 \
+    --chunk 64 --patterns 5000 --jobs 1 > "$detdir/fused-interp.out"
+diff "$detdir/fused-compiled.out" "$detdir/fused-interp.out"
 # Unknown engine names are hard configuration errors, not silent
 # fallbacks (that would defeat this very gate).
 if NANOBOUND_ENGINE=turbo target/release/nanobound validate --stdout >/dev/null 2>&1; then

@@ -15,6 +15,7 @@
 //! defines it is still a duplicate.
 
 use std::borrow::Cow;
+use std::collections::HashSet;
 use std::ops::Range;
 
 use nanobound_logic::{GateKind, Netlist, Node, NodeId};
@@ -300,8 +301,25 @@ pub fn write(design: &Design) -> Result<String, WriteError> {
         .map(|&id| node_names[id.index()].as_str())
         .filter(|n| !latch_outputs.contains(n))
         .collect();
-    out.push_str(".inputs");
+    // Clocks go on `.clock` lines. The parser declares `.inputs` and
+    // `.clock` names in one sequence, so splitting the `.inputs` runs
+    // around each clock keeps the inputs' node order.
+    let clocks: HashSet<&str> = design.clocks.iter().map(String::as_str).collect();
+    let head = |n: &str| {
+        if clocks.contains(n) {
+            ".clock"
+        } else {
+            ".inputs"
+        }
+    };
+    let mut line = real_inputs.first().map_or(".inputs", |n| head(n));
+    out.push_str(line);
     for n in real_inputs {
+        if head(n) != line {
+            line = head(n);
+            out.push('\n');
+            out.push_str(line);
+        }
         out.push_str(&format!(" {n}"));
     }
     out.push('\n');

@@ -17,10 +17,13 @@
 //! - buffers are **slot aliases** — a `Buf` node shares its fanin's
 //!   slot instead of copying the stream; constants share one
 //!   materialized all-zero / all-one slot;
-//! - every slot is a `words`-sized window into one contiguous scratch
-//!   arena ([`SimScratch`]), so a chunk executes with **zero heap
-//!   allocation**: the arena is sized on first use and reused across
-//!   chunks (a smaller tail chunk never reallocates).
+//! - every value has one slot, a window into one contiguous scratch
+//!   arena ([`SimScratch`]) whose width the pass chooses: a clean pass
+//!   stores `words` clean words per slot, and the Monte-Carlo pass
+//!   `2 × words`, the clean words and then the noisy words. A chunk
+//!   executes with **zero heap allocation**: the arena is sized on
+//!   first use and reused across chunks (a smaller tail chunk never
+//!   reallocates).
 //!
 //! Every clean pass runs over one window of 32 words (2,048 patterns)
 //! per slot and reuses that window arena:
@@ -29,7 +32,7 @@
 //!   input words from generators positioned at each input's first word,
 //!   evaluates the window and counts it at once, carrying each node's
 //!   last word into the next window's boundary toggle. Its memory is
-//!   `num_slots × 256` bytes plus three words per node, for any pattern
+//!   256 bytes per slot plus three words per node, for any pattern
 //!   count;
 //! - exact sensitivity ([`crate::sensitivity::exact_with`]) computes
 //!   each window's input words from the pattern index and copies out
@@ -41,14 +44,16 @@
 //!
 //! The fused executor ([`SimProgram::run_tally_batch`]) computes the
 //! clean and the noisy value of each gate in a single pass —
-//! specialized per-shape kernels evaluate both lanes in one loop — and
-//! folds toggle counts and output mismatches into a [`NoisyTally`]
-//! *while the streams are still cache-hot* — no stored `NodeValues`,
-//! no second and third walk over the matrices. It pushes several
-//! independent shards through that one tape pass: each slot holds the
-//! shards' word segments back to back, so every op's dispatch, bounds
-//! checks and instruction fetch are amortized over `Σ words` instead
-//! of one chunk's worth. [`SimProgram::run_tally`] is a batch of one.
+//! specialized per-shape kernels evaluate both halves of the slot in
+//! one loop — and folds toggle counts and output mismatches into a
+//! [`NoisyTally`] *while the streams are still cache-hot* — no stored
+//! `NodeValues`, no second and third walk over the matrices. Only gates
+//! fail, so an input's or constant's noisy half is a copy of its clean
+//! half. It pushes several independent shards through that one tape
+//! pass: each half of a slot holds the shards' word segments back to
+//! back, so every op's dispatch, bounds checks and instruction fetch
+//! are amortized over `Σ words` instead of one chunk's worth.
+//! [`SimProgram::run_tally`] is a batch of one.
 //!
 //! # The bit-identity contract
 //!
@@ -60,7 +65,7 @@
 //! - input patterns are drawn exactly like [`PatternSet::random`]
 //!   (input-major, one `next_u64` per word);
 //! - fault masks come from the **v2 counter-based stream**
-//!   ([`crate::faultstream`], `FORMAT_VERSION` 2): the mask of
+//!   ([`crate::faultstream`], `STREAM_VERSION` 2): the mask of
 //!   `(fault seed, gate ordinal, word)` is a pure SplitMix64-style
 //!   hash, identical no matter which engine derives it or in which
 //!   order — the gate ordinal is the op index here and the
@@ -68,8 +73,9 @@
 //!   construction since ops are created for exactly those kinds in the
 //!   same node order. (Stream v1 was a *sequential* Bernoulli draw
 //!   over one RNG, which forced both engines into one serial mask order
-//!   and capped dense-ε throughput; the v1→v2 switch is why
-//!   `nanobound_cache::FORMAT_VERSION` is 2.)
+//!   and capped dense-ε throughput; the v1→v2 switch bumped
+//!   `nanobound_cache::FORMAT_VERSION` to 2, and the word-wise
+//!   fingerprint of format 3 left the stream alone.)
 //! - tallies are integer counts, and integer addition is associative,
 //!   so accumulation order cannot change the merged result.
 //!
@@ -156,7 +162,7 @@ impl EngineKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Op {
     pub(crate) kind: GateKind,
-    /// Clean destination slot; the noisy destination is `dst + 1`.
+    /// Destination slot.
     pub(crate) dst: u32,
     /// Range of this op's operands in [`SimProgram::operands`].
     pub(crate) operands: (u32, u32),
@@ -193,16 +199,16 @@ type OpLoop =
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimProgram {
     pub(crate) ops: Vec<Op>,
-    /// Flattened operand slots: `(clean, noisy)` per fanin.
-    pub(crate) operands: Vec<(u32, u32)>,
-    /// `(clean, noisy)` slot of every node, in node-id order.
-    pub(crate) node_slots: Vec<(u32, u32)>,
+    /// Flattened operand slots, one per fanin.
+    pub(crate) operands: Vec<u32>,
+    /// Slot of every node, in node-id order.
+    pub(crate) node_slots: Vec<u32>,
     /// Whether each node counts as a logic gate, in node-id order.
     pub(crate) is_gate: Vec<bool>,
     /// Input slots in primary-input order.
     pub(crate) input_slots: Vec<u32>,
-    /// `(clean, noisy)` slot of every output driver, declaration order.
-    pub(crate) output_slots: Vec<(u32, u32)>,
+    /// Slot of every output driver, declaration order.
+    pub(crate) output_slots: Vec<u32>,
     pub(crate) zero_slot: Option<u32>,
     pub(crate) ones_slot: Option<u32>,
     pub(crate) num_slots: usize,
@@ -230,27 +236,21 @@ impl SimProgram {
             num_slots: 0,
         };
         let mut next_slot = 0u32;
-        let mut fresh = |n: u32| {
+        let mut fresh = || {
             let slot = next_slot;
-            next_slot += n;
+            next_slot += 1;
             slot
         };
         for node in netlist.nodes() {
-            let slots = match node {
+            let slot = match node {
                 Node::Input { .. } => {
-                    let slot = fresh(1);
+                    let slot = fresh();
                     program.input_slots.push(slot);
-                    (slot, slot)
+                    slot
                 }
                 Node::Gate { kind, fanins } => match kind {
-                    GateKind::Const0 => {
-                        let slot = *program.zero_slot.get_or_insert_with(|| fresh(1));
-                        (slot, slot)
-                    }
-                    GateKind::Const1 => {
-                        let slot = *program.ones_slot.get_or_insert_with(|| fresh(1));
-                        (slot, slot)
-                    }
+                    GateKind::Const0 => *program.zero_slot.get_or_insert_with(&mut fresh),
+                    GateKind::Const1 => *program.ones_slot.get_or_insert_with(&mut fresh),
                     GateKind::Buf => program.node_slots[fanins[0].index()],
                     kind => {
                         let start = u32::try_from(program.operands.len())
@@ -260,20 +260,20 @@ impl SimProgram {
                         }
                         let end = u32::try_from(program.operands.len())
                             .expect("operand tape exceeds u32::MAX entries");
-                        let dst = fresh(2);
+                        let dst = fresh();
                         program.ops.push(Op {
                             kind,
                             dst,
                             operands: (start, end),
                         });
-                        (dst, dst + 1)
+                        dst
                     }
                 },
             };
             program
                 .is_gate
                 .push(node.kind().is_some_and(GateKind::counts_as_gate));
-            program.node_slots.push(slots);
+            program.node_slots.push(slot);
         }
         for output in netlist.outputs() {
             program
@@ -318,20 +318,21 @@ impl SimProgram {
     /// multiplies the live arena working set the same way, evicting
     /// the hot slot state from cache on slot-heavy programs. Measured
     /// across the suite netlists the crossover sits near 16 words per
-    /// pass under a ~64 KiB arena footprint, so: widen narrow shards
-    /// toward 16 words, never past 8 shards, never past the footprint
+    /// pass under ~32 KiB of live values, so: widen narrow shards
+    /// toward 16 words, never past 8 shards, never past the value
     /// budget. Purely a wall-clock choice — the v2 fault stream makes
     /// any grouping produce identical tallies.
     #[must_use]
     pub fn preferred_batch(&self, patterns: usize) -> usize {
         const TARGET_WORDS: usize = 16;
-        const ARENA_BUDGET: usize = 64 << 10;
+        const VALUE_BUDGET: usize = 32 << 10;
         let words = patterns.div_ceil(64).max(1);
         let by_dispatch = (TARGET_WORDS / words).clamp(1, 8);
-        // Two engines (clean + noisy) of `num_slots` slots holding
-        // `words` 64-bit words per shard.
-        let per_shard = 2 * self.num_slots * words * 8;
-        let by_footprint = (ARENA_BUDGET / per_shard.max(1)).max(1);
+        // A shard's values: `words` clean 64-bit words per slot and
+        // `words` noisy ones per gate (an input's or constant's noisy
+        // half repeats its clean half).
+        let per_shard = (self.num_slots + self.gate_count()) * words * 8;
+        let by_footprint = (VALUE_BUDGET / per_shard.max(1)).max(1);
         by_dispatch.min(by_footprint)
     }
 
@@ -467,10 +468,11 @@ impl SimProgram {
             return Ok(());
         }
 
-        // Shard j's segment spans words offsets[j]..offsets[j]+words_j
-        // of every slot. (The buffers live in the scratch so the
+        // Every slot holds `total_words` clean words, then as many noisy
+        // ones; shard j's segment spans words offsets[j]..offsets[j]+words_j
+        // of each half. (The buffers live in the scratch so the
         // steady-state batch loop stays allocation-free; taken out
-        // here to keep `op_dsts`' arena borrow disjoint.)
+        // here to keep `op_dst`'s arena borrow disjoint.)
         let mut offsets = std::mem::take(&mut scratch.offsets);
         offsets.clear();
         let mut total_words = 0usize;
@@ -478,22 +480,28 @@ impl SimProgram {
             offsets.push(total_words);
             total_words += spec.patterns.div_ceil(64);
         }
-        scratch.prepare(self.num_slots, total_words);
+        let width = 2 * total_words;
+        scratch.prepare(self.num_slots, width);
 
         // Input fill: shard-outer / input-inner, one pattern RNG per
         // shard — exactly the words `PatternSet::random` would draw for
-        // each shard on its own.
+        // each shard on its own. Inputs never fail, so the noisy half
+        // is a copy.
         for (&off, spec) in offsets.iter().zip(shards) {
             let words = spec.patterns.div_ceil(64);
             let mut rng = StdRng::seed_from_u64(spec.pattern_seed);
             for &slot in &self.input_slots {
-                let base = slot as usize * total_words + off;
-                for w in &mut scratch.arena[base..base + words] {
+                for w in &mut scratch.slot_mut(slot, width)[off..off + words] {
                     *w = rng.next_u64();
                 }
             }
         }
-        self.fill_consts(scratch, total_words);
+        for &slot in &self.input_slots {
+            scratch
+                .slot_mut(slot, width)
+                .copy_within(..total_words, total_words);
+        }
+        self.fill_consts(scratch, width);
 
         let plan = MaskPlan::new(epsilon);
         let mut clean_toggles = std::mem::take(&mut scratch.batch_clean);
@@ -521,9 +529,9 @@ impl SimProgram {
             let tail = tail_mask(spec.patterns);
             let tally = &mut tallies[j];
             any_diff[..words].fill(0);
-            for (o, &(clean, noisy)) in self.output_slots.iter().enumerate() {
-                let c = &arena[clean as usize * total_words + off..][..words];
-                let z = &arena[noisy as usize * total_words + off..][..words];
+            for (o, &slot) in self.output_slots.iter().enumerate() {
+                let c = &arena[slot as usize * width + off..][..words];
+                let z = &arena[slot as usize * width + total_words + off..][..words];
                 let mut ones = 0u64;
                 for w in 0..words - 1 {
                     let diff = c[w] ^ z[w];
@@ -589,11 +597,11 @@ impl SimProgram {
         self.tally_ops_body(scratch, plan, shards, offsets, clean_toggles, noisy_toggles);
     }
 
-    /// Evaluates every op's clean and noisy streams over the filled
-    /// arena, XORs each shard's fault masks into its noisy segment and
-    /// adds each shard's gate toggles. The fused kernels, the mask body
-    /// and the toggle counts are `#[inline(always)]`, so the whole loop
-    /// is compiled for the entry's target features.
+    /// Evaluates both halves of every op's slot over the filled arena,
+    /// XORs each shard's fault masks into its noisy segment and adds
+    /// each shard's gate toggles. The fused kernels, the mask body and
+    /// the toggle counts are `#[inline(always)]`, so the whole loop is
+    /// compiled for the entry's target features.
     #[inline(always)]
     fn tally_ops_body(
         &self,
@@ -604,15 +612,16 @@ impl SimProgram {
         clean_toggles: &mut [u64],
         noisy_toggles: &mut [u64],
     ) {
-        let total_words = scratch.words;
+        let total_words = scratch.words / 2;
         // ε = 0 (exactly, or quantized) XORs nothing: skip the mask
         // loop outright — the oracle's masks are identically zero too.
         let draw_masks = !plan.is_zero();
         let mut block = MaskBlock::new();
         for (op_index, op) in self.ops.iter().enumerate() {
-            let (lo, clean_dst, noisy_dst) = scratch.op_dsts(op.dst, total_words);
+            let (lo, dst) = scratch.op_dst(op.dst);
             let operands = &self.operands[op.operands.0 as usize..op.operands.1 as usize];
-            eval_op_pair(op.kind, lo, total_words, operands, clean_dst, noisy_dst);
+            eval_op_pair(op.kind, lo, total_words, operands, dst);
+            let (clean_dst, noisy_dst) = dst.split_at_mut(total_words);
             for (j, (&off, spec)) in offsets.iter().zip(shards).enumerate() {
                 let words = spec.patterns.div_ceil(64);
                 let noisy_seg = &mut noisy_dst[off..off + words];
@@ -720,8 +729,8 @@ impl SimProgram {
                 }
             }
             self.eval_clean(scratch);
-            for (stream, &(clean, _)) in streams.chunks_exact_mut(total).zip(&self.output_slots) {
-                stream[start..start + window].copy_from_slice(scratch.slot(clean, window));
+            for (stream, &slot) in streams.chunks_exact_mut(total).zip(&self.output_slots) {
+                stream[start..start + window].copy_from_slice(scratch.slot(slot, window));
             }
         }
         streams
@@ -732,9 +741,9 @@ impl SimProgram {
     pub(crate) fn eval_clean(&self, scratch: &mut SimScratch) {
         let words = scratch.words;
         for op in &self.ops {
-            let (lo, clean_dst, _) = scratch.op_dsts(op.dst, words);
+            let (lo, dst) = scratch.op_dst(op.dst);
             let operands = &self.operands[op.operands.0 as usize..op.operands.1 as usize];
-            eval_op(op.kind, lo, words, operands, Lane::Clean, clean_dst);
+            eval_op(op.kind, lo, words, operands, dst);
         }
     }
 
@@ -745,7 +754,7 @@ impl SimProgram {
     /// Panics if `id` does not belong to the compiled netlist.
     #[must_use]
     pub fn node_stream<'s>(&self, scratch: &'s SimScratch, id: NodeId) -> &'s [u64] {
-        scratch.slot(self.node_slots[id.index()].0, scratch.words)
+        scratch.slot(self.node_slots[id.index()], scratch.words)
     }
 
     /// The clean stream of output `index` after a
@@ -756,7 +765,7 @@ impl SimProgram {
     /// Panics if `index` is not a valid output index.
     #[must_use]
     pub fn output_stream<'s>(&self, scratch: &'s SimScratch, index: usize) -> &'s [u64] {
-        scratch.slot(self.output_slots[index].0, scratch.words)
+        scratch.slot(self.output_slots[index], scratch.words)
     }
 
     /// Simulates `patterns` random vectors (seeded) and profiles the
@@ -766,7 +775,7 @@ impl SimProgram {
     /// A kernel entry: one CPU-feature check, then the windowed
     /// evaluate-and-count body or its AVX-512 twin. The tape runs over
     /// windows of 32 words in one reused window arena (see the
-    /// [module docs](self)), so the memory is `num_slots` windows plus
+    /// [module docs](self)), so the memory is one window per slot plus
     /// three words per node, whatever `patterns` is.
     ///
     /// # Errors
@@ -843,8 +852,8 @@ impl SimProgram {
                 }
             }
             self.eval_clean(scratch);
-            for (&(clean, _), [ones, toggles, last]) in self.node_slots.iter().zip(&mut counts) {
-                let window = scratch.slot(clean, len);
+            for (&slot, [ones, toggles, last]) in self.node_slots.iter().zip(&mut counts) {
+                let window = scratch.slot(slot, len);
                 let (mut o, mut t) = (0u64, 0u64);
                 if start > 0 {
                     o += u64::from(last.count_ones());
@@ -895,13 +904,13 @@ impl SimProgram {
         }
     }
 
-    /// Writes the constant slots for the current word width.
-    fn fill_consts(&self, scratch: &mut SimScratch, words: usize) {
+    /// Writes the constant slots at slot width `width`.
+    fn fill_consts(&self, scratch: &mut SimScratch, width: usize) {
         if let Some(slot) = self.zero_slot {
-            scratch.slot_mut(slot, words).fill(0);
+            scratch.slot_mut(slot, width).fill(0);
         }
         if let Some(slot) = self.ones_slot {
-            scratch.slot_mut(slot, words).fill(!0);
+            scratch.slot_mut(slot, width).fill(!0);
         }
     }
 }
@@ -945,40 +954,27 @@ fn toggle_count_pair(clean: &[u64], noisy: &[u64], count: usize) -> (u64, u64) {
     (c_toggles, n_toggles)
 }
 
-/// Which of a node's two streams an operand read selects.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Lane {
-    Clean,
-    Noisy,
-}
-
-/// Computes one op's clean **and** noisy streams in a single fused
-/// loop.
+/// Computes one op's clean **and** noisy streams, the two halves of
+/// `dst`, in a single fused loop; every slot is `2 × words` wide.
 ///
 /// Specialized kernels cover the shapes that dominate real netlists
 /// (inverters; 2- and 3-input And/Nand/Or/Nor/Xor/Xnor; majority):
-/// one pass over the operand words evaluates both lanes, halving loop
-/// overhead versus two [`eval_op`] calls and letting the two
-/// independent dataflows fill the pipeline. Other shapes fall back to
-/// `eval_op` per lane. Bit-identical to the two-call form by
-/// construction — each lane computes the same expression over the same
-/// operand slots (and a unit test below pins it).
+/// one pass over the operand words evaluates both halves side by side,
+/// letting the two independent dataflows fill the pipeline. Other
+/// shapes fall back to one [`eval_op`] over the whole slot.
+/// Bit-identical to that fallback by construction — each half computes
+/// the same expression over the same operand words (and a unit test
+/// below pins it).
 #[inline(always)]
-fn eval_op_pair(
-    kind: GateKind,
-    lo: &[u64],
-    words: usize,
-    operands: &[(u32, u32)],
-    clean_dst: &mut [u64],
-    noisy_dst: &mut [u64],
-) {
+fn eval_op_pair(kind: GateKind, lo: &[u64], words: usize, operands: &[u32], dst: &mut [u64]) {
+    // Every half is sliced to exactly `words` words, so the fused loops
+    // need no bounds checks.
     let pair = |i: usize| -> (&[u64], &[u64]) {
-        let (clean, noisy) = operands[i];
-        (
-            &lo[clean as usize * words..][..words],
-            &lo[noisy as usize * words..][..words],
-        )
+        let clean = operands[i] as usize * 2 * words;
+        (&lo[clean..][..words], &lo[clean + words..][..words])
     };
+    let (clean_dst, noisy_dst) = dst.split_at_mut(words);
+    let noisy_dst = &mut noisy_dst[..words];
     macro_rules! fuse2 {
         (|$a:ident, $b:ident| $expr:expr) => {{
             let (ac, an) = pair(0);
@@ -1025,33 +1021,20 @@ fn eval_op_pair(
         (GateKind::Xor, 3) => fuse3!(|a, b, c| a ^ b ^ c),
         (GateKind::Xnor, 3) => fuse3!(|a, b, c| !(a ^ b ^ c)),
         (GateKind::Maj, 3) => fuse3!(|a, b, c| (a & b) | (a & c) | (b & c)),
-        _ => {
-            eval_op(kind, lo, words, operands, Lane::Clean, clean_dst);
-            eval_op(kind, lo, words, operands, Lane::Noisy, noisy_dst);
-        }
+        _ => eval_op(kind, lo, 2 * words, operands, dst),
     }
 }
 
-/// Computes one op's packed stream from already-computed slots.
+/// Computes one op's packed stream from already-computed slots of
+/// `width` words.
 ///
 /// `lo` is the arena prefix below the op's destination — every operand
 /// slot lies inside it because fanins precede their gate in slot order.
 /// The 2- and 3-input And/Nand/Or/Nor/Xor/Xnor shapes, the ones
 /// [`eval_op_pair`] fuses, take one pass over the operand words; wider
 /// gates fold one operand per pass.
-fn eval_op(
-    kind: GateKind,
-    lo: &[u64],
-    words: usize,
-    operands: &[(u32, u32)],
-    lane: Lane,
-    out: &mut [u64],
-) {
-    let src = |i: usize| -> &[u64] {
-        let (clean, noisy) = operands[i];
-        let slot = if lane == Lane::Clean { clean } else { noisy };
-        &lo[slot as usize * words..][..words]
-    };
+fn eval_op(kind: GateKind, lo: &[u64], width: usize, operands: &[u32], out: &mut [u64]) {
+    let src = |i: usize| -> &[u64] { &lo[operands[i] as usize * width..][..width] };
     macro_rules! one2 {
         (|$a:ident, $b:ident| $expr:expr) => {{
             for ((o, &$a), &$b) in out.iter_mut().zip(src(0)).zip(src(1)) {
@@ -1118,11 +1101,11 @@ fn eval_op(
 /// performs no heap allocation. Keep one scratch per worker thread.
 #[derive(Clone, Debug)]
 pub struct SimScratch {
-    /// `num_slots × words` packed values, slot-major.
+    /// `num_slots` slots of `words` packed values, slot-major.
     arena: Vec<u64>,
     /// Per-word OR of all output mismatches of the current chunk.
     any_diff: Vec<u64>,
-    /// Word width of the most recent run.
+    /// Slot width of the most recent run, in words.
     words: usize,
     /// Per-shard word offsets of the most recent batch run.
     offsets: Vec<usize>,
@@ -1154,12 +1137,10 @@ impl SimScratch {
     }
 
     /// Splits the arena at an op's destination: the read-only prefix
-    /// holding every operand, the clean destination, and the noisy
-    /// destination (`dst + 1`).
-    fn op_dsts(&mut self, dst: u32, words: usize) -> (&[u64], &mut [u64], &mut [u64]) {
-        let (lo, hi) = self.arena.split_at_mut(dst as usize * words);
-        let (clean, hi) = hi.split_at_mut(words);
-        (lo, clean, &mut hi[..words])
+    /// holding every operand, and the destination slot.
+    fn op_dst(&mut self, dst: u32) -> (&[u64], &mut [u64]) {
+        let (lo, hi) = self.arena.split_at_mut(dst as usize * self.words);
+        (lo, &mut hi[..self.words])
     }
 }
 
@@ -1507,39 +1488,35 @@ mod tests {
     #[test]
     fn fused_pair_kernels_match_generic_eval_op() {
         use rand::rngs::StdRng;
-        // Every specialized shape plus a fallback arity (4-input And):
-        // operand slots 0..=7 over 3 words, destinations written both
-        // ways and compared.
+        // Every specialized shape plus a fallback arity (4-input
+        // Nand): operand slots 0..=3 of 3 clean and 3 noisy words,
+        // destinations written both ways and compared.
         let mut rng = StdRng::seed_from_u64(5);
         let words = 3usize;
-        let lo: Vec<u64> = (0..8 * words).map(|_| rng.next_u64()).collect();
-        let cases: Vec<(GateKind, Vec<(u32, u32)>)> = vec![
-            (GateKind::Not, vec![(0, 1)]),
-            (GateKind::And, vec![(0, 1), (2, 3)]),
-            (GateKind::Nand, vec![(0, 1), (2, 3)]),
-            (GateKind::Or, vec![(4, 5), (6, 7)]),
-            (GateKind::Nor, vec![(4, 5), (6, 7)]),
-            (GateKind::Xor, vec![(0, 1), (4, 5)]),
-            (GateKind::Xnor, vec![(0, 1), (4, 5)]),
-            (GateKind::And, vec![(0, 1), (2, 3), (4, 5)]),
-            (GateKind::Nand, vec![(0, 1), (2, 3), (4, 5)]),
-            (GateKind::Or, vec![(0, 1), (2, 3), (4, 5)]),
-            (GateKind::Nor, vec![(0, 1), (2, 3), (4, 5)]),
-            (GateKind::Xor, vec![(0, 1), (2, 3), (4, 5)]),
-            (GateKind::Xnor, vec![(0, 1), (2, 3), (4, 5)]),
-            (GateKind::Maj, vec![(0, 1), (2, 3), (4, 5)]),
-            (GateKind::Nand, vec![(0, 1), (2, 3), (4, 5), (6, 7)]),
+        let lo: Vec<u64> = (0..4 * 2 * words).map(|_| rng.next_u64()).collect();
+        let cases: Vec<(GateKind, Vec<u32>)> = vec![
+            (GateKind::Not, vec![0]),
+            (GateKind::And, vec![0, 1]),
+            (GateKind::Nand, vec![0, 1]),
+            (GateKind::Or, vec![2, 3]),
+            (GateKind::Nor, vec![2, 3]),
+            (GateKind::Xor, vec![0, 2]),
+            (GateKind::Xnor, vec![0, 2]),
+            (GateKind::And, vec![0, 1, 2]),
+            (GateKind::Nand, vec![0, 1, 2]),
+            (GateKind::Or, vec![0, 1, 2]),
+            (GateKind::Nor, vec![0, 1, 2]),
+            (GateKind::Xor, vec![0, 1, 2]),
+            (GateKind::Xnor, vec![0, 1, 2]),
+            (GateKind::Maj, vec![0, 1, 2]),
+            (GateKind::Nand, vec![0, 1, 2, 3]),
         ];
         for (kind, operands) in cases {
-            let mut fused_c = vec![0u64; words];
-            let mut fused_n = vec![0u64; words];
-            eval_op_pair(kind, &lo, words, &operands, &mut fused_c, &mut fused_n);
-            let mut gen_c = vec![0u64; words];
-            let mut gen_n = vec![0u64; words];
-            eval_op(kind, &lo, words, &operands, Lane::Clean, &mut gen_c);
-            eval_op(kind, &lo, words, &operands, Lane::Noisy, &mut gen_n);
-            assert_eq!(fused_c, gen_c, "{kind:?} x{} clean", operands.len());
-            assert_eq!(fused_n, gen_n, "{kind:?} x{} noisy", operands.len());
+            let mut fused = vec![0u64; 2 * words];
+            eval_op_pair(kind, &lo, words, &operands, &mut fused);
+            let mut generic = vec![0u64; 2 * words];
+            eval_op(kind, &lo, 2 * words, &operands, &mut generic);
+            assert_eq!(fused, generic, "{kind:?} x{}", operands.len());
         }
     }
 

@@ -353,10 +353,12 @@ pub fn sampled(netlist: &Netlist, samples: usize, seed: u64) -> Result<u32, SimE
 }
 
 /// The largest slot arena, in bytes, that [`sampled_with`] widens to
-/// hold more flip copies. On a 98,814-gate multiplier (about 198,000
-/// slots, 8 words per copy) a 25 MB arena of two copies ran as fast as
-/// one copy or faster, and a 50 MB arena of four took twice as long.
-const GROUP_ARENA_BYTES: usize = 32 << 20;
+/// hold more flip copies. On a 98,814-gate multiplier (8 words per
+/// copy) two copies ran as fast as one copy or faster, and four took
+/// twice as long, timed when every gate held a clean and a noisy slot
+/// (arenas of 25 and 50 MB). With one slot per value two copies there
+/// take 13 MB and four 25 MB, so the cap keeps it at two.
+const GROUP_ARENA_BYTES: usize = 16 << 20;
 
 /// Sensitivity lower bound from random sampling on the compiled engine
 /// — bit-identical to [`sampled`] (same base patterns, same flips, same
@@ -365,7 +367,7 @@ const GROUP_ARENA_BYTES: usize = 32 << 20;
 /// After the base run, every input slot holds `G` copies of the base
 /// patterns side by side: as many as fit in the clean passes' window of
 /// `W` words, `W / words` for `words` words per stream, but no more
-/// than keep the arena within 32 MiB, and at least one. One tape pass
+/// than keep the arena within 16 MiB, and at least one. One tape pass
 /// inverts one input per copy, so the `n` inputs take `⌈n / G⌉` passes
 /// instead of `n`, and each copy's outputs are compared with the base
 /// streams.

@@ -3,19 +3,19 @@
 //! [`SimProgram::verify`] abstractly interprets an op tape against the
 //! netlist it claims to implement and proves the structural invariants
 //! the executors rely on — without running a single pattern and without
-//! looking at any RNG stream. That last property is the point: the
-//! planned v2 counter-based fault-mask backend will bump the cache
-//! `FORMAT_VERSION` and lose bit-identity with today's interpreted
-//! oracle, so differential testing stops short there. The invariants
-//! checked here are stream-independent and therefore **mandatory for
-//! every backend**, present and future:
+//! looking at any RNG stream. That last property is the point: the v2
+//! counter-based fault-mask stream shipped bit-identical on both
+//! engines, but both derive their masks from the same
+//! [`MaskPlan`](crate::MaskPlan), so differential testing cannot see a
+//! fault there. The invariants checked here are stream-independent and
+//! therefore **mandatory for every backend**, present and future:
 //!
 //! - **def-before-use** — every operand slot an op reads was written
 //!   earlier (by an input load, a constant fill, or a previous op);
 //! - **single assignment / Const immutability** — no slot is written
 //!   twice, so input and constant slots can never be clobbered by a
 //!   gate destination;
-//! - **Buf aliasing** — a `Buf` node's slot pair *is* its fanin's;
+//! - **Buf aliasing** — a `Buf` node's slot *is* its fanin's;
 //! - **arena bounds and sizing** — every referenced slot lies below
 //!   `num_slots` (what [`SimScratch`](crate::SimScratch) allocates) and
 //!   every allocated slot is actually produced, so the arena is exactly
@@ -24,8 +24,8 @@
 //!   with matching [`GateKind`]s;
 //! - **structural re-abstraction** — lifting the tape back to a graph
 //!   reproduces the netlist: per-gate operand multisets equal the
-//!   fanins' slot pairs, and input/constant/output slot maps agree with
-//!   the netlist's declarations.
+//!   fanins' slots, and input/constant/output slot maps agree with the
+//!   netlist's declarations.
 //!
 //! [`SimProgram::compile`] re-verifies its own output behind a debug
 //! assertion; release callers get the explicit [`SimProgram::verify`]
@@ -124,7 +124,7 @@ pub enum TapeDefect {
         /// What disagreed.
         detail: String,
     },
-    /// An output's slot pair is not its driver's.
+    /// An output's slot is not its driver's.
     OutputMismatch {
         /// Output index in declaration order.
         output: usize,
@@ -169,7 +169,7 @@ impl fmt::Display for TapeDefect {
                 write!(f, "op {op} disagrees with the netlist: {detail}")
             }
             TapeDefect::OutputMismatch { output } => {
-                write!(f, "output {output} slot pair is not its driver's")
+                write!(f, "output {output} slot is not its driver's")
             }
         }
     }
@@ -216,7 +216,7 @@ impl SimProgram {
 
         // Abstract state: which slots hold a produced value. Inputs and
         // materialized constants are the initial frontier; every op
-        // then defines its clean/noisy destination pair exactly once.
+        // then defines its destination exactly once.
         let mut defined = vec![false; self.num_slots];
         for (i, &slot) in self.input_slots.iter().enumerate() {
             define(&mut defined, || format!("input {i}"), slot)?;
@@ -238,20 +238,13 @@ impl SimProgram {
                     ),
                 });
             }
-            for &(clean, noisy) in &self.operands[start..end] {
-                for slot in [clean, noisy] {
-                    let index = bound(defined.len(), || format!("op {i} operand"), slot)?;
-                    if !defined[index] {
-                        return Err(TapeDefect::UseBeforeDef { op: i, slot });
-                    }
+            for &slot in &self.operands[start..end] {
+                let index = bound(defined.len(), || format!("op {i} operand"), slot)?;
+                if !defined[index] {
+                    return Err(TapeDefect::UseBeforeDef { op: i, slot });
                 }
             }
-            define(&mut defined, || format!("op {i} clean destination"), op.dst)?;
-            define(
-                &mut defined,
-                || format!("op {i} noisy destination"),
-                op.dst + 1,
-            )?;
+            define(&mut defined, || format!("op {i} destination"), op.dst)?;
         }
         // Sizing: `num_slots` is what SimScratch allocates, so a slot
         // nothing produces means the arena and the tape disagree.
@@ -264,29 +257,24 @@ impl SimProgram {
         // Structural re-abstraction: walk the netlist in id order and
         // prove the slot map, the op stream and the output map are the
         // image `compile` defines — gate kinds in topological order,
-        // per-gate operand multisets equal to the fanins' slot pairs.
-        let num_slots = self.num_slots;
+        // per-gate operand multisets equal to the fanins' slots.
         let mismatch = |node: usize, detail: String| TapeDefect::NodeMapMismatch { node, detail };
         let mut next_input = 0usize;
         let mut next_op = 0usize;
-        let mut operand_sorted: Vec<(u32, u32)> = Vec::new();
-        let mut fanin_sorted: Vec<(u32, u32)> = Vec::new();
+        let mut operand_sorted: Vec<u32> = Vec::new();
+        let mut fanin_sorted: Vec<u32> = Vec::new();
         for (i, node) in netlist.nodes().enumerate() {
-            let slots = self.node_slots[i];
-            bound(num_slots, || format!("node n{i} clean slot"), slots.0)?;
-            bound(num_slots, || format!("node n{i} noisy slot"), slots.1)?;
+            let slot = self.node_slots[i];
+            bound(self.num_slots, || format!("node n{i} slot"), slot)?;
             if self.is_gate[i] != node.kind().is_some_and(GateKind::counts_as_gate) {
                 return Err(mismatch(i, "is-gate flag disagrees with the kind".into()));
             }
             match node {
                 Node::Input { .. } => {
-                    let slot = self.input_slots[next_input];
+                    let input = self.input_slots[next_input];
                     next_input += 1;
-                    if slots != (slot, slot) {
-                        return Err(mismatch(
-                            i,
-                            format!("expected input slot pair ({slot}, {slot})"),
-                        ));
+                    if slot != input {
+                        return Err(mismatch(i, format!("expected input slot {input}")));
                     }
                 }
                 Node::Gate { kind, fanins } => match kind {
@@ -296,7 +284,7 @@ impl SimProgram {
                         } else {
                             self.ones_slot
                         };
-                        if materialized != Some(slots.0) || slots.0 != slots.1 {
+                        if materialized != Some(slot) {
                             return Err(mismatch(
                                 i,
                                 format!("{kind} must alias its materialized constant slot"),
@@ -305,10 +293,10 @@ impl SimProgram {
                     }
                     GateKind::Buf => {
                         let fanin = fanins[0].index();
-                        if slots != self.node_slots[fanin] {
+                        if slot != self.node_slots[fanin] {
                             return Err(mismatch(
                                 i,
-                                format!("Buf must alias fanin n{fanin}'s slot pair"),
+                                format!("Buf must alias fanin n{fanin}'s slot"),
                             ));
                         }
                     }
@@ -322,14 +310,10 @@ impl SimProgram {
                                 detail: format!("kind {} where node n{i} is {kind}", op.kind),
                             });
                         }
-                        if slots != (op.dst, op.dst + 1) {
+                        if slot != op.dst {
                             return Err(TapeDefect::OpMismatch {
                                 op: index,
-                                detail: format!(
-                                    "destination pair ({}, {}) is not node n{i}'s slot pair",
-                                    op.dst,
-                                    op.dst + 1
-                                ),
+                                detail: format!("destination {} is not node n{i}'s slot", op.dst),
                             });
                         }
                         operand_sorted.clear();
@@ -375,12 +359,12 @@ impl SimProgram {
                 }
                 1 if !self.node_slots.is_empty() => {
                     let last = self.node_slots.len() - 1;
-                    self.node_slots[last].0 ^= 1;
-                    format!("flipped node n{last}'s clean slot")
+                    self.node_slots[last] ^= 1;
+                    format!("flipped node n{last}'s slot")
                 }
                 _ if !self.output_slots.is_empty() => {
-                    self.output_slots[0].0 ^= 1;
-                    "flipped output 0's clean slot".to_owned()
+                    self.output_slots[0] ^= 1;
+                    "flipped output 0's slot".to_owned()
                 }
                 _ => {
                     self.num_slots += 1;
@@ -391,8 +375,8 @@ impl SimProgram {
             let op = (selector / 8) as usize % self.ops.len();
             match selector % 8 {
                 0 => {
-                    self.ops[op].dst += 2;
-                    format!("shifted op {op}'s destination pair")
+                    self.ops[op].dst += 1;
+                    format!("shifted op {op}'s destination")
                 }
                 1 => {
                     let kind = self.ops[op].kind;
@@ -414,12 +398,12 @@ impl SimProgram {
                 }
                 3 => {
                     let start = self.ops[op].operands.0 as usize;
-                    self.operands[start].0 = self.ops[op].dst;
+                    self.operands[start] = self.ops[op].dst;
                     format!("pointed op {op}'s first operand at its own destination")
                 }
                 4 => {
                     let start = self.ops[op].operands.0 as usize;
-                    self.operands[start].1 =
+                    self.operands[start] =
                         u32::try_from(self.num_slots).expect("slot count fits u32");
                     format!("pointed op {op}'s first operand out of bounds")
                 }
@@ -429,8 +413,8 @@ impl SimProgram {
                 }
                 6 => {
                     let last = self.node_slots.len() - 1;
-                    self.node_slots[last].0 ^= 1;
-                    format!("flipped node n{last}'s clean slot")
+                    self.node_slots[last] ^= 1;
+                    format!("flipped node n{last}'s slot")
                 }
                 _ => {
                     self.num_slots += 1;
@@ -443,6 +427,8 @@ impl SimProgram {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use nanobound_logic::{GateKind, Netlist};
 
     use super::*;
@@ -491,18 +477,40 @@ mod tests {
         assert!(program.verify(&other).is_err());
     }
 
+    /// Applies selectors `0..selectors` to fresh tapes of `nl`, requires
+    /// each to be rejected and returns the defect classes reported.
+    fn rejected_classes(nl: &Netlist, selectors: u64) -> BTreeSet<String> {
+        let reference = SimProgram::compile(nl);
+        (0..selectors)
+            .map(|selector| {
+                let mut program = reference.clone();
+                let what = program.corrupt_for_verifier_tests(selector);
+                let defect = program
+                    .verify(nl)
+                    .err()
+                    .unwrap_or_else(|| panic!("selector {selector} ({what}) slipped through"));
+                let debug = format!("{defect:?}");
+                debug.split(' ').next().unwrap().to_owned()
+            })
+            .collect()
+    }
+
+    fn classes(names: &[&str]) -> BTreeSet<String> {
+        names.iter().map(|&name| name.to_owned()).collect()
+    }
+
     #[test]
     fn every_corruption_selector_is_rejected() {
-        let nl = mixed_netlist();
-        let reference = SimProgram::compile(&nl);
-        for selector in 0..64u64 {
-            let mut program = reference.clone();
-            let what = program.corrupt_for_verifier_tests(selector);
-            assert!(
-                program.verify(&nl).is_err(),
-                "selector {selector} ({what}) slipped through"
-            );
-        }
+        assert_eq!(
+            rejected_classes(&mixed_netlist(), 64),
+            classes(&[
+                "OpMismatch",
+                "Redefinition",
+                "SlotOutOfBounds",
+                "UnproducedSlot",
+                "UseBeforeDef",
+            ])
+        );
     }
 
     #[test]
@@ -511,15 +519,10 @@ mod tests {
         let a = nl.add_input("a");
         let buf = nl.add_gate(GateKind::Buf, &[a]).unwrap();
         nl.add_output("y", buf).unwrap();
-        let reference = SimProgram::compile(&nl);
-        for selector in 0..6u64 {
-            let mut program = reference.clone();
-            let what = program.corrupt_for_verifier_tests(selector);
-            assert!(
-                program.verify(&nl).is_err(),
-                "selector {selector} ({what}) slipped through"
-            );
-        }
+        assert_eq!(
+            rejected_classes(&nl, 6),
+            classes(&["OutputMismatch", "SlotOutOfBounds", "UnproducedSlot"])
+        );
     }
 
     #[test]
@@ -537,7 +540,7 @@ mod tests {
             },
             TapeDefect::UseBeforeDef { op: 0, slot: 4 },
             TapeDefect::Redefinition {
-                context: "op 2 clean destination".into(),
+                context: "op 2 destination".into(),
                 slot: 0,
             },
             TapeDefect::UnproducedSlot { slot: 5 },

@@ -11,7 +11,7 @@
 //!   makes about 20,000.
 //! - Exact sensitivity holds the output streams of the `2^n`
 //!   assignments, not a full stream for every slot of the tape.
-//! - Activity holds one window per slot of the tape, whatever the
+//! - Activity holds one window per value of the tape, whatever the
 //!   pattern count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -199,10 +199,10 @@ fn exact_sensitivity_holds_output_streams_not_slot_streams() {
     );
 }
 
-#[test]
-fn activity_holds_one_window_per_slot() {
-    let netlist = xor_groups();
-    let program = SimProgram::compile(&netlist);
+/// Checks that activity at 65,536 patterns holds one 32-word window
+/// per value of `netlist`, plus `per_node` bytes per node and 64 KiB.
+fn assert_activity_holds_one_window_per_value(netlist: &Netlist, per_node: usize) {
+    let program = SimProgram::compile(netlist);
     let mut scratch = program.scratch();
     let patterns = 1 << 16;
     let (profile, peak) = peak_bytes(|| {
@@ -211,14 +211,30 @@ fn activity_holds_one_window_per_slot() {
             .expect("at least 2 patterns")
     });
     assert_eq!(profile.patterns, patterns);
-    // Each input has a slot and each of the 16 gates a clean and a
-    // noisy one: 52 slots of one 32-word window, 13 KiB. The fixed
-    // 64 KiB covers the per-node counters, the per-input generators and
-    // the profile; a full arena of 1,024 words per slot takes 416 KiB.
-    let slots = bytes(netlist.input_count() + 2 * program.gate_count());
-    let budget = slots * 32 * 8 + (64 << 10);
+    let slots = bytes(netlist.input_count() + program.gate_count());
+    let budget = slots * 32 * 8 + bytes(netlist.node_count() * per_node) + (64 << 10);
     assert!(
         peak <= budget,
         "activity held {peak} bytes at {patterns} patterns, budget {budget}"
     );
+}
+
+#[test]
+fn activity_holds_one_window_per_slot() {
+    // Each of the 20 inputs and 16 gates has one slot: 36 windows of
+    // 32 words, 9 KiB. The fixed 64 KiB covers the per-node counters,
+    // the per-input generators and the profile; a full arena of 1,024
+    // words per slot takes 288 KiB.
+    assert_activity_holds_one_window_per_value(&xor_groups(), 0);
+}
+
+#[test]
+fn activity_on_20000_gates_holds_one_window_per_value() {
+    // 20,064 windows take 4.9 MiB, past the fixed 64 KiB, so a second,
+    // unwritten window per gate (another 4.9 MiB) fails. Each node also
+    // holds three counter words and the profile's two floats.
+    let netlist = bench::parse(&netlist_text())
+        .expect("the netlist parses")
+        .netlist;
+    assert_activity_holds_one_window_per_value(&netlist, 5 * 8);
 }
